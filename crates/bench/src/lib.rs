@@ -74,9 +74,11 @@ pub fn calibrate(samples: usize) -> (f64, f64) {
 }
 
 /// Renders a figure sweep the way the figure binaries do: warnings for
-/// failed cells, then tables (or CSV with `--csv`), then the exit code —
-/// 0 when every cell completed, 5 when the figure is partial, 6 when any
-/// cell failed race-freedom certification (with `--verify-labels`).
+/// failed cells, then tables (or CSV with `--csv`), then the exit code of
+/// [`FigureReport::exit_code`](dashlat::experiments::FigureReport::exit_code)
+/// — 0 when every cell completed, else the most severe failed cell's code
+/// under the CLI's precedence (4 invariant violation > 2 deadlock >
+/// 3 livelock > 6 race > 5 partial), exactly as `dashlat figure` exits.
 pub fn emit_figure(report: &dashlat::experiments::FigureReport) -> ExitCode {
     for (app, label, failure) in &report.failures {
         eprintln!("warning: {app}/{label} failed: {failure}");
@@ -87,33 +89,25 @@ pub fn emit_figure(report: &dashlat::experiments::FigureReport) -> ExitCode {
         println!("{}", report.figure.render());
         println!("{}", report.figure.render_chart());
     }
-    if report.is_complete() {
-        if std::env::args().any(|a| a == "--verify-labels") {
-            println!("label verification: every cell certified properly labeled");
-        }
-        ExitCode::SUCCESS
-    } else {
-        // A mislabeled program invalidates the whole figure, not just one
-        // cell — mirror the CLI and let races outrank generic failures.
-        let racy = report
-            .failures
-            .iter()
-            .filter(|(_, _, f)| matches!(f, dashlat::runner::RunFailure::RaceDetected(_)))
-            .count();
-        if racy > 0 {
-            eprintln!("error: {racy} figure cell(s) failed race-freedom certification");
-            ExitCode::from(6)
-        } else {
-            ExitCode::from(5)
-        }
+    if report.is_complete() && std::env::args().any(|a| a == "--verify-labels") {
+        println!("label verification: every cell certified properly labeled");
     }
+    let racy = report
+        .failures
+        .iter()
+        .filter(|(_, _, f)| matches!(f, dashlat::runner::RunFailure::RaceDetected(_)))
+        .count();
+    if racy > 0 {
+        eprintln!("error: {racy} figure cell(s) failed race-freedom certification");
+    }
+    ExitCode::from(report.exit_code())
 }
 
 /// Parses the common command line: `--test-scale` selects the reduced data
 /// sets, `--processors N` overrides the machine size, `--jobs N` pins the
 /// sweep worker count (default: all cores), `--verify-labels` runs the
 /// full `dashlat-analyze` pass set over every cell and turns a detected
-/// race into exit code 6 (see [`emit_figure`]).
+/// race into a failed cell with exit code 6 (see [`emit_figure`]).
 pub fn base_config_from_args() -> ExperimentConfig {
     let args: Vec<String> = std::env::args().collect();
     let mut cfg = if args.iter().any(|a| a == "--test-scale") {
@@ -175,7 +169,50 @@ mod tests {
         // while the supervised sweep uses `dashlat::sweeplog::SweepLog`; both
         // must be the same type.
         let mut log: dashlat::sweeplog::SweepLog = SweepLog::new();
-        log.measure_with("s", "a", || Ok(1));
+        log.record("s", "a", Ok(1));
         assert_eq!(log.failed(), 0);
+    }
+
+    #[test]
+    fn figure_binaries_exit_like_the_cli() {
+        use dashlat::experiments::FigureReport;
+        use dashlat::report::Figure;
+        use dashlat::runner::RunFailure;
+        use dashlat_cpu::machine::RunError;
+        let mut report = FigureReport {
+            figure: Figure {
+                title: String::new(),
+                groups: vec![],
+            },
+            failures: vec![],
+        };
+        assert_eq!(emit_figure(&report), ExitCode::SUCCESS);
+        // The same mixed failure set the CLI's figure test folds: each
+        // added class is more severe than the ones before it.
+        let race = RunFailure::RaceDetected(Box::new(dashlat_analyze::AnalysisReport {
+            subject: String::new(),
+            nprocs: 0,
+            events: 0,
+            passes: vec![],
+            hb: None,
+            lockset: None,
+            barrier: None,
+            prefetch: None,
+            sync_balance: None,
+            replay_notes: vec![],
+        }));
+        let invariant = RunError::InvariantViolation {
+            at: dashlat_sim::Cycle(9),
+            detail: "wb fifo".into(),
+        };
+        for (failure, expect) in [
+            (RunFailure::Panic("p".into()), 5),
+            (race, 6),
+            (RunFailure::Error(RunError::Deadlock { stuck: vec![] }), 2),
+            (RunFailure::Error(invariant), 4),
+        ] {
+            report.failures.push(("LU".into(), "SC".into(), failure));
+            assert_eq!(emit_figure(&report), ExitCode::from(expect));
+        }
     }
 }

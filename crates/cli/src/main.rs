@@ -17,14 +17,13 @@ use std::time::Duration;
 
 use args::{parse, ArgError, Command, USAGE};
 use dashlat::apps::App;
-use dashlat::cellcache::CellMemo;
 use dashlat::chaos::{active_classes, run_chaos, ChaosOptions};
 use dashlat::config::ExperimentConfig;
+use dashlat::experiments::FigureReport;
 use dashlat::report::{describe_run, AppFigure, Figure};
 use dashlat::runner::{run, RunFailure};
 use dashlat::sweep::{
-    run_cell_in_process, run_cell_in_process_memo, run_supervised, ReproBundle, SweepCell,
-    SweepOptions, SweepPlan,
+    run_cell_in_process, run_supervised, ReproBundle, SweepCell, SweepOptions, SweepPlan,
 };
 use dashlat_cpu::machine::{Machine, RunError};
 use dashlat_cpu::ops::Topology;
@@ -150,42 +149,13 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Severity ranking of the exit codes, most severe first: a memory-model
-/// violation (7) means the simulator's consistency guarantees are wrong,
-/// which invalidates everything downstream; an invariant violation (4)
-/// means corrupted coherence state; deadlock (2) and livelock (3) are
-/// forward-progress failures; a race (6) indicts the workload's labeling
-/// rather than the machine; a chaos finding (8) is a freshly fuzzed bug
-/// and a repro divergence (9) an unconfirmed old one — real, but already
-/// minimized or secondhand; a static lint finding (11) is a *possible*
-/// failure proved without running anything, so it ranks just below the
-/// witnessed ones; partial results (5), service errors (10 — the daemon
-/// was unreachable or rejected the request, saying nothing about the
-/// simulator itself) and generic errors (1) rank last. When failures
-/// co-occur the most severe code wins.
-const SEVERITY: [u8; 11] = [7, 4, 2, 3, 6, 8, 9, 11, 5, 10, 1];
-
-/// Returns the more severe of two exit codes under [`SEVERITY`].
-fn worst_code(a: u8, b: u8) -> u8 {
-    let rank = |c: u8| {
-        SEVERITY
-            .iter()
-            .position(|&s| s == c)
-            .unwrap_or(SEVERITY.len())
-    };
-    if rank(a) <= rank(b) {
-        a
-    } else {
-        b
-    }
-}
-
 /// Distinct exit codes so scripts can tell failure classes apart:
 /// 0 success, 1 generic, 2 deadlock, 3 livelock, 4 invariant violation,
 /// 5 partial matrix results, 6 race detected, 7 memory-model violation,
 /// 8 chaos found a failing schedule, 9 repro bundle did not reproduce,
 /// 10 service error, 11 static lint found critical findings.
-/// Paths where failures co-occur pre-rank them into [`WorstFailure`].
+/// Paths where failures co-occur pre-rank them into [`WorstFailure`] under
+/// the shared precedence, [`dashlat::runner::EXIT_SEVERITY`].
 fn exit_code_for(e: &(dyn std::error::Error + 'static)) -> ExitCode {
     if let Some(w) = e.downcast_ref::<WorstFailure>() {
         return ExitCode::from(w.code);
@@ -307,37 +277,7 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 println!("{}", report.figure.render());
                 println!("{}", report.figure.render_chart());
             }
-            if report.is_complete() {
-                Ok(())
-            } else {
-                // Several failure classes can co-occur across the matrix's
-                // cells; the exit code of the most severe one wins (an
-                // invariant violation in one cell outranks another cell's
-                // race, which outranks the generic partial-results code).
-                let code = report
-                    .failures
-                    .iter()
-                    .map(|(_, _, f)| f.exit_code())
-                    .fold(5, worst_code);
-                let racy = report
-                    .failures
-                    .iter()
-                    .filter(|(_, _, f)| matches!(f, RunFailure::RaceDetected(_)))
-                    .count();
-                let msg = if racy > 0 {
-                    format!(
-                        "{racy} subject(s) failed race-freedom certification; \
-                         {} configuration(s) failed in total",
-                        report.failures.len()
-                    )
-                } else {
-                    format!(
-                        "{} configuration(s) failed; partial results rendered above",
-                        report.failures.len()
-                    )
-                };
-                Err(Box::new(WorstFailure { code, msg }))
-            }
+            figure_outcome(&report)
         }
         Command::Table { number, config } => {
             match number {
@@ -449,33 +389,20 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             let timeout = Duration::from_secs(timeout_secs);
             let journal_path = Path::new(&journal);
             let out_path = Path::new(&out);
-            let report = if isolate {
-                run_supervised(
-                    &plan,
-                    journal_path,
-                    out_path,
-                    resume,
-                    &opts,
-                    |_, cell, _| isolate::run_cell_subprocess(cell, timeout),
-                )?
-            } else {
-                let memo = CellMemo::new();
-                let report = run_supervised(
-                    &plan,
-                    journal_path,
-                    out_path,
-                    resume,
-                    &opts,
-                    |_, cell, _| run_cell_in_process_memo(cell, &memo),
-                )?;
-                if memo.hits() > 0 {
-                    println!(
-                        "result memo: {} cell(s) served without re-simulating",
-                        memo.hits()
-                    );
-                }
-                report
-            };
+            let report = run_supervised(
+                &plan,
+                journal_path,
+                out_path,
+                resume,
+                &opts,
+                |_, cell, _| {
+                    if isolate {
+                        isolate::run_cell_subprocess(cell, timeout)
+                    } else {
+                        run_cell_in_process(cell)
+                    }
+                },
+            )?;
             println!("{}", report.summary());
             for line in report.diagnostics() {
                 eprintln!("warning: {line}");
@@ -1057,6 +984,37 @@ fn describe_job(job: &dashlat_sim::json::Value) -> String {
     line
 }
 
+/// Turns a rendered figure into the command's result: `Ok` when every cell
+/// completed, else a [`WorstFailure`] carrying
+/// [`FigureReport::exit_code`] — the same code the figure binaries exit
+/// with.
+fn figure_outcome(report: &FigureReport) -> Result<(), Box<dyn std::error::Error>> {
+    if report.is_complete() {
+        return Ok(());
+    }
+    let racy = report
+        .failures
+        .iter()
+        .filter(|(_, _, f)| matches!(f, RunFailure::RaceDetected(_)))
+        .count();
+    let msg = if racy > 0 {
+        format!(
+            "{racy} subject(s) failed race-freedom certification; \
+             {} configuration(s) failed in total",
+            report.failures.len()
+        )
+    } else {
+        format!(
+            "{} configuration(s) failed; partial results rendered above",
+            report.failures.len()
+        )
+    };
+    Err(Box::new(WorstFailure {
+        code: report.exit_code(),
+        msg,
+    }))
+}
+
 /// Runs `app` once with a recorder attached and returns the trace,
 /// including the page placement so replays keep local/remote geometry.
 fn record_trace(app: App, config: &ExperimentConfig) -> Result<Trace, Box<dyn std::error::Error>> {
@@ -1078,20 +1036,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_ranking_is_total_and_most_severe_wins() {
-        // 7 > 4 > 2 > 3 > 6 > 8 > 9 > 11 > 5 > 10 > 1, pairwise.
-        for (i, &a) in SEVERITY.iter().enumerate() {
-            for &b in &SEVERITY[i..] {
-                assert_eq!(worst_code(a, b), a);
-                assert_eq!(worst_code(b, a), a);
-            }
-        }
-        // Unknown codes lose to every ranked one.
-        assert_eq!(worst_code(99, 5), 5);
-        assert_eq!(worst_code(1, 99), 1);
-    }
-
-    #[test]
     fn figure_matrix_failures_rank_by_class() {
         let deadlock = RunFailure::Error(RunError::Deadlock { stuck: vec![] });
         let race = RunFailure::RaceDetected(Box::new(dashlat_analyze::AnalysisReport {
@@ -1106,16 +1050,32 @@ mod tests {
             sync_balance: None,
             replay_notes: vec![],
         }));
+        let invariant = RunFailure::Error(RunError::InvariantViolation {
+            at: Cycle(9),
+            detail: "wb fifo".into(),
+        });
         let panic = RunFailure::Panic("p".into());
-        assert_eq!(deadlock.exit_code(), 2);
-        assert_eq!(race.exit_code(), 6);
-        assert_eq!(panic.exit_code(), 1);
-        // A deadlock cell outranks a race cell, both outrank partial (5).
-        let code = [&race, &deadlock, &panic]
-            .into_iter()
-            .map(RunFailure::exit_code)
-            .fold(5, worst_code);
-        assert_eq!(code, 2);
+        let mut report = FigureReport {
+            figure: Figure {
+                title: String::new(),
+                groups: vec![],
+            },
+            failures: vec![],
+        };
+        let code = |report: &FigureReport| {
+            figure_outcome(report)
+                .err()
+                .map(|e| exit_code_for(e.as_ref()))
+        };
+        assert_eq!(code(&report), None);
+        // A deadlock cell outranks a race cell, both outrank partial (5);
+        // an invariant violation outranks them all. The figure binaries
+        // fold the same set to the same codes (`dashlat_bench` tests).
+        for (failure, expect) in [(panic, 5), (race, 6), (deadlock, 2), (invariant, 4)] {
+            report.failures.push(("LU".into(), "SC".into(), failure));
+            assert_eq!(code(&report), Some(ExitCode::from(expect)));
+            assert_eq!(report.exit_code(), expect);
+        }
     }
 
     #[test]

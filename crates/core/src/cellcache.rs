@@ -10,12 +10,14 @@
 //! re-simulated, and the served clone is byte-identical to what the
 //! re-run would have produced.
 //!
-//! This is the in-process complement of the `dashlat-serve` disk cache:
-//! the disk cache persists across processes but stores only summary
-//! fields, while this memo holds complete [`Experiment`]s for the
-//! lifetime of one sweep. The bench harness keeps one memo per
+//! The memo pays off only across plans: one figure's matrix repeats no
+//! work fingerprint, so its callers are the cross-figure passes of the
+//! `perf` and `bench_gate` binaries (through
+//! [`crate::runner::run_matrix_jobs_memo`]). They keep one memo per
 //! measurement pass (never shared between a serial and a parallel pass)
-//! so both sides of a speedup comparison do the same work.
+//! so both sides of a speedup comparison do the same work. It holds
+//! complete [`Experiment`]s for the lifetime of that pass; results that
+//! must outlive a process go through the `dashlat-serve` disk cache.
 //!
 //! Failures are never memoized, mirroring the serve cache policy: a
 //! transient fault must stay visible in every cell it strikes, and a

@@ -12,7 +12,7 @@ use dashlat_sim::Cycle;
 use crate::apps::App;
 use crate::config::ExperimentConfig;
 use crate::report::{AppFigure, Figure, Table2, Table2Row};
-use crate::runner::{run, run_matrix, Experiment, RunFailure};
+use crate::runner::{run, run_matrix, worst_exit_code, Experiment, RunFailure};
 
 /// Renders Table 1: the memory-operation latencies of the simulated
 /// machine (configuration, not measurement).
@@ -77,6 +77,21 @@ impl FigureReport {
     /// True when every cell of every app group completed.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// The exit code a figure run ends with: 0 when complete, else the
+    /// most severe failed cell's code under
+    /// [`EXIT_SEVERITY`](crate::runner::EXIT_SEVERITY), never less severe
+    /// than partial results (5). An invariant violation in one cell thus
+    /// outranks another cell's race, which outranks a plain panic.
+    pub fn exit_code(&self) -> u8 {
+        if self.is_complete() {
+            return 0;
+        }
+        self.failures
+            .iter()
+            .map(|(_, _, f)| f.exit_code())
+            .fold(5, worst_exit_code)
     }
 }
 

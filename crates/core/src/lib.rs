@@ -56,15 +56,14 @@ pub use apps::App;
 pub use cellcache::CellMemo;
 pub use config::{parse_machine_args, AppScale, ExperimentConfig};
 pub use pool::{
-    effective_jobs, hardware_cores, par_indexed_map, par_indexed_map_while, set_default_jobs,
+    effective_jobs, hardware_cores, par_indexed_map_while, set_default_jobs, worker_count,
 };
 pub use report::{AppFigure, Figure, FigureBar, Table2, Table2Row};
 pub use runner::{
-    matrix_jobs, run, run_isolated, run_matrix, run_matrix_jobs, run_matrix_jobs_memo, Experiment,
-    MatrixCell, MatrixReport, RunFailure,
+    matrix_jobs, run, run_isolated, run_matrix, run_matrix_jobs, run_matrix_jobs_memo,
+    worst_exit_code, Experiment, MatrixCell, MatrixReport, RunFailure, EXIT_SEVERITY,
 };
 pub use sweep::{
-    cell_fingerprint, retry_backoff_ms, run_supervised, run_supervised_controlled,
-    work_fingerprint, SweepControl,
+    retry_backoff_ms, run_supervised, run_supervised_controlled, work_fingerprint, SweepControl,
 };
 pub use sweeplog::{SweepBatch, SweepLog, SweepPoint};

@@ -5,13 +5,15 @@
 //! `(config, seed)` pair and shares nothing mutable with its neighbours. A
 //! sweep therefore parallelises embarrassingly — the only requirements are
 //! that results come back keyed by cell index (never by completion order)
-//! and that a panicking cell stays isolated, both of which
-//! [`par_indexed_map`] guarantees. Runs themselves stay single-threaded,
-//! so per-cell results are bit-identical to serial execution.
+//! and that a panicking cell stays isolated. [`par_indexed_map_while`] is
+//! the one pool every set of cells runs on (figure matrices, supervised
+//! sweeps, sweep batches); runs themselves stay single-threaded, so
+//! per-cell results are bit-identical to serial execution.
 //!
-//! The worker count defaults to [`std::thread::available_parallelism`] and
-//! can be pinned process-wide with [`set_default_jobs`] (the CLI and bench
-//! binaries wire their `--jobs N` flag to it).
+//! Every pool sizes itself by one rule, [`worker_count`]: the requested
+//! count, else the process-wide default pinned with [`set_default_jobs`]
+//! (the CLI and bench binaries wire their `--jobs N` flag to it), clamped
+//! to the hardware's cores and to the number of items.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -28,7 +30,7 @@ pub fn set_default_jobs(jobs: Option<usize>) {
 }
 
 /// The parallelism the hardware actually offers
-/// ([`std::thread::available_parallelism`], 1 when unknown). Sweeps clamp
+/// ([`std::thread::available_parallelism`], 1 when unknown). Pools clamp
 /// their worker count to this: workers beyond the core count only add
 /// scheduler thrash (the source of the sub-1.0 "speedups" in early BENCH
 /// files), and bench reports record it so throughput numbers can be read
@@ -37,9 +39,10 @@ pub fn hardware_cores() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The effective worker count: the explicit `requested` value if given,
+/// The requested worker count: the explicit `requested` value if given,
 /// else the process-wide default from [`set_default_jobs`], else
-/// [`std::thread::available_parallelism`]. Never less than 1.
+/// [`hardware_cores`]. Never less than 1. This is what the user asked
+/// for; [`worker_count`] is what a pool actually spawns.
 pub fn effective_jobs(requested: Option<usize>) -> usize {
     requested
         .filter(|&n| n > 0)
@@ -47,66 +50,41 @@ pub fn effective_jobs(requested: Option<usize>) -> usize {
             let d = DEFAULT_JOBS.load(Ordering::Relaxed);
             (d > 0).then_some(d)
         })
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+        .unwrap_or_else(hardware_cores)
 }
 
-/// Applies `f` to every item on a scoped pool of `jobs` workers, returning
-/// the results **in input order** (keyed by item index, not completion
-/// order).
+/// The number of workers a pool runs `items` items on: [`effective_jobs`]
+/// clamped to [`hardware_cores`] and to `items`, never less than 1.
+pub fn worker_count(requested: Option<usize>, items: usize) -> usize {
+    effective_jobs(requested)
+        .min(hardware_cores())
+        .min(items)
+        .max(1)
+}
+
+/// Applies `f` to every item on a scoped pool of
+/// [`worker_count`]`(jobs, items.len())` workers, checking `keep_going()`
+/// before starting each item, and returns the results **in input order**
+/// (keyed by item index, not completion order).
 ///
-/// Work is handed out through a shared atomic cursor, so cell-to-worker
+/// Once `keep_going()` returns `false` no further item starts: items that
+/// never started are `None`, and items already in flight are finished
+/// normally (drained), so a caller that journals per-item results never
+/// loses a completed item. This is the cooperative-cancellation seam the
+/// supervised sweep and the service use; callers that never cancel pass
+/// `|| true` and get `Some` in every slot.
+///
+/// Work is handed out through a shared atomic cursor, so item-to-worker
 /// assignment varies between runs — which is exactly why results are
 /// written into their input slot instead of being collected. `f` must
-/// contain its own panic isolation if items may panic (the runner's cells
-/// wrap each run in `catch_unwind`); a panic that does escape `f` aborts
-/// the whole sweep when the scope joins.
+/// contain its own panic isolation if items may panic (the cell runners
+/// all capture panics per cell); a panic that does escape `f` aborts the
+/// whole sweep when the scope joins.
 ///
-/// With `jobs == 1`, or a single item, `f` runs inline on the caller's
-/// thread: the serial path stays allocation- and thread-free.
-pub fn par_indexed_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        items.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
-}
-
-/// Like [`par_indexed_map`], but checks `keep_going()` before starting
-/// each item and stops handing out work once it returns `false`. Items
-/// that never started are `None` in the result; items already in flight
-/// when the signal flips are finished normally (drained), so a caller
-/// that journals per-item results never loses a completed item.
-///
-/// This is the cooperative-cancellation seam the long-running sweep
-/// service uses: a cancelled or deadline-expired job stops at the next
-/// cell boundary with every finished cell intact.
+/// With one worker `f` runs inline on the caller's thread: the serial
+/// path stays thread-free.
 pub fn par_indexed_map_while<T, R, F, C>(
-    jobs: usize,
+    jobs: Option<usize>,
     items: &[T],
     keep_going: C,
     f: F,
@@ -117,8 +95,8 @@ where
     F: Fn(usize, &T) -> R + Sync,
     C: Fn() -> bool + Sync,
 {
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs == 1 {
+    let workers = worker_count(jobs, items.len());
+    if workers == 1 {
         return items
             .iter()
             .enumerate()
@@ -129,7 +107,7 @@ where
     let slots: Vec<std::sync::Mutex<Option<R>>> =
         items.iter().map(|_| std::sync::Mutex::new(None)).collect();
     thread::scope(|scope| {
-        for _ in 0..jobs {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 if !keep_going() {
                     break;
@@ -150,104 +128,87 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn preserves_input_order() {
+    fn preserves_input_order_serial_and_parallel() {
         let items: Vec<usize> = (0..100).collect();
-        let out = par_indexed_map(8, &items, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_path_matches_parallel() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial = par_indexed_map(1, &items, |_, &x| x * x);
-        let parallel = par_indexed_map(4, &items, |_, &x| x * x);
-        assert_eq!(serial, parallel);
+        let run = |jobs| {
+            par_indexed_map_while(
+                Some(jobs),
+                &items,
+                || true,
+                |i, &x| {
+                    assert_eq!(i, x);
+                    x * 2
+                },
+            )
+        };
+        let serial = run(1);
+        assert_eq!(serial, (0..100).map(|x| Some(x * 2)).collect::<Vec<_>>());
+        assert_eq!(run(8), serial);
     }
 
     #[test]
     fn empty_and_single_item() {
         let none: Vec<u8> = Vec::new();
-        assert!(par_indexed_map(4, &none, |_, &x| x).is_empty());
-        assert_eq!(par_indexed_map(4, &[7u8], |_, &x| x), vec![7]);
-    }
-
-    #[test]
-    fn cancellable_map_runs_everything_when_never_cancelled() {
-        let items: Vec<usize> = (0..40).collect();
-        for jobs in [1, 4] {
-            let out = par_indexed_map_while(jobs, &items, || true, |_, &x| x + 1);
-            assert_eq!(out.len(), 40);
-            assert!(out.iter().all(Option::is_some));
-            assert_eq!(out[7], Some(8));
-        }
-    }
-
-    #[test]
-    fn cancellable_map_drains_in_flight_items_and_skips_the_rest() {
-        use std::sync::atomic::AtomicBool;
-        let items: Vec<usize> = (0..100).collect();
-        let stop = AtomicBool::new(false);
-        // Each of the 4 workers takes one of items 0..=3 first; item 3
-        // flips the flag while 0..=2 hold their workers until it is set,
-        // so no worker can fetch item 4 before cancellation is visible.
-        let out = par_indexed_map_while(
-            4,
-            &items,
-            || !stop.load(Ordering::SeqCst),
-            |i, &x| {
-                if i == 3 {
-                    stop.store(true, Ordering::SeqCst);
-                } else {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                }
-                x
-            },
+        assert!(par_indexed_map_while(Some(4), &none, || true, |_, &x| x).is_empty());
+        assert_eq!(
+            par_indexed_map_while(Some(4), &[7u8], || true, |_, &x| x),
+            vec![Some(7)]
         );
-        // Exactly the in-flight items drained; everything else skipped.
-        for (i, slot) in out.iter().enumerate() {
-            if i <= 3 {
-                assert_eq!(*slot, Some(i), "in-flight item {i} must drain");
-            } else {
-                assert_eq!(*slot, None, "item {i} must not start after cancel");
+    }
+
+    #[test]
+    fn cancellation_drains_in_flight_items_and_skips_the_rest() {
+        let items: Vec<usize> = (0..100).collect();
+        for jobs in [1, 4] {
+            let last = worker_count(Some(jobs), items.len()) - 1;
+            let stop = AtomicBool::new(false);
+            // Each worker takes one of items 0..=last first; item `last`
+            // flips the flag while the others hold their workers until it
+            // is set, so no worker can fetch another item before
+            // cancellation is visible.
+            let out = par_indexed_map_while(
+                Some(jobs),
+                &items,
+                || !stop.load(Ordering::SeqCst),
+                |i, &x| {
+                    if i == last {
+                        stop.store(true, Ordering::SeqCst);
+                    } else {
+                        while !stop.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    x
+                },
+            );
+            // Exactly the in-flight items drained; everything else skipped.
+            for (i, slot) in out.iter().enumerate() {
+                if i <= last {
+                    assert_eq!(*slot, Some(i), "in-flight item {i} must drain");
+                } else {
+                    assert_eq!(*slot, None, "item {i} must not start after cancel");
+                }
             }
         }
     }
 
     #[test]
-    fn cancellable_map_serial_path_respects_the_signal() {
-        use std::sync::atomic::AtomicBool;
-        let items: Vec<usize> = (0..10).collect();
-        let stop = AtomicBool::new(false);
-        let out = par_indexed_map_while(
-            1,
-            &items,
-            || !stop.load(Ordering::Relaxed),
-            |i, &x| {
-                if i == 2 {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                x
-            },
-        );
-        assert_eq!(out[..3], [Some(0), Some(1), Some(2)]);
-        assert!(out[3..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn effective_jobs_resolution() {
+    fn worker_count_resolution() {
+        let cores = hardware_cores();
         assert!(effective_jobs(None) >= 1);
         assert_eq!(effective_jobs(Some(3)), 3);
         set_default_jobs(Some(2));
         assert_eq!(effective_jobs(None), 2);
         assert_eq!(effective_jobs(Some(5)), 5);
+        assert_eq!(worker_count(None, 100), 2.min(cores));
         set_default_jobs(None);
         assert!(effective_jobs(None) >= 1);
+        // Clamped to the hardware and to the item count, never zero.
+        assert_eq!(worker_count(Some(cores + 7), 1000), cores);
+        assert_eq!(worker_count(Some(64), 3), 3.min(cores));
+        assert_eq!(worker_count(Some(64), 0), 1);
     }
 }

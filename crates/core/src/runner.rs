@@ -7,8 +7,6 @@
 //! with a per-configuration outcome instead of losing the healthy runs to
 //! one poisoned cell.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use dashlat_analyze::AnalysisReport;
 use dashlat_cpu::machine::{Machine, RunError, RunResult};
 use dashlat_mem::layout::AddressSpaceBuilder;
@@ -101,6 +99,40 @@ impl RunFailure {
     }
 }
 
+/// Exit codes ranked most severe first — the one precedence every path
+/// that folds several failures into one exit code uses (`dashlat figure`,
+/// `dashlat sweep`, the figure binaries, and the CLI's error dispatch).
+///
+/// A memory-model violation (7) means the simulator's consistency
+/// guarantees are wrong, which invalidates everything downstream; an
+/// invariant violation (4) means corrupted coherence state; deadlock (2)
+/// and livelock (3) are forward-progress failures; a race (6) indicts the
+/// workload's labeling rather than the machine; a chaos finding (8) is a
+/// freshly fuzzed bug and a repro divergence (9) an unconfirmed old one —
+/// real, but already minimized or secondhand; a static lint finding (11)
+/// is a *possible* failure proved without running anything, so it ranks
+/// just below the witnessed ones; partial results (5), service errors (10
+/// — the daemon was unreachable or rejected the request, saying nothing
+/// about the simulator itself) and generic errors (1) rank last.
+pub const EXIT_SEVERITY: [u8; 11] = [7, 4, 2, 3, 6, 8, 9, 11, 5, 10, 1];
+
+/// The more severe of two exit codes under [`EXIT_SEVERITY`]. Unranked
+/// codes (0 included) lose to every ranked one, so folding failure codes
+/// from 0 yields 0 only when there was nothing to fold.
+pub fn worst_exit_code(a: u8, b: u8) -> u8 {
+    let rank = |c: u8| {
+        EXIT_SEVERITY
+            .iter()
+            .position(|&s| s == c)
+            .unwrap_or(EXIT_SEVERITY.len())
+    };
+    if rank(a) <= rank(b) {
+        a
+    } else {
+        b
+    }
+}
+
 /// One cell of a [`MatrixReport`]: the configuration label plus either the
 /// finished experiment or the reason it failed.
 #[derive(Debug, Clone)]
@@ -189,7 +221,7 @@ pub fn run(app: App, config: &ExperimentConfig) -> Result<Experiment, RunError> 
 /// [`RunFailure::RaceDetected`]. This is the cell-execution primitive the
 /// matrix sweep, the supervised sweep and the chaos fuzzer all share.
 pub fn run_isolated(app: App, config: &ExperimentConfig) -> Result<Experiment, RunFailure> {
-    match catch_unwind(AssertUnwindSafe(|| run(app, config))) {
+    match catch_panic(|| run(app, config)) {
         Ok(Ok(e)) => match &e.analysis {
             Some(report) if report.race_detected() => {
                 Err(RunFailure::RaceDetected(Box::new(report.clone())))
@@ -197,29 +229,33 @@ pub fn run_isolated(app: App, config: &ExperimentConfig) -> Result<Experiment, R
             _ => Ok(e),
         },
         Ok(Err(e)) => Err(RunFailure::Error(e)),
-        Err(payload) => Err(RunFailure::Panic(panic_message(payload))),
+        Err(msg) => Err(RunFailure::Panic(msg)),
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs `f`, turning a panic into its message. The one panic capture
+/// every cell runner shares ([`run_isolated`] and sweep batches).
+pub(crate) fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
 /// Runs `app` on every configuration, isolating each run: a failure (panic
 /// or [`RunError`]) is recorded in its cell and the sweep continues, so one
 /// poisoned configuration cannot take down the healthy ones.
 ///
-/// Cells execute on a scoped worker pool sized by
-/// [`crate::pool::effective_jobs`] (the process-wide `--jobs` default, else
-/// `available_parallelism`). Each cell is an independent single-threaded
-/// simulation, so the report is bit-identical to serial execution and the
-/// cells stay in input order regardless of completion order.
+/// Cells execute on the sweep worker pool, sized by [`matrix_jobs`] from
+/// the process-wide `--jobs` default. Each cell is an independent
+/// single-threaded simulation, so the report is bit-identical to serial
+/// execution and the cells stay in input order regardless of completion
+/// order.
 pub fn run_matrix(app: App, configs: &[ExperimentConfig]) -> MatrixReport {
     run_matrix_jobs(app, configs, None)
 }
@@ -257,27 +293,24 @@ pub fn run_matrix_jobs_memo(
     // order regardless.
     let mut order: Vec<usize> = (0..configs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(estimated_cost(&configs[i])));
-    let by_order = crate::pool::par_indexed_map(jobs, &order, |_, &i| {
-        let c = &configs[i];
-        let outcome = match memo {
-            Some(m) => m.run(app, c),
-            None => run_isolated(app, c),
-        };
-        (
-            i,
-            MatrixCell {
-                label: c.label(),
-                outcome,
-            },
-        )
-    });
-    let mut slots: Vec<Option<MatrixCell>> = configs.iter().map(|_| None).collect();
-    for (i, cell) in by_order {
-        slots[i] = Some(cell);
-    }
-    let cells = slots
+    let by_order = crate::pool::par_indexed_map_while(
+        Some(jobs),
+        &order,
+        || true,
+        |_, &i| match memo {
+            Some(m) => m.run(app, &configs[i]),
+            None => run_isolated(app, &configs[i]),
+        },
+    );
+    let mut done: Vec<(usize, Option<Result<Experiment, RunFailure>>)> =
+        order.into_iter().zip(by_order).collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    let cells = done
         .into_iter()
-        .map(|s| s.expect("every dispatched cell produced a result"))
+        .map(|(i, outcome)| MatrixCell {
+            label: configs[i].label(),
+            outcome: outcome.expect("an uncancelled pool runs every cell"),
+        })
         .collect();
     MatrixReport { app, cells }
 }
@@ -289,17 +322,15 @@ pub fn run_matrix_jobs_memo(
 /// once a matrix carries at least a few non-trivial cells.
 const PARALLEL_COST_FLOOR: u64 = 64;
 
-/// Worker-count policy for one cell matrix: the requested (or default)
-/// count, clamped to the cells available and to what the hardware
-/// actually offers — workers beyond `available_parallelism` only context-
-/// switch against each other, which is how BENCH_3.json recorded parallel
-/// sweeps *slower* than serial (speedup 0.85–0.88 on figures 3 and 5).
-/// Falls back to serial on single-core hosts and for matrices too small
-/// to amortize pool overhead.
+/// Worker-count policy for one cell matrix: the pool's
+/// [`worker_count`](crate::pool::worker_count) rule (requested or default
+/// count, clamped to the hardware's cores and the cells available — workers
+/// beyond `available_parallelism` only context-switch against each other,
+/// which is how BENCH_3.json recorded parallel sweeps *slower* than serial,
+/// speedup 0.85–0.88 on figures 3 and 5), plus a serial fallback for
+/// matrices too small to amortize pool overhead.
 pub fn matrix_jobs(configs: &[ExperimentConfig], requested: Option<usize>) -> usize {
-    let jobs = crate::pool::effective_jobs(requested)
-        .min(crate::pool::hardware_cores())
-        .min(configs.len().max(1));
+    let jobs = crate::pool::worker_count(requested, configs.len());
     if jobs > 1 && configs.iter().map(estimated_cost).sum::<u64>() < PARALLEL_COST_FLOOR {
         return 1;
     }
@@ -325,6 +356,21 @@ mod tests {
     use super::*;
     use dashlat_cpu::config::Consistency;
     use dashlat_sim::fault::FaultPlan;
+
+    #[test]
+    fn severity_ranking_is_total_and_most_severe_wins() {
+        // 7 > 4 > 2 > 3 > 6 > 8 > 9 > 11 > 5 > 10 > 1, pairwise.
+        for (i, &a) in EXIT_SEVERITY.iter().enumerate() {
+            for &b in &EXIT_SEVERITY[i..] {
+                assert_eq!(worst_exit_code(a, b), a);
+                assert_eq!(worst_exit_code(b, a), a);
+            }
+        }
+        // Unranked codes lose to every ranked one.
+        assert_eq!(worst_exit_code(99, 5), 5);
+        assert_eq!(worst_exit_code(1, 99), 1);
+        assert_eq!(worst_exit_code(0, 1), 1);
+    }
 
     #[test]
     fn runs_mp3d_at_test_scale() {

@@ -36,7 +36,7 @@ use dashlat_sim::json::{quote, Value};
 use crate::apps::App;
 use crate::config::ExperimentConfig;
 use crate::experiments::figure_configs;
-use crate::runner::{run_isolated, RunFailure};
+use crate::runner::{run_isolated, worst_exit_code, RunFailure};
 use crate::sweeplog::SweepLog;
 
 /// Journal format version written into the header record.
@@ -103,25 +103,27 @@ impl SweepPlan {
     /// splicing cells measured under a different configuration into this
     /// run's results.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            // Field separator so concatenations can't collide.
-            h ^= 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        eat(self.name.as_bytes());
-        for cell in &self.cells {
-            eat(cell.app.name().as_bytes());
-            eat(cell.sweep.as_bytes());
-            eat(cell.point.as_bytes());
-            eat(format!("{:?}", cell.config).as_bytes());
-        }
-        h
+        self.cells
+            .iter()
+            .fold(fnv_field(FNV_OFFSET, self.name.as_bytes()), |h, cell| {
+                let h = fnv_field(h, cell.app.name().as_bytes());
+                let h = fnv_field(h, cell.sweep.as_bytes());
+                let h = fnv_field(h, cell.point.as_bytes());
+                fnv_field(h, format!("{:?}", cell.config).as_bytes())
+            })
     }
+}
+
+/// FNV-1a offset basis: the hash of no fields.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one field into an FNV-1a hash, followed by a `0xff` separator
+/// byte so concatenations of fields can't collide.
+fn fnv_field(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .chain(&[0xff])
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// FNV-1a fingerprint of one cell's *work identity*: the application and
@@ -129,29 +131,13 @@ impl SweepPlan {
 /// `sweep`/`point` labels. Two cells in different sweeps — or different
 /// jobs of the long-running `dashlat serve` service — that would simulate
 /// exactly the same machine share a fingerprint, which is what lets the
-/// service's content-addressed result cache serve repeated cells without
-/// re-simulating them. Cells are deterministic functions of this
-/// identity, so equal fingerprints imply equal results.
-pub fn cell_fingerprint(cell: &SweepCell) -> u64 {
-    work_fingerprint(cell.app, &cell.config)
-}
-
-/// [`cell_fingerprint`] for callers that hold an `(app, config)` pair
-/// rather than a [`SweepCell`] — the in-process result memo
-/// ([`crate::cellcache::CellMemo`]) keys on this before a cell exists.
+/// service's content-addressed result cache (and the bench harness's
+/// in-process [`crate::cellcache::CellMemo`]) serve repeated cells without
+/// re-simulating them. Cells are deterministic functions of this identity,
+/// so equal fingerprints imply equal results.
 pub fn work_fingerprint(app: App, config: &ExperimentConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    eat(app.name().as_bytes());
-    eat(format!("{config:?}").as_bytes());
-    h
+    let h = fnv_field(FNV_OFFSET, app.name().as_bytes());
+    fnv_field(h, format!("{config:?}").as_bytes())
 }
 
 /// The delay in milliseconds before transient-failure retry `attempt`
@@ -328,23 +314,6 @@ impl CellFailure {
 pub fn run_cell_in_process(cell: &SweepCell) -> Result<u64, CellFailure> {
     let faults_active = cell.config.faults.is_some_and(|p| p.is_active());
     run_isolated(cell.app, &cell.config)
-        .map(|e| e.result.elapsed.as_u64())
-        .map_err(|f| CellFailure::classify(&f, faults_active))
-}
-
-/// [`run_cell_in_process`] with a warm-result memo in front: a cell whose
-/// work fingerprint is already in `memo` is served from it without
-/// re-simulating (bit-identical by the fingerprint invariant — see
-/// [`cell_fingerprint`]). One plan has no duplicate fingerprints, so the
-/// memo pays off when shared across plans — the `dashlat sweep` CLI
-/// shares one per invocation and the serve daemon one per process, in
-/// front of its (elapsed-only, cross-process) disk cache.
-pub fn run_cell_in_process_memo(
-    cell: &SweepCell,
-    memo: &crate::cellcache::CellMemo,
-) -> Result<u64, CellFailure> {
-    let faults_active = cell.config.faults.is_some_and(|p| p.is_active());
-    memo.run(cell.app, &cell.config)
         .map(|e| e.result.elapsed.as_u64())
         .map_err(|f| CellFailure::classify(&f, faults_active))
 }
@@ -541,11 +510,6 @@ pub struct SweepReport {
     pub interrupted: Option<String>,
 }
 
-/// Cell-failure exit codes ranked most-severe-first, mirroring the CLI's
-/// documented precedence (invariant violation > deadlock > livelock >
-/// race > generic error).
-const CELL_SEVERITY: [u8; 5] = [4, 2, 3, 6, 1];
-
 impl SweepReport {
     /// True when every cell ran and succeeded.
     pub fn is_complete(&self) -> bool {
@@ -553,20 +517,15 @@ impl SweepReport {
     }
 
     /// The exit code the sweep should terminate with: 0 when complete,
-    /// else the most severe failure code per the CLI precedence (a sweep
-    /// whose only failure is a generic error still exits 1, not the
-    /// partial-results 5 — the supervisor knows *why* cells are missing).
+    /// else the most severe failure code under
+    /// [`EXIT_SEVERITY`](crate::runner::EXIT_SEVERITY) (a sweep whose only
+    /// failure is a generic error still exits 1, not the partial-results
+    /// 5 — the supervisor knows *why* cells are missing).
     pub fn exit_code(&self) -> u8 {
-        let mut worst = 0u8;
-        let rank = |c: u8| CELL_SEVERITY.iter().position(|&s| s == c);
-        for (_, _, _, f) in &self.failures {
-            match (rank(f.code), rank(worst)) {
-                (Some(n), Some(w)) if n < w => worst = f.code,
-                (Some(_), None) => worst = f.code,
-                _ => {}
-            }
-        }
-        worst
+        self.failures
+            .iter()
+            .map(|(_, _, _, f)| f.code)
+            .fold(0, worst_exit_code)
     }
 
     /// Per-failure diagnostic lines. Each names the cell, its class and
@@ -810,12 +769,9 @@ where
     // re-runs exactly those cells.
     let journal_error: Mutex<Option<io::Error>> = Mutex::new(None);
     let journal_failed = || journal_error.lock().map_or(true, |e| e.is_some());
-    // Workers beyond the hardware's parallelism only thrash the
-    // scheduler (cells are CPU-bound); clamp like the matrix runner.
-    let jobs = crate::pool::effective_jobs(opts.jobs).min(crate::pool::hardware_cores());
     let salt_base = plan.fingerprint();
     let fresh: Vec<Option<Option<CellRecord>>> = crate::pool::par_indexed_map_while(
-        jobs,
+        opts.jobs,
         &pending,
         || !control.is_interrupted() && !journal_failed(),
         |_, &index| {
@@ -1637,22 +1593,27 @@ mod tests {
     }
 
     #[test]
-    fn cell_fingerprint_ignores_labels_but_not_work_identity() {
-        let plan = tiny_plan();
-        let fp = cell_fingerprint(&plan.cells[0]);
-        // Same app+config under different labels: same fingerprint —
-        // that is the cross-job cache hit.
-        let mut relabeled = plan.cells[0].clone();
-        relabeled.sweep = "other/LU".into();
-        relabeled.point = "different".into();
-        assert_eq!(fp, cell_fingerprint(&relabeled));
-        // Different config: different fingerprint.
-        let mut reconfigured = plan.cells[0].clone();
-        reconfigured.config = reconfigured.config.clone().with_rc();
-        assert_ne!(fp, cell_fingerprint(&reconfigured));
-        // Different app: different fingerprint.
-        let mut other_app = plan.cells[0].clone();
-        other_app.app = App::Mp3d;
-        assert_ne!(fp, cell_fingerprint(&other_app));
+    fn work_fingerprint_ignores_labels_but_not_work_identity() {
+        let cell = &tiny_plan().cells[0];
+        let fp = work_fingerprint(cell.app, &cell.config);
+        // Same app+config under any labels hashes the same — that is the
+        // cross-job cache hit. A different config or app does not.
+        assert_ne!(
+            fp,
+            work_fingerprint(cell.app, &cell.config.clone().with_rc())
+        );
+        assert_ne!(fp, work_fingerprint(App::Mp3d, &cell.config));
+        // The value is plain FNV-1a with a separator after each field, as
+        // journals and cache entries already on disk were keyed.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for field in [cell.app.name(), &format!("{:?}", cell.config)] {
+            for &b in field.as_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+            h ^= 0xff;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(fp, h);
     }
 }

@@ -10,14 +10,13 @@
 //! can never leave a truncated results file.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Mutex;
 
 use crate::apps::App;
 use crate::config::ExperimentConfig;
-use crate::runner::{panic_message, run};
+use crate::runner::{catch_panic, run};
 
 type CellFn<'a> = Box<dyn FnOnce() -> Result<u64, String> + Send + 'a>;
 
@@ -93,9 +92,9 @@ pub struct SweepPoint {
 /// a *partial* JSON record instead of aborting the whole binary.
 ///
 /// The sweep binaries (`ablations`, `scaling`) route every measurement
-/// through [`SweepLog::measure`]/[`SweepLog::measure_with`]: failures
-/// (structured [`RunError`](dashlat_cpu::machine::RunError)s and panics
-/// alike) are recorded and warned about, the sweep continues, and
+/// through [`SweepLog::measure_batch`]: failures (structured
+/// [`RunError`](dashlat_cpu::machine::RunError)s and panics alike) are
+/// recorded and warned about, the sweep continues, and
 /// [`SweepLog::finish`] emits the machine-readable JSON record with a
 /// `complete` flag plus the matching process exit code (0 complete,
 /// 5 partial — the same convention as the CLI).
@@ -126,79 +125,41 @@ impl SweepLog {
         });
     }
 
-    /// Runs `f` with panic isolation and records the outcome under
-    /// `sweep`/`point`. Returns the elapsed cycles on success, `None` on a
-    /// failure (which is recorded and warned to stderr).
-    pub fn measure_with(
-        &mut self,
-        sweep: &str,
-        point: &str,
-        f: impl FnOnce() -> Result<u64, String>,
-    ) -> Option<u64> {
-        let outcome = match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(r) => r,
-            Err(payload) => Err(format!("panic: {}", panic_message(payload))),
-        };
-        if let Err(e) = &outcome {
-            eprintln!("warning: {sweep} / {point} failed: {e}");
-        }
-        let elapsed = outcome.as_ref().ok().copied();
-        self.points.push(SweepPoint {
-            sweep: sweep.to_owned(),
-            point: point.to_owned(),
-            outcome,
-        });
-        elapsed
-    }
-
-    /// Runs `app` under `cfg` through the standard runner, recording the
-    /// outcome like [`SweepLog::measure_with`].
-    pub fn measure(
-        &mut self,
-        sweep: &str,
-        point: &str,
-        app: App,
-        cfg: &ExperimentConfig,
-    ) -> Option<u64> {
-        self.measure_with(sweep, point, || {
-            run(app, cfg)
-                .map(|e| e.result.elapsed.as_u64())
-                .map_err(|e| e.to_string())
-        })
-    }
-
     /// Runs every cell of `batch` on the sweep worker pool
-    /// ([`crate::pool::par_indexed_map`], `jobs = None` → the process-wide
-    /// `--jobs` default) and records each outcome exactly as
-    /// [`SweepLog::measure_with`] would, **in input order** regardless of
-    /// completion order. Returns the elapsed cycles per cell, also in
-    /// input order.
+    /// ([`crate::pool::par_indexed_map_while`], `jobs = None` → the
+    /// process-wide `--jobs` default, clamped like every pool) with panic
+    /// isolation, and records each outcome **in input order** regardless
+    /// of completion order; failures are also warned to stderr. Returns
+    /// the elapsed cycles per cell (`None` for a failure), also in input
+    /// order.
     pub fn measure_batch(
         &mut self,
         batch: SweepBatch<'_>,
         jobs: Option<usize>,
     ) -> Vec<Option<u64>> {
-        let jobs = crate::pool::effective_jobs(jobs);
         let cells: Vec<(String, String, Mutex<Option<CellFn<'_>>>)> = batch
             .cells
             .into_iter()
             .map(|(s, p, f)| (s, p, Mutex::new(Some(f))))
             .collect();
-        let outcomes = crate::pool::par_indexed_map(jobs, &cells, |_, (_, _, cell)| {
-            let f = cell
-                .lock()
-                .expect("cell lock poisoned")
-                .take()
-                .expect("each cell runs exactly once");
-            match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(r) => r,
-                Err(payload) => Err(format!("panic: {}", panic_message(payload))),
-            }
-        });
+        let outcomes = crate::pool::par_indexed_map_while(
+            jobs,
+            &cells,
+            || true,
+            |_, (_, _, cell)| {
+                let f = cell
+                    .lock()
+                    .expect("cell lock poisoned")
+                    .take()
+                    .expect("each cell runs exactly once");
+                catch_panic(f).unwrap_or_else(|msg| Err(format!("panic: {msg}")))
+            },
+        );
         cells
             .into_iter()
             .zip(outcomes)
             .map(|((sweep, point, _), outcome)| {
+                let outcome = outcome.expect("an uncancelled pool runs every cell");
                 if let Err(e) = &outcome {
                     eprintln!("warning: {sweep} / {point} failed: {e}");
                 }
@@ -287,16 +248,12 @@ mod tests {
 
     #[test]
     fn sweep_log_survives_failures_and_emits_partial_json() {
+        let mut batch = SweepBatch::new();
+        batch.add("s", "ok", || Ok(42));
+        batch.add("s", "boom", || panic!("poisoned config"));
+        batch.add("s", "err", || Err("deadlock".into()));
         let mut log = SweepLog::new();
-        assert_eq!(log.measure_with("s", "ok", || Ok(42)), Some(42));
-        assert_eq!(
-            log.measure_with("s", "boom", || panic!("poisoned config")),
-            None
-        );
-        assert_eq!(
-            log.measure_with("s", "err", || Err("deadlock".into())),
-            None
-        );
+        assert_eq!(log.measure_batch(batch, Some(1)), [Some(42), None, None]);
         assert_eq!(log.failed(), 2);
         let json = log.to_json();
         assert!(json.contains("\"complete\": false"));
@@ -308,7 +265,7 @@ mod tests {
     #[test]
     fn sweep_log_complete_json() {
         let mut log = SweepLog::new();
-        log.measure_with("s", "a", || Ok(1));
+        log.record("s", "a", Ok(1));
         assert_eq!(log.failed(), 0);
         assert!(log.to_json().contains("\"complete\": true"));
     }
@@ -356,6 +313,35 @@ mod tests {
             (elapsed, log.to_json())
         };
         assert_eq!(run_with(1), run_with(8));
+    }
+
+    #[test]
+    fn batch_never_has_more_cells_in_flight_than_cores() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let cores = crate::pool::hardware_cores();
+        // Cells meet in groups of `cores` at a barrier, so a pool with one
+        // worker per core has every worker busy at once; a pool with a
+        // worker per cell (64 on a 2-core host) starts further cells while
+        // those wait, and the peak overshoots.
+        let cells = 32 * cores;
+        let barrier = Barrier::new(cores);
+        let in_flight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let mut batch = SweepBatch::new();
+        for i in 0..cells {
+            batch.add("inflight", format!("i={i}"), || {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                barrier.wait();
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                Ok(0)
+            });
+        }
+        let mut log = SweepLog::new();
+        log.measure_batch(batch, Some(cells));
+        assert_eq!(log.failed(), 0);
+        assert_eq!(peak.load(Ordering::SeqCst), cores);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use breakdown::{ScaledBreakdown, TimeBreakdown};
 pub use config::{Consistency, ProcConfig};
 pub use events::{events_from_trace, AnalysisEvent, EventKind, EventLog, ReplayNote};
 pub use extract::{extract_program, ExtractError, ExtractNote, ExtractOptions, Extraction};
-pub use machine::{BlockedOn, BlockedOp, Machine, RunError, RunPhase, RunResult, StuckProcess};
+pub use machine::{BlockedOn, BlockedOp, Machine, RunError, RunResult, StuckProcess};
 pub use ops::{BarrierId, LabeledRange, LockId, Op, ProcId, SyncConfig, Topology, Workload};
 pub use sync::SyncState;
 pub use trace::{Trace, TraceRecorder};

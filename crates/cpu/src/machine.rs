@@ -64,7 +64,7 @@ const OUTSTANDING_PRUNE_LEN: usize = 128;
 /// probing, and both arrays share a cache line at typical depths. Entry
 /// order is irrelevant to semantics (lookups are by line), so removal can
 /// `swap_remove`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct MshrTable {
     lines: Vec<LineAddr>,
     done: Vec<Cycle>,
@@ -156,7 +156,7 @@ enum CtxState {
     Finished,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Context {
     state: CtxState,
     reason: Reason,
@@ -168,7 +168,6 @@ struct Context {
     blocked_on: Option<BlockedOn>,
 }
 
-#[derive(Clone)]
 struct Proc {
     /// Process ids of this processor's contexts.
     ctxs: Vec<usize>,
@@ -503,26 +502,10 @@ pub struct Machine<W: Workload> {
     /// Whether the memory system records its access trace (see
     /// [`Machine::with_access_trace`]).
     record_accesses: bool,
-    /// Whether the kick-off events have been scheduled (set by the first
-    /// [`Machine::run_segment`], so a resumed machine does not restart).
-    started: bool,
-    /// Watchdog state carried across paused segments: the timestamp of the
-    /// last dispatched batch and the events dispatched at it. Persisting
-    /// these keeps budget/monotonicity/livelock detection bit-identical
-    /// between a straight run and a paused-and-resumed one.
+    /// Watchdog state: the timestamp of the last dispatched batch and the
+    /// events dispatched at it (see [`Machine::check_progress`]).
     watch_last_t: Cycle,
     watch_events_at_t: u64,
-}
-
-/// Outcome of one bounded run segment (see [`Machine::run_segment`]).
-pub enum RunPhase<W: Workload> {
-    /// The workload ran to completion.
-    Done(Box<RunResult>),
-    /// The event budget elapsed. The machine is parked at a batch boundary
-    /// (every event of the in-flight simulated cycle dispatched); call
-    /// [`Machine::run_segment`] again to continue, or
-    /// [`Machine::snapshot`] to fork its warm state.
-    Paused(Box<Machine<W>>),
 }
 
 impl<W: Workload> Machine<W> {
@@ -633,7 +616,6 @@ impl<W: Workload> Machine<W> {
             sched: None,
             decisions: Vec::new(),
             record_accesses: false,
-            started: false,
             watch_last_t: Cycle::ZERO,
             watch_events_at_t: 0,
         }
@@ -722,51 +704,21 @@ impl<W: Workload> Machine<W> {
     /// [`RunError::InvariantViolation`] if online checking (see
     /// [`ProcConfig::check_invariants`]) finds the coherence protocol in an
     /// inconsistent state.
-    pub fn run(self) -> Result<RunResult, RunError> {
-        match self.run_segment(u64::MAX)? {
-            RunPhase::Done(result) => Ok(*result),
-            RunPhase::Paused(_) => unreachable!("a u64::MAX event budget cannot pause"),
-        }
-    }
-
-    /// Runs until the workload completes or at least `max_events` more
-    /// events have been dispatched, whichever comes first.
-    ///
-    /// A paused machine stops at a *batch boundary*: the in-flight
-    /// simulated cycle has been fully dispatched and nothing is half-done,
-    /// so its state is exactly the state of an uninterrupted run at that
-    /// point. That makes pause points safe places to [`Machine::snapshot`]
-    /// warm state, and guarantees `run_segment(k)` chained any number of
-    /// times produces the same [`RunResult`] as one `run()` call.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Machine::run`]. The watchdog bookkeeping
-    /// (cycle budget, time monotonicity, livelock counting) is carried
-    /// across segments, so detection is unaffected by where pauses land.
-    pub fn run_segment(mut self, max_events: u64) -> Result<RunPhase<W>, RunError> {
-        if !self.started {
-            // Kick off: each processor starts its first context; the rest
-            // are ready.
-            self.started = true;
-            for p in 0..self.topo.processors {
-                let pid = self.procs[p].ctxs[0];
-                self.ctxs[pid].state = CtxState::Running;
-                self.queue.schedule(Cycle::ZERO, Event::Step(pid));
-            }
+    pub fn run(mut self) -> Result<RunResult, RunError> {
+        // Kick off: each processor starts its first context; the rest are
+        // ready.
+        for p in 0..self.topo.processors {
+            let pid = self.procs[p].ctxs[0];
+            self.ctxs[pid].state = CtxState::Running;
+            self.queue.schedule(Cycle::ZERO, Event::Step(pid));
         }
 
-        let mut dispatched = 0u64;
         if self.sched.is_some() {
             // The scheduler-attached path collects the whole same-cycle
             // slate and asks the policy one event at a time.
-            while dispatched < max_events {
-                let Some((t, ev)) = self.pop_scheduled() else {
-                    break;
-                };
+            while let Some((t, ev)) = self.pop_scheduled() {
                 self.check_progress(t, 1)?;
                 self.dispatch(t, ev);
-                dispatched += 1;
                 if let Some((at, detail)) = self.invariant_failure.take() {
                     return Err(RunError::InvariantViolation { at, detail });
                 }
@@ -781,12 +733,8 @@ impl<W: Workload> Machine<W> {
             // next drain, which is exactly per-event pop order — see the
             // `batch_drain_matches_per_event_pops` proof in `dashlat-sim`.
             let mut batch: Vec<Event> = Vec::new();
-            while dispatched < max_events {
-                let Some(t) = self.queue.drain_next_into(&mut batch) else {
-                    break;
-                };
+            while let Some(t) = self.queue.drain_next_into(&mut batch) {
                 self.check_progress(t, batch.len() as u64)?;
-                dispatched += batch.len() as u64;
                 for ev in batch.drain(..) {
                     self.dispatch(t, ev);
                     if let Some((at, detail)) = self.invariant_failure.take() {
@@ -796,67 +744,12 @@ impl<W: Workload> Machine<W> {
             }
         }
 
-        if self.queue.peek_time().is_some() {
-            // Event budget elapsed with work left: park at this batch
-            // boundary.
-            return Ok(RunPhase::Paused(Box::new(self)));
-        }
-
         let stuck = self.stuck_processes();
         if !stuck.is_empty() {
             return Err(RunError::Deadlock { stuck });
         }
 
-        Ok(RunPhase::Done(Box::new(self.finish())))
-    }
-
-    /// Forks the machine's complete warm state into an independent machine
-    /// that will produce bit-identical results from this point on.
-    ///
-    /// This is the warm-state checkpoint primitive: run the shared prefix
-    /// of a sweep once with [`Machine::run_segment`], snapshot at the
-    /// pause, and hand each divergent cell its own fork instead of
-    /// re-simulating the prefix. Everything observable is cloned — memory
-    /// system, sync state, event queue (with in-flight events), per-
-    /// processor buffers and MSHRs, counters, watchdog state — and the
-    /// workload is forked through [`Workload::fork`].
-    ///
-    /// Returns `None` when the workload does not support forking or when a
-    /// tie-break scheduler is attached (scheduler policies are stateful
-    /// boxed trait objects and are not clonable; the model checker replays
-    /// from the start instead).
-    pub fn snapshot(&self) -> Option<Machine<Box<dyn Workload>>> {
-        if self.sched.is_some() {
-            return None;
-        }
-        let workload = self.workload.fork()?;
-        Some(Machine {
-            cfg: self.cfg.clone(),
-            topo: self.topo,
-            mem: self.mem.clone(),
-            sync: self.sync.clone(),
-            workload,
-            queue: self.queue.clone(),
-            procs: self.procs.clone(),
-            ctxs: self.ctxs.clone(),
-            max_cycles: self.max_cycles,
-            shared_reads: self.shared_reads,
-            shared_writes: self.shared_writes,
-            lock_acquires: self.lock_acquires,
-            barrier_arrivals: self.barrier_arrivals,
-            prefetches_issued: self.prefetches_issued,
-            context_switches: self.context_switches,
-            timeline: self.timeline.clone(),
-            invariant_failure: self.invariant_failure.clone(),
-            events: self.events.clone(),
-            event_seq: self.event_seq.clone(),
-            sched: None,
-            decisions: self.decisions.clone(),
-            record_accesses: self.record_accesses,
-            started: self.started,
-            watch_last_t: self.watch_last_t,
-            watch_events_at_t: self.watch_events_at_t,
-        })
+        Ok(self.finish())
     }
 
     /// Routes one event to its handler.
@@ -874,9 +767,7 @@ impl<W: Workload> Machine<W> {
     }
 
     /// Cycle-budget, time-monotonicity and livelock bookkeeping, charged
-    /// once per dispatched batch of `count` same-cycle events. The state
-    /// lives on the machine (not the run loop) so paused segments and
-    /// snapshots resume detection exactly where it left off.
+    /// once per dispatched batch of `count` same-cycle events.
     #[inline]
     fn check_progress(&mut self, t: Cycle, count: u64) -> Result<(), RunError> {
         if t > self.max_cycles {

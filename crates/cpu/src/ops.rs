@@ -212,12 +212,12 @@ pub trait Workload {
     }
 
     /// An independent copy of this workload's complete logical state, or
-    /// `None` when the workload cannot be duplicated. This is the
-    /// workload's half of a machine warm-state snapshot
-    /// ([`crate::machine::Machine::snapshot`]): a forked workload must
-    /// behave bit-identically to the original under the same operation
-    /// sequence. Trait objects cannot require `Clone`, hence the explicit
-    /// hook; plain-data workloads implement it as `Some(Box::new(self.clone()))`.
+    /// `None` when the workload cannot be duplicated. Static program
+    /// extraction ([`crate::extract`]) drives a fork so the original stays
+    /// untouched: a forked workload must behave bit-identically to the
+    /// original under the same operation sequence. Trait objects cannot
+    /// require `Clone`, hence the explicit hook; plain-data workloads
+    /// implement it as `Some(Box::new(self.clone()))`.
     fn fork(&self) -> Option<Box<dyn Workload>> {
         None
     }

@@ -84,10 +84,8 @@ pub enum NetworkModel {
     Mesh2D,
 }
 
-/// All contended resources of the machine.
-///
-/// `Clone` supports warm-state snapshots: the whole model is a handful of
-/// `busy-until` vectors, so a snapshot is a flat memcpy.
+/// All contended resources of the machine: a handful of `busy-until`
+/// vectors, so a clone is a flat memcpy.
 #[derive(Debug, Clone)]
 pub struct Contention {
     enabled: bool,

@@ -236,9 +236,8 @@ pub struct MemStats {
 
 /// The simulated memory system of the whole machine.
 ///
-/// `Clone` is the warm-state snapshot primitive: all state is flat tables
-/// (caches, directory, busy-until vectors, counters), so cloning captures
-/// a bit-exact checkpoint of the memory system.
+/// All state is flat tables (caches, directory, busy-until vectors,
+/// counters), so `Clone` captures a bit-exact copy of the memory system.
 #[derive(Clone)]
 pub struct MemorySystem {
     cfg: MemConfig,

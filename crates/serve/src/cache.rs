@@ -2,7 +2,7 @@
 //!
 //! Cells are deterministic: the elapsed pclocks of a run are a pure
 //! function of `(app, machine config)`, which
-//! [`dashlat::sweep::cell_fingerprint`] hashes into a 64-bit identity —
+//! [`dashlat::sweep::work_fingerprint`] hashes into a 64-bit identity —
 //! deliberately excluding the sweep/point labels, so the same machine
 //! measured under two different jobs (or figures) shares one entry.
 //! Repeated cells across jobs therefore cost one file read instead of a

@@ -19,7 +19,7 @@
 //!   every finished cell still committed to the write-ahead journal.
 //! * **Content-addressed result cache** — cells are deterministic
 //!   functions of `(app, machine config)`, fingerprinted by
-//!   [`dashlat::sweep::cell_fingerprint`]; repeated cells across jobs
+//!   [`dashlat::sweep::work_fingerprint`]; repeated cells across jobs
 //!   are served from [`cache::ResultCache`] without re-simulating.
 //! * **Crash recovery** — on startup the job directory is scanned and
 //!   every job is classified complete / resumable / corrupt; interrupted

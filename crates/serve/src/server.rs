@@ -38,11 +38,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dashlat::cellcache::CellMemo;
 use dashlat::chaos::{run_chaos, ChaosOptions};
 use dashlat::sweep::{
-    cell_fingerprint, run_cell_in_process_memo, run_supervised_controlled, CellFailure,
-    FailureClass, SweepControl, SweepOptions, SweepPlan,
+    run_cell_in_process, run_supervised_controlled, work_fingerprint, CellFailure, FailureClass,
+    SweepControl, SweepOptions, SweepPlan,
 };
 use dashlat_sim::journal::{atomic_write, Journal};
 use dashlat_sim::json::quote;
@@ -195,11 +194,6 @@ pub struct Server {
     state: Mutex<State>,
     wake: Condvar,
     cache: ResultCache,
-    /// In-process memo of complete cell results, shared by every job this
-    /// process runs (the warm-state layer in front of the elapsed-only
-    /// disk cache: a hit skips the simulation entirely, not just the
-    /// report lookup).
-    memo: CellMemo,
     stop: AtomicBool,
     /// Currently open client connections (the `max_connections` gauge).
     conns: AtomicUsize,
@@ -236,7 +230,6 @@ impl Server {
             state: Mutex::new(state),
             wake: Condvar::new(),
             cache,
-            memo: CellMemo::new(),
             stop: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             conns_shed: AtomicU64::new(0),
@@ -493,7 +486,6 @@ impl Server {
                 let journal = dir.join("sweep.journal");
                 let resume = journal.exists();
                 let cache = &self.cache;
-                let memo = &self.memo;
                 let isolate_cells = self.cfg.isolate;
                 let cell_timeout = Duration::from_secs(self.cfg.cell_timeout_secs.max(1));
                 let breaker_limit = self.cfg.crash_loop_threshold.max(1);
@@ -512,7 +504,7 @@ impl Server {
                     &opts,
                     &control,
                     |_, cell, _| {
-                        let fp = cell_fingerprint(cell);
+                        let fp = work_fingerprint(cell.app, &cell.config);
                         if let Some(elapsed) = cache.lookup(fp) {
                             hits.fetch_add(1, Ordering::Relaxed);
                             return Ok(elapsed);
@@ -546,7 +538,7 @@ impl Server {
                             }
                             outcome
                         } else {
-                            run_cell_in_process_memo(cell, memo)
+                            run_cell_in_process(cell)
                         };
                         if let Ok(elapsed) = outcome {
                             // Best-effort: a cache-write failure only
@@ -784,14 +776,13 @@ impl Server {
                 let body = format!(
                     "{{\"status\":\"ok\",\"workers\":{},\"queued\":{queued},\"running\":{running},\
                      \"queue_depth\":{},\"jobs\":{total},\"cache_entries\":{},\"cache_hits\":{},\
-                     \"memo_hits\":{},\"shutting_down\":{shutting_down},\
+                     \"shutting_down\":{shutting_down},\
                      \"connections\":{},\"connections_shed\":{},\"persist_failures\":{},\
                      \"cache_write_failures\":{},\"breaker_trips\":{}}}",
                     self.cfg.workers,
                     self.cfg.queue_depth,
                     self.cache.entries(),
                     self.cache.hits(),
-                    self.memo.hits(),
                     self.conns.load(Ordering::SeqCst),
                     self.conns_shed.load(Ordering::Relaxed),
                     self.persist_failures.load(Ordering::Relaxed),
@@ -1153,6 +1144,24 @@ mod tests {
         d
     }
 
+    /// Runs a daemon for `cfg` on its own thread and waits for it to
+    /// publish its ephemeral address.
+    fn boot(cfg: ServeConfig) -> (Arc<Server>, std::thread::JoinHandle<io::Result<()>>, String) {
+        let dir = cfg.data_dir.clone();
+        let server = Arc::new(Server::new(cfg).expect("server"));
+        let runner = Arc::clone(&server);
+        let handle = std::thread::spawn(move || runner.run());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let addr = loop {
+            if let Ok(a) = client::read_addr_file(&dir) {
+                break a;
+            }
+            assert!(Instant::now() < deadline, "daemon never published addr");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        (server, handle, addr)
+    }
+
     fn tiny_sweep_spec() -> JobSpec {
         JobSpec {
             sweep_jobs: Some(1),
@@ -1195,28 +1204,13 @@ mod tests {
     #[test]
     fn end_to_end_submit_poll_cache_and_graceful_stop() {
         let dir = tmp_data_dir("e2e");
-        let server = Arc::new(
-            Server::new(ServeConfig {
-                data_dir: dir.clone(),
-                workers: 1,
-                queue_depth: 8,
-                job_timeout_secs: 600,
-                ..ServeConfig::default()
-            })
-            .expect("server"),
-        );
-        let runner = Arc::clone(&server);
-        let handle = std::thread::spawn(move || runner.run());
-
-        // Wait for the daemon to publish its ephemeral address.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(a) = client::read_addr_file(&dir) {
-                break a;
-            }
-            assert!(Instant::now() < deadline, "daemon never published addr");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            queue_depth: 8,
+            job_timeout_secs: 600,
+            ..ServeConfig::default()
+        });
 
         let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
         assert_eq!(health.status, 200, "{health:?}");
@@ -1329,27 +1323,14 @@ mod tests {
     #[test]
     fn connection_cap_sheds_with_503_and_retry_after() {
         let dir = tmp_data_dir("conn-cap");
-        let server = Arc::new(
-            Server::new(ServeConfig {
-                data_dir: dir.clone(),
-                workers: 1,
-                max_connections: 1,
-                conn_deadline_secs: 30,
-                shed_retry_after_secs: 3,
-                ..ServeConfig::default()
-            })
-            .expect("server"),
-        );
-        let runner = Arc::clone(&server);
-        let handle = std::thread::spawn(move || runner.run());
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(a) = client::read_addr_file(&dir) {
-                break a;
-            }
-            assert!(Instant::now() < deadline, "daemon never published addr");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            max_connections: 1,
+            conn_deadline_secs: 30,
+            shed_retry_after_secs: 3,
+            ..ServeConfig::default()
+        });
 
         // Occupy the only slot with an idle connection (it sends no
         // bytes; the 30s conn deadline keeps it open for the test).
@@ -1381,25 +1362,12 @@ mod tests {
     #[test]
     fn events_long_poll_blocks_then_drains_and_unknown_job_is_404() {
         let dir = tmp_data_dir("events");
-        let server = Arc::new(
-            Server::new(ServeConfig {
-                data_dir: dir.clone(),
-                workers: 1,
-                conn_deadline_secs: 10,
-                ..ServeConfig::default()
-            })
-            .expect("server"),
-        );
-        let runner = Arc::clone(&server);
-        let handle = std::thread::spawn(move || runner.run());
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(a) = client::read_addr_file(&dir) {
-                break a;
-            }
-            assert!(Instant::now() < deadline, "daemon never published addr");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            conn_deadline_secs: 10,
+            ..ServeConfig::default()
+        });
 
         // Unknown jobs 404 even with a wait (no thread pinned).
         let missing =
@@ -1446,6 +1414,77 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "terminal job long poll must return immediately"
         );
+        server.stop();
+        handle.join().expect("join").expect("run ok");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_cache_writes_cost_a_resimulation_not_the_job() {
+        use dashlat_sim::json::Value;
+        use dashlat_sim::{faultfs, FaultFsPlan};
+        let dir = tmp_data_dir("cache-faults");
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let write_failures = || {
+            let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+            Value::parse(&health.body)
+                .expect("healthz JSON")
+                .get("cache_write_failures")
+                .and_then(Value::as_u64)
+                .expect("cache_write_failures field")
+        };
+        // Runs the tiny sweep as job `id` and returns its status and log.
+        let run_job = |id: u64| {
+            let spec = tiny_sweep_spec();
+            let sub =
+                client::request(&addr, "POST", "/jobs", Some(&spec.to_json())).expect("submit");
+            assert_eq!(sub.status, 202, "{sub:?}");
+            let deadline = Instant::now() + Duration::from_secs(300);
+            let status = loop {
+                let status =
+                    client::request(&addr, "GET", &format!("/jobs/{id}"), None).expect("status");
+                if status.body.contains("\"status\":\"complete\"") {
+                    break Value::parse(&status.body).expect("status JSON");
+                }
+                assert!(
+                    Instant::now() < deadline && !status.body.contains("\"status\":\"failed\""),
+                    "job {id} did not complete: {}",
+                    status.body
+                );
+                std::thread::sleep(Duration::from_millis(50));
+            };
+            let log = client::request(&addr, "GET", &format!("/jobs/{id}/log"), None).expect("log");
+            assert_eq!(log.status, 200, "{log:?}");
+            (status, log.body)
+        };
+
+        // Every write under this daemon's cache/ fails; the plan is
+        // process-global, so the filter keeps other tests' I/O (and this
+        // daemon's journals and state files) untouched.
+        faultfs::arm(FaultFsPlan {
+            eio_prob: 1.0,
+            path_filter: Some(dir.join("cache").to_string_lossy().into_owned()),
+            ..FaultFsPlan::default()
+        });
+        assert_eq!(write_failures(), 0);
+        let (first, first_log) = run_job(1);
+        let cells = first
+            .get("cells_total")
+            .and_then(Value::as_u64)
+            .expect("cells_total");
+        assert_eq!(write_failures(), cells, "every cell's cache write failed");
+        // Nothing was cached, so the resubmitted job simulates every cell
+        // again and publishes the same bytes.
+        let (second, second_log) = run_job(2);
+        let stats = faultfs::disarm();
+        assert_eq!(second.get("cache_hits").and_then(Value::as_u64), Some(0));
+        assert_eq!(write_failures(), 2 * cells);
+        assert!(stats.injected >= 2 * cells, "{stats:?}");
+        assert_eq!(first_log, second_log);
         server.stop();
         handle.join().expect("join").expect("run ok");
         std::fs::remove_dir_all(&dir).ok();

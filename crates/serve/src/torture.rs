@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use dashlat::isolate::{arm_kills, disarm_kills, KillPlan};
 use dashlat::sweep::{
-    cell_fingerprint, run_cell_in_process, run_supervised_controlled, SweepControl, SweepOptions,
+    run_cell_in_process, run_supervised_controlled, work_fingerprint, SweepControl, SweepOptions,
     SweepPlan,
 };
 use dashlat_sim::json::Value;
@@ -316,7 +316,7 @@ fn build_reference(dir: &Path) -> io::Result<Reference> {
     for cell in &plan.cells {
         let v = run_cell_in_process(cell)
             .map_err(|f| io::Error::other(format!("reference cell failed: {}", f.error)))?;
-        elapsed.insert(cell_fingerprint(cell), v);
+        elapsed.insert(work_fingerprint(cell.app, &cell.config), v);
     }
     Ok(Reference {
         sweep_json: std::fs::read_to_string(&out)?,
