@@ -31,7 +31,7 @@ use dashlat::apps::App;
 use dashlat::cellcache::CellMemo;
 use dashlat::experiments::figure_configs;
 use dashlat::{effective_jobs, run_matrix_jobs_memo, ExperimentConfig};
-use dashlat_bench::calibrate;
+use dashlat_bench::{calibrate, command_line, figure_list, or_exit};
 
 /// Extracts the number following `"key":` from `json`, starting the scan
 /// at `from`. Good enough for the flat records `perf` emits; a structural
@@ -54,30 +54,14 @@ fn baseline_events_per_sec(json: &str, figure: u8) -> Option<f64> {
     extract_f64(json, "events_per_sec", at)
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let baseline_path = arg_value(&args, "--baseline").unwrap_or_else(|| "BENCH_8.json".into());
-    let tolerance: f64 = arg_value(&args, "--tolerance").map_or(0.10, |v| {
-        v.parse().expect("--tolerance wants a fraction like 0.10")
-    });
-    let noise: f64 = arg_value(&args, "--noise").map_or(0.12, |v| {
-        v.parse().expect("--noise wants a fraction like 0.12")
-    });
-    let figures: Vec<u8> = arg_value(&args, "--figures").map_or_else(
-        || vec![2, 3],
-        |list| {
-            list.split(',')
-                .map(|s| s.trim().parse().expect("--figures wants numbers in 2..=6"))
-                .collect()
-        },
-    );
+    let mut args = command_line();
+    let baseline_path: String =
+        or_exit(args.value("--baseline")).unwrap_or_else(|| "BENCH_8.json".into());
+    let tolerance: f64 = or_exit(args.value("--tolerance")).unwrap_or(0.10);
+    let noise: f64 = or_exit(args.value("--noise")).unwrap_or(0.12);
+    let figures = or_exit(args.value_with("--figures", figure_list)).unwrap_or_else(|| vec![2, 3]);
+    or_exit(args.finish());
 
     let baseline = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));

@@ -1,11 +1,5 @@
 //! Regenerates Figure 2 of the paper.
 
-use std::process::ExitCode;
-
-use dashlat_bench::{base_config_from_args, emit_figure, print_preamble};
-
-fn main() -> ExitCode {
-    let cfg = base_config_from_args();
-    print_preamble("Figure 2", &cfg);
-    emit_figure(&dashlat::experiments::figure2(&cfg))
+fn main() -> std::process::ExitCode {
+    dashlat_bench::figure_main(2)
 }

@@ -1,11 +1,5 @@
 //! Regenerates Figure 3 of the paper.
 
-use std::process::ExitCode;
-
-use dashlat_bench::{base_config_from_args, emit_figure, print_preamble};
-
-fn main() -> ExitCode {
-    let cfg = base_config_from_args();
-    print_preamble("Figure 3", &cfg);
-    emit_figure(&dashlat::experiments::figure3(&cfg))
+fn main() -> std::process::ExitCode {
+    dashlat_bench::figure_main(3)
 }

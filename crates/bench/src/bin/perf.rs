@@ -14,7 +14,8 @@
 //! * `--jobs N` — worker count for the parallel pass (default all cores;
 //!   clamped by [`dashlat::matrix_jobs`] to what the hardware offers).
 //! * `--out PATH` — where to write the JSON record (default stdout only).
-//! * `--figures LIST` — comma-separated subset of 2..=6 (default all).
+//! * `--figures LIST` — comma-separated subset of the paper figures
+//!   (default all).
 //! * `--no-memo` — disable the cross-figure result memo (see below).
 //!
 //! Each figure is swept twice through [`dashlat::run_matrix_jobs_memo`]:
@@ -41,12 +42,12 @@ use std::time::Instant;
 
 use dashlat::apps::App;
 use dashlat::cellcache::CellMemo;
-use dashlat::experiments::figure_configs;
+use dashlat::experiments::{figure_configs, FIGURES};
 use dashlat::{
     effective_jobs, hardware_cores, matrix_jobs, run_matrix_jobs_memo, ExperimentConfig,
     MatrixReport,
 };
-use dashlat_bench::{base_config_from_args, calibrate};
+use dashlat_bench::{calibrate, command_line, figure_list, or_exit, BenchArgs};
 
 struct FigureTiming {
     figure: u8,
@@ -80,31 +81,14 @@ fn fingerprint(reports: &[MatrixReport]) -> String {
 }
 
 fn main() -> ExitCode {
-    let base = base_config_from_args();
-    let args: Vec<String> = std::env::args().collect();
+    let mut args = command_line();
+    let base = or_exit(BenchArgs::read(&mut args)).config;
+    let use_memo = !or_exit(args.switch("--no-memo"));
+    let figures = or_exit(args.value_with("--figures", figure_list));
+    let figures = figures.unwrap_or_else(|| FIGURES.collect());
+    let out_path: Option<String> = or_exit(args.value("--out"));
+    or_exit(args.finish());
     let jobs = effective_jobs(None);
-    let use_memo = !args.iter().any(|a| a == "--no-memo");
-    let figures: Vec<u8> = args
-        .iter()
-        .position(|a| a == "--figures")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || (2u8..=6).collect(),
-            |list| {
-                list.split(',')
-                    .map(|s| {
-                        let n: u8 = s.trim().parse().expect("--figures wants numbers in 2..=6");
-                        assert!((2..=6).contains(&n), "--figures wants numbers in 2..=6");
-                        n
-                    })
-                    .collect()
-            },
-        );
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     println!(
         "# Simulator performance — {} processors, {:?} scale, {jobs} job(s), {} core(s), memo {}\n",

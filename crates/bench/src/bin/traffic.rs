@@ -37,12 +37,12 @@
 //! result cache — the histogram therefore also shows the cache turning
 //! an overloaded service into a keep-up one.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dashlat_bench::{command_line, or_exit};
 use dashlat_serve::{chaosclient, client, ChaosMode, JobSpec, ServeConfig, Server};
 
 struct Sample {
@@ -59,12 +59,6 @@ fn expected_answer(mode: ChaosMode) -> &'static str {
     }
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn percentile(sorted: &[u128], p: f64) -> u128 {
     if sorted.is_empty() {
         return 0;
@@ -75,20 +69,18 @@ fn percentile(sorted: &[u128], p: f64) -> u128 {
 
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parse_or = |flag: &str, default: u64| -> u64 {
-        arg_value(&args, flag).map_or(default, |v| v.parse().unwrap_or(default))
-    };
-    let requests = parse_or("--requests", 24) as usize;
-    let interval = Duration::from_millis(parse_or("--interval-ms", 50));
-    let workers = parse_or("--workers", 1) as usize;
-    let queue_depth = parse_or("--queue-depth", 2) as usize;
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let conn_deadline_secs = parse_or("--conn-deadline-secs", if chaos { 2 } else { 10 });
-    let data_dir = arg_value(&args, "--data-dir").map_or_else(
-        || std::env::temp_dir().join(format!("dashlat-traffic-{}", std::process::id())),
-        PathBuf::from,
-    );
+    let mut args = command_line();
+    let requests: usize = or_exit(args.value("--requests")).unwrap_or(24);
+    let interval = Duration::from_millis(or_exit(args.value("--interval-ms")).unwrap_or(50));
+    let workers: usize = or_exit(args.value("--workers")).unwrap_or(1);
+    let queue_depth: usize = or_exit(args.value("--queue-depth")).unwrap_or(2);
+    let chaos = or_exit(args.switch("--chaos"));
+    let conn_deadline_secs =
+        or_exit(args.value("--conn-deadline-secs")).unwrap_or(if chaos { 2 } else { 10 });
+    let data_dir = or_exit(args.value("--data-dir")).unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("dashlat-traffic-{}", std::process::id()))
+    });
+    or_exit(args.finish());
 
     let server = match Server::new(ServeConfig {
         addr: "127.0.0.1:0".into(),

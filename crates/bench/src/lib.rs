@@ -15,11 +15,15 @@
 //! | `figure6` | Figure 6 — combining the schemes |
 //! | `summary` | §7 — best combinations (the 4–7× claim) |
 //!
-//! All binaries run the paper-scale data sets by default; pass
-//! `--test-scale` for the reduced data sets used in CI. Sweep cells are
-//! independent simulations and execute on a worker pool sized by
-//! `--jobs N` (default: all cores); results are always recorded in input
-//! order and are bit-identical to a serial run.
+//! The figure and table binaries take exactly `dashlat figure`'s machine
+//! flags — read by the same parser,
+//! [`ExperimentConfig::with_machine_flags`] — plus `--csv` and
+//! `--verify-labels` ([`BenchArgs`]); anything else exits with code 1.
+//! They run the paper-scale data sets by default; pass `--test-scale`
+//! for the reduced data sets used in CI. Sweep cells are independent
+//! simulations and execute on a worker pool sized by `--jobs N`
+//! (default: all cores); results are always recorded in input order and
+//! are bit-identical to a serial run.
 //!
 //! The sweep-log machinery ([`SweepBatch`], [`SweepLog`], [`SweepPoint`])
 //! lives in `dashlat::sweeplog` (re-exported here unchanged) so the CLI's
@@ -30,7 +34,10 @@ use std::time::Instant;
 
 pub use dashlat::sweeplog::{SweepBatch, SweepLog, SweepPoint};
 
+use dashlat::args::Args;
 use dashlat::config::ExperimentConfig;
+use dashlat::experiments::{parse_figure, FigureReport};
+use dashlat_analyze::PassKind;
 
 /// One timed run of a small, fixed simulation (16-node uniform-random
 /// traffic, deterministic seed), returning host events per second.
@@ -73,23 +80,102 @@ pub fn calibrate(samples: usize) -> (f64, f64) {
     (best, (best - worst) / best)
 }
 
+/// The flags every figure and table binary takes.
+pub struct BenchArgs {
+    /// The machine baseline, from `dashlat figure`'s machine flags.
+    pub config: ExperimentConfig,
+    /// `--csv`: print figures as CSV instead of tables and charts.
+    pub csv: bool,
+    /// `--verify-labels`: run the full `dashlat-analyze` pass set over
+    /// every cell; a detected race fails the cell with exit code 6.
+    pub verify_labels: bool,
+}
+
+impl BenchArgs {
+    /// Reads the shared flags from `args`, leaving a binary's own flags
+    /// for it to read.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed or repeated flag.
+    pub fn read(args: &mut Args) -> Result<Self, String> {
+        let config = ExperimentConfig::base().with_machine_flags(args)?;
+        let csv = args.switch("--csv")?;
+        let verify_labels = args.switch("--verify-labels")?;
+        Ok(Self {
+            config: if verify_labels {
+                config.with_analysis(PassKind::ALL.to_vec())
+            } else {
+                config
+            },
+            csv,
+            verify_labels,
+        })
+    }
+}
+
+/// This process's command line, program name dropped.
+pub fn command_line() -> Args {
+    Args::new(std::env::args().skip(1).collect())
+}
+
+/// The result of a command-line read, or — as `dashlat` does for a bad
+/// command line — its error on stderr and exit code 1.
+pub fn or_exit<T>(read: Result<T, String>) -> T {
+    read.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Reads a binary's whole command line: [`BenchArgs`] and nothing else.
+pub fn bench_args() -> BenchArgs {
+    let mut args = command_line();
+    let bench = or_exit(BenchArgs::read(&mut args));
+    or_exit(args.finish());
+    bench
+}
+
+/// The machine baseline of a binary that takes only [`BenchArgs`].
+pub fn base_config_from_args() -> ExperimentConfig {
+    bench_args().config
+}
+
+/// Parses a `--figures` list such as `2,3`: each entry must be one of
+/// [`dashlat::experiments::FIGURES`].
+///
+/// # Errors
+///
+/// Names the first entry that is not a figure.
+pub fn figure_list(list: &str) -> Result<Vec<u8>, String> {
+    list.split(',').map(|s| parse_figure(s.trim())).collect()
+}
+
+/// The whole of a `figureN` binary: reads [`BenchArgs`], sweeps paper
+/// figure `number`, and renders it with [`emit_figure`].
+pub fn figure_main(number: u8) -> ExitCode {
+    let args = bench_args();
+    print_preamble(&format!("Figure {number}"), &args.config);
+    emit_figure(&dashlat::experiments::figure(number, &args.config), &args)
+}
+
 /// Renders a figure sweep the way the figure binaries do: warnings for
 /// failed cells, then tables (or CSV with `--csv`), then the exit code of
-/// [`FigureReport::exit_code`](dashlat::experiments::FigureReport::exit_code)
-/// — 0 when every cell completed, else the most severe failed cell's code
-/// under the CLI's precedence (4 invariant violation > 2 deadlock >
-/// 3 livelock > 6 race > 5 partial), exactly as `dashlat figure` exits.
-pub fn emit_figure(report: &dashlat::experiments::FigureReport) -> ExitCode {
+/// [`FigureReport::exit_code`] — 0 when every cell completed, else the
+/// most severe failed cell's code under the CLI's precedence
+/// (4 invariant violation > 2 deadlock > 3 livelock > 6 race >
+/// 5 partial), exactly as `dashlat figure` exits.
+pub fn emit_figure(report: &FigureReport, args: &BenchArgs) -> ExitCode {
     for (app, label, failure) in &report.failures {
         eprintln!("warning: {app}/{label} failed: {failure}");
     }
-    if std::env::args().any(|a| a == "--csv") {
+    if args.csv {
         print!("{}", report.figure.to_csv());
     } else {
         println!("{}", report.figure.render());
         println!("{}", report.figure.render_chart());
     }
-    if report.is_complete() && std::env::args().any(|a| a == "--verify-labels") {
+    if report.is_complete() && args.verify_labels {
         println!("label verification: every cell certified properly labeled");
     }
     let racy = report
@@ -101,45 +187,6 @@ pub fn emit_figure(report: &dashlat::experiments::FigureReport) -> ExitCode {
         eprintln!("error: {racy} figure cell(s) failed race-freedom certification");
     }
     ExitCode::from(report.exit_code())
-}
-
-/// Parses the common command line: `--test-scale` selects the reduced data
-/// sets, `--processors N` overrides the machine size, `--jobs N` pins the
-/// sweep worker count (default: all cores), `--verify-labels` runs the
-/// full `dashlat-analyze` pass set over every cell and turns a detected
-/// race into a failed cell with exit code 6 (see [`emit_figure`]).
-pub fn base_config_from_args() -> ExperimentConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if args.iter().any(|a| a == "--test-scale") {
-        ExperimentConfig::base_test()
-    } else {
-        ExperimentConfig::base()
-    };
-    if let Some(i) = args.iter().position(|a| a == "--processors") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| panic!("--processors needs a number"));
-        assert!((1..=64).contains(&n), "--processors must be 1..=64");
-        cfg.processors = n;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| panic!("--jobs needs a number"));
-        assert!(n >= 1, "--jobs must be at least 1");
-        dashlat::set_default_jobs(Some(n));
-    }
-    // §2.3: the paper also ran everything with the full-size 64KB/256KB
-    // caches and saw similar relative gains.
-    if args.iter().any(|a| a == "--full-caches") {
-        cfg = cfg.with_full_caches();
-    }
-    if args.iter().any(|a| a == "--verify-labels") {
-        cfg = cfg.with_analysis(dashlat_analyze::PassKind::ALL.to_vec());
-    }
-    cfg
 }
 
 /// Prints a figure/table header with the configuration in use.
@@ -154,13 +201,25 @@ pub fn print_preamble(what: &str, cfg: &ExperimentConfig) {
 mod tests {
     use super::*;
 
+    fn read(line: &str) -> Result<BenchArgs, String> {
+        let mut args = Args::new(line.split_whitespace().map(String::from).collect());
+        let bench = BenchArgs::read(&mut args)?;
+        args.finish().map(|()| bench)
+    }
+
     #[test]
-    fn default_is_paper_scale() {
-        // No flags in the test harness args... but cargo test passes its
-        // own args; just check the constructor paths compile and defaults
-        // hold for the direct constructors.
-        let cfg = ExperimentConfig::base();
-        assert_eq!(cfg.processors, 16);
+    fn bench_args_are_the_machine_flags_plus_csv_and_labels() {
+        let b = read("").unwrap();
+        assert_eq!(b.config, ExperimentConfig::base());
+        assert!(!b.csv && !b.verify_labels);
+        let b = read("--test-scale --processors 4 --csv --verify-labels").unwrap();
+        assert_eq!(b.config.processors, 4);
+        assert_eq!(b.config.analyze, PassKind::ALL.to_vec());
+        assert!(b.csv && b.verify_labels);
+        assert!(read("--bogus").is_err_and(|e| e.contains("--bogus")));
+        assert!(read("--csv --csv").is_err_and(|e| e.contains("--csv")));
+        assert_eq!(figure_list("2, 3").unwrap(), [2, 3]);
+        assert!(figure_list("2,7").is_err());
     }
 
     #[test]
@@ -175,7 +234,6 @@ mod tests {
 
     #[test]
     fn figure_binaries_exit_like_the_cli() {
-        use dashlat::experiments::FigureReport;
         use dashlat::report::Figure;
         use dashlat::runner::RunFailure;
         use dashlat_cpu::machine::RunError;
@@ -186,7 +244,8 @@ mod tests {
             },
             failures: vec![],
         };
-        assert_eq!(emit_figure(&report), ExitCode::SUCCESS);
+        let args = read("").unwrap();
+        assert_eq!(emit_figure(&report, &args), ExitCode::SUCCESS);
         // The same mixed failure set the CLI's figure test folds: each
         // added class is more severe than the ones before it.
         let race = RunFailure::RaceDetected(Box::new(dashlat_analyze::AnalysisReport {
@@ -212,7 +271,7 @@ mod tests {
             (RunFailure::Error(invariant), 4),
         ] {
             report.failures.push(("LU".into(), "SC".into(), failure));
-            assert_eq!(emit_figure(&report), ExitCode::from(expect));
+            assert_eq!(emit_figure(&report, &args), ExitCode::from(expect));
         }
     }
 }

@@ -1,13 +1,22 @@
-//! Command-line parsing (hand-rolled; the workspace keeps its dependency
-//! surface to the approved simulation crates).
+//! Command-line parsing: every subcommand reads its flags through the
+//! shared [`dashlat::args::Args`] reader and fills the option struct it
+//! runs with, starting from that struct's own defaults.
+
+use std::path::PathBuf;
 
 use dashlat::apps::App;
+use dashlat::args::Args;
+use dashlat::chaos::ChaosOptions;
 use dashlat::config::{AppScale, ExperimentConfig};
+use dashlat::experiments::parse_figure;
+use dashlat::sweep::SweepOptions;
 use dashlat_analyze::{parse_passes, PassKind};
 use dashlat_cpu::config::Consistency;
+use dashlat_serve::{JobKind, JobSpec, ServeConfig, TortureOptions};
+use dashlat_verify::SuiteOptions;
 
 /// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Command {
     /// Run one experiment and print its breakdown.
     Run {
@@ -18,9 +27,9 @@ pub enum Command {
         /// Also print the stacked-bar chart.
         chart: bool,
     },
-    /// Regenerate a paper figure (2–6).
+    /// Regenerate a paper figure.
     Figure {
-        /// Figure number.
+        /// Figure number, one of [`dashlat::experiments::FIGURES`].
         number: u8,
         /// Machine baseline.
         config: Box<ExperimentConfig>,
@@ -91,7 +100,7 @@ pub enum Command {
     },
     /// Crash-safe supervised sweep of one paper figure's matrix.
     Sweep {
-        /// Figure number (2-6).
+        /// Figure number, one of [`dashlat::experiments::FIGURES`].
         number: u8,
         /// Machine baseline.
         config: Box<ExperimentConfig>,
@@ -105,10 +114,8 @@ pub enum Command {
         isolate: bool,
         /// Per-cell wall-clock timeout for `--isolate`, in seconds.
         timeout_secs: u64,
-        /// Maximum retries per cell for transient failures.
-        retries: u32,
-        /// Where to write repro bundles for permanent failures.
-        bundle_dir: Option<String>,
+        /// Retries and the repro-bundle directory.
+        opts: SweepOptions,
     },
     /// Run one sweep cell in-process and print its JSON outcome record —
     /// the subprocess half of `sweep --isolate`.
@@ -126,85 +133,35 @@ pub enum Command {
     /// Fuzz randomized fault schedules against the invariant checker and
     /// determinism oracle, shrinking the first failing schedule.
     Chaos {
-        /// Application to hammer.
-        app: App,
-        /// Machine baseline the schedules are applied to.
-        config: Box<ExperimentConfig>,
-        /// Fault schedules to try.
-        trials: u32,
-        /// Campaign seed.
-        seed: u64,
-        /// Re-run surviving schedules for the determinism oracle.
-        determinism: bool,
+        /// The campaign.
+        opts: Box<ChaosOptions>,
         /// Where to write the repro bundle for a failing schedule.
         bundle_dir: String,
-        /// Torture the serve daemon instead of a single simulation:
-        /// seeded schedules of worker kills, disk faults, client floods
-        /// and restarts, judged by service-level oracles.
-        serve: bool,
-        /// Torture data root (`--serve` only); a temp dir when absent.
-        data_dir: Option<String>,
-        /// Loud-skip threshold in ms/cell for the torture harness on
-        /// slow runners (`--serve` only; 0 = never skip).
-        calibration_budget_ms: u64,
     },
+    /// `chaos --serve`: torture the serve daemon instead of a single
+    /// simulation — seeded schedules of worker kills, disk faults,
+    /// client floods and restarts, judged by service-level oracles.
+    ServeTorture(TortureOptions),
     /// Exhaustively verify the machine's memory model and directory
     /// protocol against their specifications.
     VerifyModel {
-        /// Consistency models to check.
-        models: Vec<Consistency>,
-        /// Corpus tests to run (empty = whole corpus).
-        tests: Vec<String>,
-        /// Name glob (`*`/`?`) selecting corpus tests when `tests` is
-        /// empty.
-        filter: Option<String>,
-        /// Per-cell run budget (0 = the crate default).
-        max_runs: u64,
+        /// What to verify.
+        suite: SuiteOptions,
         /// List the corpus (names + descriptions) and exit.
         list: bool,
-        /// Collect and print per-cell exploration statistics (DPOR vs
-        /// the sleep-set baseline).
-        stats: bool,
-        /// Fail the suite on any truncation.
-        strict: bool,
-        /// Also run the deep 4-processor/4-line protocol closure.
-        deep_closure: bool,
     },
     /// Run the long-lived job service: HTTP API, bounded worker pool,
     /// admission control, result cache, crash recovery.
-    Serve {
-        /// Bind address (`ip:port`; port 0 picks an ephemeral port).
-        addr: String,
-        /// Data directory (`addr` file, result cache, job state).
-        data_dir: String,
-        /// Worker threads executing jobs.
-        workers: usize,
-        /// Queued-job limit before submissions are shed with 429.
-        queue_depth: usize,
-        /// Default per-job wall-clock deadline in seconds (0 = none).
-        job_timeout_secs: u64,
-        /// Run each sweep cell in a `dashlat cell` subprocess (crash
-        /// isolation + per-cell wall-clock timeout).
-        isolate: bool,
-        /// Per-cell subprocess timeout in seconds (with `--isolate`).
-        cell_timeout_secs: u64,
-        /// Consecutive worker crashes before a job's circuit breaker
-        /// opens and its remaining cells fail fast (with `--isolate`).
-        crash_loop_threshold: u32,
-        /// Concurrent-connection cap; excess connections get 503.
-        max_connections: usize,
-        /// Per-connection request deadline in seconds (0 = none).
-        conn_deadline_secs: u64,
-    },
+    Serve(Box<ServeConfig>),
     /// Submit a job to a running service.
     Submit {
         /// Explicit server address; when absent the daemon's `addr` file
         /// under `data_dir` is read instead.
         addr: Option<String>,
         /// Data directory shared with the daemon.
-        data_dir: String,
-        /// The job to submit.
-        spec: Box<dashlat_serve::JobSpec>,
+        data_dir: PathBuf,
+        /// The job to submit, already validated.
+        spec: Box<JobSpec>,
         /// Poll until the job reaches a terminal state and exit with its
         /// exit code.
         wait: bool,
@@ -215,7 +172,7 @@ pub enum Command {
         /// under `data_dir` is read instead.
         addr: Option<String>,
         /// Data directory shared with the daemon.
-        data_dir: String,
+        data_dir: PathBuf,
         /// Job to show (all jobs plus daemon health when absent).
         id: Option<u64>,
     },
@@ -234,6 +191,18 @@ impl std::fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
+
+impl From<String> for ArgError {
+    fn from(msg: String) -> Self {
+        Self(msg)
+    }
+}
+
+impl From<&str> for ArgError {
+    fn from(msg: &str) -> Self {
+        Self(msg.to_owned())
+    }
+}
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -273,6 +242,9 @@ USAGE:
                | verify [--models <list>] [--tests <names>] [--max-runs <n>]
   dashlat status [<job-id>] [--addr <ip:port> | --data-dir <dir>]
   dashlat help
+
+  Flags may come in any order, each at most once: a repeated flag is an
+  error, except --app on analyze and lint, which takes several apps.
 
 MACHINE FLAGS:
   --processors <1..64>      processors (default 16)
@@ -352,7 +324,9 @@ SWEEP / CHAOS / REPRO:
   service oracles (no acknowledged job lost, logs never torn, cache
   exactly-once, recovery within a bound) and delta-debugs any failing
   schedule to a minimal reproducer (exit 8). --calibration-budget-ms
-  skips loudly on runners too slow to judge fairly.
+  skips loudly on runners too slow to judge fairly. Its --data-dir must
+  be absent or empty: a non-empty one is refused and nothing in it is
+  deleted.
 
 VERIFY-MODEL:
   `dashlat verify-model` runs the litmus corpus through a stateless
@@ -408,58 +382,37 @@ EXIT CODES:
   severe code wins: 7, then 4, 2, 3, 6, 8, 9, 11, 5, 10, and 1 last.
 ";
 
-fn parse_consistency(v: &str) -> Result<Consistency, ArgError> {
-    v.parse().map_err(ArgError)
+/// The machine flags on the paper's base machine.
+fn machine(args: &mut Args) -> Result<Box<ExperimentConfig>, String> {
+    ExperimentConfig::base()
+        .with_machine_flags(args)
+        .map(Box::new)
 }
 
-/// Extracts the machine flags from `args`, removing everything it
-/// consumes; unrecognized tokens are left in place for the caller.
-/// A thin wrapper over [`dashlat::parse_machine_args`] — the same parser
-/// behind `dashlat repro` bundle replay and the `dashlat serve`
-/// job-submission API, so a configuration means the same thing on every
-/// path.
-pub(crate) fn parse_machine_flags(args: &mut Vec<String>) -> Result<ExperimentConfig, ArgError> {
-    dashlat::parse_machine_args(args).map_err(ArgError)
+/// A flag the subcommand cannot run without.
+fn required<T: std::str::FromStr>(args: &mut Args, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    args.value(flag)?
+        .ok_or_else(|| format!("missing required {flag}"))
 }
 
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<String, ArgError> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) if i + 1 < args.len() => {
-            let v = args.remove(i + 1);
-            args.remove(i);
-            Ok(v)
-        }
-        Some(_) => Err(ArgError(format!("{flag} needs a value"))),
-        None => Err(ArgError(format!("missing required {flag}"))),
-    }
+/// The figure number `cmd` starts with.
+fn figure_number(args: &mut Args, cmd: &str) -> Result<u8, String> {
+    let n = args.positional().unwrap_or_default();
+    parse_figure(&n).map_err(|e| format!("{cmd} needs a figure number: {e}"))
 }
 
-fn take_opt_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, ArgError> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) if i + 1 < args.len() => {
-            let v = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(v))
-        }
-        Some(_) => Err(ArgError(format!("{flag} needs a value"))),
-        None => Ok(None),
-    }
+/// A comma list of consistency models (`sc,rc`).
+fn models(list: &str) -> Result<Vec<Consistency>, String> {
+    list.split(',').map(str::parse).collect()
 }
 
-fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
-
-pub(crate) fn ensure_consumed(args: &[String]) -> Result<(), ArgError> {
-    if let Some(extra) = args.first() {
-        return Err(ArgError(format!("unrecognized argument {extra:?}")));
-    }
-    Ok(())
+/// A comma list of litmus tests, each of which must exist.
+fn litmus_tests(list: &str) -> Result<Vec<String>, String> {
+    let names: Vec<String> = list.split(',').map(str::to_owned).collect();
+    dashlat_verify::check_test_names(&names).map(|()| names)
 }
 
 /// Parses a full command line (without the program name).
@@ -467,675 +420,277 @@ pub(crate) fn ensure_consumed(args: &[String]) -> Result<(), ArgError> {
 /// # Errors
 ///
 /// Returns [`ArgError`] with a user-facing message for anything malformed.
-pub fn parse(mut args: Vec<String>) -> Result<Command, ArgError> {
-    if args.is_empty() {
+pub fn parse(argv: Vec<String>) -> Result<Command, ArgError> {
+    let mut a = Args::new(argv);
+    let Some(cmd) = a.positional() else {
         return Ok(Command::Help);
-    }
-    let cmd = args.remove(0);
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "run" => {
-            let config = parse_machine_flags(&mut args)?;
-            let app: App = take_flag_value(&mut args, "--app")?
-                .parse()
-                .map_err(ArgError)?;
-            let chart = if let Some(i) = args.iter().position(|a| a == "--chart") {
-                args.remove(i);
-                true
-            } else {
-                false
-            };
-            ensure_consumed(&args)?;
-            Ok(Command::Run {
-                app,
-                config: Box::new(config),
-                chart,
-            })
-        }
-        "figure" => {
-            if args.is_empty() {
-                return Err(ArgError("figure needs a number (2-6)".into()));
-            }
-            let number: u8 = args
-                .remove(0)
-                .parse()
-                .map_err(|_| ArgError("figure needs a number (2-6)".into()))?;
-            if !(2..=6).contains(&number) {
-                return Err(ArgError("figure number must be 2-6".into()));
-            }
-            let config = parse_machine_flags(&mut args)?;
-            let csv = if let Some(i) = args.iter().position(|a| a == "--csv") {
-                args.remove(i);
-                true
-            } else {
-                false
-            };
-            ensure_consumed(&args)?;
-            Ok(Command::Figure {
-                number,
-                config: Box::new(config),
-                csv,
-            })
-        }
-        "table" => {
-            if args.is_empty() {
-                return Err(ArgError("table needs a number (1 or 2)".into()));
-            }
-            let number: u8 = args
-                .remove(0)
-                .parse()
-                .map_err(|_| ArgError("table needs a number (1 or 2)".into()))?;
-            if !(1..=2).contains(&number) {
-                return Err(ArgError("table number must be 1 or 2".into()));
-            }
-            let config = parse_machine_flags(&mut args)?;
-            ensure_consumed(&args)?;
-            Ok(Command::Table {
-                number,
-                config: Box::new(config),
-            })
-        }
-        "summary" => {
-            let config = parse_machine_flags(&mut args)?;
-            ensure_consumed(&args)?;
-            Ok(Command::Summary {
-                config: Box::new(config),
-            })
-        }
+    };
+    let command = match cmd.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "run" => Command::Run {
+            config: machine(&mut a)?,
+            app: required(&mut a, "--app")?,
+            chart: a.switch("--chart")?,
+        },
+        "figure" => Command::Figure {
+            number: figure_number(&mut a, "figure")?,
+            config: machine(&mut a)?,
+            csv: a.switch("--csv")?,
+        },
+        "table" => Command::Table {
+            number: a
+                .positional()
+                .and_then(|n| n.parse().ok())
+                .filter(|n| (1..=2).contains(n))
+                .ok_or("table needs a number: 1 or 2")?,
+            config: machine(&mut a)?,
+        },
+        "summary" => Command::Summary {
+            config: machine(&mut a)?,
+        },
         "trace" => {
-            if args.is_empty() {
-                return Err(ArgError("trace needs `record` or `replay`".into()));
-            }
-            let sub = args.remove(0);
-            let config = parse_machine_flags(&mut args)?;
+            let sub = a.positional().unwrap_or_default();
+            let config = machine(&mut a)?;
             match sub.as_str() {
-                "record" => {
-                    let app: App = take_flag_value(&mut args, "--app")?
-                        .parse()
-                        .map_err(ArgError)?;
-                    let out = take_flag_value(&mut args, "--out")?;
-                    ensure_consumed(&args)?;
-                    Ok(Command::TraceRecord {
-                        app,
-                        out,
-                        config: Box::new(config),
-                    })
+                "record" => Command::TraceRecord {
+                    app: required(&mut a, "--app")?,
+                    out: required(&mut a, "--out")?,
+                    config,
+                },
+                "replay" => Command::TraceReplay {
+                    input: required(&mut a, "--in")?,
+                    config,
+                },
+                other => {
+                    return Err(format!("trace needs `record` or `replay`, not {other:?}").into())
                 }
-                "replay" => {
-                    let input = take_flag_value(&mut args, "--in")?;
-                    ensure_consumed(&args)?;
-                    Ok(Command::TraceReplay {
-                        input,
-                        config: Box::new(config),
-                    })
-                }
-                other => Err(ArgError(format!(
-                    "unknown trace subcommand {other:?} (expected record or replay)"
-                ))),
             }
         }
-        "analyze" => {
+        "analyze" | "lint" => {
             // Certification defaults differ from the measurement
             // commands: release consistency (the strongest test of the
             // labeling — RC reorders the most) and reduced data sets,
-            // unless the user says otherwise.
-            let user_consistency = args.iter().any(|a| a == "--consistency");
-            let paper_scale = if let Some(i) = args.iter().position(|a| a == "--paper-scale") {
-                args.remove(i);
-                true
+            // unless the user says otherwise. For `lint` the model only
+            // picks the latency table behind the advisory cost
+            // estimates — the verdicts are static.
+            let mut base = ExperimentConfig::base().with_rc();
+            if !a.switch("--paper-scale")? {
+                base.scale = AppScale::Test;
+            }
+            let config = Box::new(base.with_machine_flags(&mut a)?);
+            let apps = a.values("--app")?;
+            let input = a.value("--in")?;
+            if cmd == "analyze" {
+                if input.is_some() && !apps.is_empty() {
+                    return Err(
+                        "--in and --app are mutually exclusive (a trace fixes the subject)".into(),
+                    );
+                }
+                let passes = a.value_with("--passes", parse_passes)?;
+                Command::Analyze {
+                    passes: passes.unwrap_or_else(|| PassKind::ALL.to_vec()),
+                    apps,
+                    input,
+                    config,
+                }
             } else {
-                false
-            };
-            let mut config = parse_machine_flags(&mut args)?;
-            if !user_consistency {
-                config = config.with_rc();
-            }
-            if !paper_scale {
-                config.scale = AppScale::Test;
-            }
-            let mut apps = Vec::new();
-            while let Some(i) = args.iter().position(|a| a == "--app") {
-                if i + 1 >= args.len() {
-                    return Err(ArgError("--app needs a value".into()));
+                let all = a.switch("--all")?;
+                if input.is_some() && (!apps.is_empty() || all) {
+                    return Err(
+                        "--in and --app/--all are mutually exclusive (a trace fixes the subject)"
+                            .into(),
+                    );
                 }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                apps.push(v.parse().map_err(ArgError)?);
-            }
-            let input = match args.iter().position(|a| a == "--in") {
-                Some(i) if i + 1 < args.len() => {
-                    let v = args.remove(i + 1);
-                    args.remove(i);
-                    Some(v)
+                Command::Lint {
+                    json: a.switch("--json")?,
+                    strict: a.switch("--strict")?,
+                    apps,
+                    all,
+                    input,
+                    config,
                 }
-                Some(_) => return Err(ArgError("--in needs a value".into())),
-                None => None,
-            };
-            let passes = match args.iter().position(|a| a == "--passes") {
-                Some(i) if i + 1 < args.len() => {
-                    let v = args.remove(i + 1);
-                    args.remove(i);
-                    parse_passes(&v).map_err(ArgError)?
-                }
-                Some(_) => return Err(ArgError("--passes needs a value".into())),
-                None => PassKind::ALL.to_vec(),
-            };
-            if input.is_some() && !apps.is_empty() {
-                return Err(ArgError(
-                    "--in and --app are mutually exclusive (a trace fixes the subject)".into(),
-                ));
             }
-            ensure_consumed(&args)?;
-            Ok(Command::Analyze {
-                apps,
-                input,
-                passes,
-                config: Box::new(config),
-            })
-        }
-        "lint" => {
-            // Same certification defaults as `analyze`: release
-            // consistency and reduced data sets unless overridden. The
-            // consistency model only picks the latency table behind
-            // the advisory cost estimates — the verdicts are static.
-            let user_consistency = args.iter().any(|a| a == "--consistency");
-            let paper_scale = if let Some(i) = args.iter().position(|a| a == "--paper-scale") {
-                args.remove(i);
-                true
-            } else {
-                false
-            };
-            let mut config = parse_machine_flags(&mut args)?;
-            if !user_consistency {
-                config = config.with_rc();
-            }
-            if !paper_scale {
-                config.scale = AppScale::Test;
-            }
-            let mut apps = Vec::new();
-            while let Some(i) = args.iter().position(|a| a == "--app") {
-                if i + 1 >= args.len() {
-                    return Err(ArgError("--app needs a value".into()));
-                }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                apps.push(v.parse().map_err(ArgError)?);
-            }
-            let all = take_bool_flag(&mut args, "--all");
-            let input = take_opt_flag_value(&mut args, "--in")?;
-            let json = take_bool_flag(&mut args, "--json");
-            let strict = take_bool_flag(&mut args, "--strict");
-            if input.is_some() && (!apps.is_empty() || all) {
-                return Err(ArgError(
-                    "--in and --app/--all are mutually exclusive (a trace fixes the subject)"
-                        .into(),
-                ));
-            }
-            ensure_consumed(&args)?;
-            Ok(Command::Lint {
-                apps,
-                all,
-                input,
-                json,
-                strict,
-                config: Box::new(config),
-            })
         }
         "sweep" => {
-            if args.is_empty() {
-                return Err(ArgError("sweep needs a figure number (2-6)".into()));
-            }
-            let number: u8 = args
-                .remove(0)
-                .parse()
-                .map_err(|_| ArgError("sweep needs a figure number (2-6)".into()))?;
-            if !(2..=6).contains(&number) {
-                return Err(ArgError("sweep figure number must be 2-6".into()));
-            }
-            let config = parse_machine_flags(&mut args)?;
-            let journal = take_opt_flag_value(&mut args, "--journal")?
-                .unwrap_or_else(|| format!("sweep-figure{number}.journal"));
-            let out = take_opt_flag_value(&mut args, "--out")?
-                .unwrap_or_else(|| format!("sweep-figure{number}.json"));
-            let resume = take_bool_flag(&mut args, "--resume");
-            let isolate = take_bool_flag(&mut args, "--isolate");
-            let timeout_secs = match take_opt_flag_value(&mut args, "--timeout-secs")? {
-                Some(v) => {
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad timeout {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--timeout-secs must be positive".into()));
-                    }
-                    n
-                }
-                None => 600,
-            };
-            let retries = match take_opt_flag_value(&mut args, "--retries")? {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad retry count {v:?}")))?,
-                None => 2,
-            };
-            let bundle_dir = take_opt_flag_value(&mut args, "--bundle-dir")?;
-            ensure_consumed(&args)?;
-            Ok(Command::Sweep {
+            let number = figure_number(&mut a, "sweep")?;
+            let d = SweepOptions::default();
+            Command::Sweep {
+                config: machine(&mut a)?,
+                journal: a
+                    .value("--journal")?
+                    .unwrap_or_else(|| format!("sweep-figure{number}.journal")),
+                out: a
+                    .value("--out")?
+                    .unwrap_or_else(|| format!("sweep-figure{number}.json")),
+                resume: a.switch("--resume")?,
+                isolate: a.switch("--isolate")?,
+                timeout_secs: a.value_in("--timeout-secs", 1..)?.unwrap_or(600),
+                opts: SweepOptions {
+                    max_retries: a.value("--retries")?.unwrap_or(d.max_retries),
+                    bundle_dir: a.value("--bundle-dir")?.or(d.bundle_dir),
+                    ..d
+                },
                 number,
-                config: Box::new(config),
-                journal,
-                out,
-                resume,
-                isolate,
-                timeout_secs,
-                retries,
-                bundle_dir,
-            })
-        }
-        "cell" => {
-            let config = parse_machine_flags(&mut args)?;
-            let app: App = take_flag_value(&mut args, "--app")?
-                .parse()
-                .map_err(ArgError)?;
-            ensure_consumed(&args)?;
-            Ok(Command::Cell {
-                app,
-                config: Box::new(config),
-            })
-        }
-        "repro" => {
-            if args.is_empty() {
-                return Err(ArgError("repro needs a bundle path".into()));
             }
-            let bundle = args.remove(0);
-            ensure_consumed(&args)?;
-            Ok(Command::Repro { bundle })
         }
+        "cell" => Command::Cell {
+            config: machine(&mut a)?,
+            app: required(&mut a, "--app")?,
+        },
+        "repro" => Command::Repro {
+            bundle: a.positional().ok_or("repro needs a bundle path")?,
+        },
         "chaos" => {
-            let config = parse_machine_flags(&mut args)?;
-            if config.faults.is_some() {
-                return Err(ArgError(
-                    "chaos draws its own fault schedules; drop --faults".into(),
-                ));
+            let base = *machine(&mut a)?;
+            if base.faults.is_some() {
+                return Err("chaos draws its own fault schedules; drop --faults".into());
             }
-            let app: App = match take_opt_flag_value(&mut args, "--app")? {
-                Some(v) => v.parse().map_err(ArgError)?,
-                None => App::Lu,
+            let serve = a.switch("--serve")?;
+            let (trials, seed) = (a.value_in("--trials", 1..)?, a.value("--seed")?);
+            let d = ChaosOptions::default();
+            let opts = ChaosOptions {
+                app: a.value("--app")?.unwrap_or(d.app),
+                trials: trials.unwrap_or(d.trials),
+                seed: seed.unwrap_or(d.seed),
+                check_determinism: !a.switch("--no-determinism")?,
+                base,
+                ..d
             };
-            let serve = take_bool_flag(&mut args, "--serve");
-            let trials = match take_opt_flag_value(&mut args, "--trials")? {
-                Some(v) => {
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad trial count {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--trials must be positive".into()));
-                    }
-                    n
+            let bundle_dir = a.value("--bundle-dir")?.unwrap_or_else(|| ".".into());
+            if serve {
+                // The fuzzer's flags above parse but do not apply here.
+                let d = TortureOptions::default();
+                Command::ServeTorture(TortureOptions {
+                    trials: trials.unwrap_or(d.trials),
+                    seed: seed.unwrap_or(d.seed),
+                    data_root: a.value("--data-dir")?.unwrap_or(d.data_root),
+                    calibration_budget_ms: a
+                        .value("--calibration-budget-ms")?
+                        .unwrap_or(d.calibration_budget_ms),
+                    ..d
+                })
+            } else {
+                Command::Chaos {
+                    opts: Box::new(opts),
+                    bundle_dir,
                 }
-                // Service campaigns boot a daemon per trial — default to
-                // fewer, heavier trials than the in-process fuzzer.
-                None => {
-                    if serve {
-                        8
-                    } else {
-                        25
-                    }
-                }
-            };
-            let seed = match take_opt_flag_value(&mut args, "--seed")? {
-                Some(v) => v.parse().map_err(|_| ArgError(format!("bad seed {v:?}")))?,
-                None => 1,
-            };
-            let determinism = !take_bool_flag(&mut args, "--no-determinism");
-            let bundle_dir =
-                take_opt_flag_value(&mut args, "--bundle-dir")?.unwrap_or_else(|| ".".into());
-            let data_dir = take_opt_flag_value(&mut args, "--data-dir")?;
-            let calibration_budget_ms =
-                match take_opt_flag_value(&mut args, "--calibration-budget-ms")? {
-                    Some(v) => v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad calibration budget {v:?}")))?,
-                    None => 0,
-                };
-            if !serve && (data_dir.is_some() || calibration_budget_ms != 0) {
-                return Err(ArgError(
-                    "--data-dir and --calibration-budget-ms need --serve".into(),
-                ));
             }
-            ensure_consumed(&args)?;
-            Ok(Command::Chaos {
-                app,
-                config: Box::new(config),
-                trials,
-                seed,
-                determinism,
-                bundle_dir,
-                serve,
-                data_dir,
-                calibration_budget_ms,
-            })
         }
         "verify-model" => {
-            let all = if let Some(i) = args.iter().position(|a| a == "--all") {
-                args.remove(i);
-                true
-            } else {
-                false
-            };
-            let models = match args.iter().position(|a| a == "--models") {
-                Some(i) if i + 1 < args.len() => {
-                    if all {
-                        return Err(ArgError("--all and --models are mutually exclusive".into()));
-                    }
-                    let v = args.remove(i + 1);
-                    args.remove(i);
-                    v.split(',')
-                        .map(parse_consistency)
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-                Some(_) => return Err(ArgError("--models needs a value".into())),
-                // The paper's endpoints by default; --all adds PC and WC.
-                None if all => dashlat_verify::ALL_MODELS.to_vec(),
-                None => vec![Consistency::Sc, Consistency::Rc],
-            };
-            let tests = match args.iter().position(|a| a == "--tests") {
-                Some(i) if i + 1 < args.len() => {
-                    let v = args.remove(i + 1);
-                    args.remove(i);
-                    let names: Vec<String> = v.split(',').map(str::to_string).collect();
-                    for n in &names {
-                        if dashlat_verify::litmus::by_name(n).is_none() {
-                            return Err(ArgError(format!(
-                                "unknown litmus test {n:?} (known: {})",
-                                dashlat_verify::corpus()
-                                    .iter()
-                                    .map(|t| t.name)
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            )));
-                        }
-                    }
-                    names
-                }
-                Some(_) => return Err(ArgError("--tests needs a value".into())),
-                None => Vec::new(),
-            };
-            let max_runs = match args.iter().position(|a| a == "--max-runs") {
-                Some(i) if i + 1 < args.len() => {
-                    let v = args.remove(i + 1);
-                    args.remove(i);
-                    v.parse()
-                        .map_err(|_| ArgError(format!("bad run budget {v:?}")))?
-                }
-                Some(_) => return Err(ArgError("--max-runs needs a value".into())),
-                None => 0,
-            };
-            let filter = take_opt_flag_value(&mut args, "--filter")?;
-            if filter.is_some() && !tests.is_empty() {
-                return Err(ArgError(
-                    "--filter and --tests are mutually exclusive".into(),
-                ));
+            let all = a.switch("--all")?;
+            let models = a.value_with("--models", models)?;
+            if all && models.is_some() {
+                return Err("--all and --models are mutually exclusive".into());
             }
-            let mut take_bool = |flag: &str| {
-                args.iter().position(|a| a == flag).is_some_and(|i| {
-                    args.remove(i);
-                    true
-                })
-            };
-            let list = take_bool("--list");
-            let stats = take_bool("--stats");
-            let strict = take_bool("--strict");
-            let deep_closure = take_bool("--deep-closure");
-            ensure_consumed(&args)?;
-            Ok(Command::VerifyModel {
-                models,
-                tests,
-                filter,
-                max_runs,
-                list,
-                stats,
-                strict,
-                deep_closure,
-            })
+            let tests = a.value_with("--tests", litmus_tests)?;
+            let filter = a.value("--filter")?;
+            if filter.is_some() && tests.is_some() {
+                return Err("--filter and --tests are mutually exclusive".into());
+            }
+            let d = SuiteOptions::default();
+            Command::VerifyModel {
+                suite: SuiteOptions {
+                    // The paper's endpoints unless --all asks for every
+                    // model (the suite's own default).
+                    models: models.unwrap_or(if all {
+                        d.models
+                    } else {
+                        vec![Consistency::Sc, Consistency::Rc]
+                    }),
+                    tests: tests.unwrap_or(d.tests),
+                    filter: filter.or(d.filter),
+                    max_runs: a.value("--max-runs")?.unwrap_or(d.max_runs),
+                    stats: a.switch("--stats")?,
+                    strict: a.switch("--strict")?,
+                    deep_closure: a.switch("--deep-closure")?,
+                },
+                list: a.switch("--list")?,
+            }
         }
         "serve" => {
-            let addr =
-                take_opt_flag_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into());
-            let data_dir = take_opt_flag_value(&mut args, "--data-dir")?
-                .unwrap_or_else(|| "dashlat-serve-data".into());
-            let workers = match take_opt_flag_value(&mut args, "--workers")? {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad worker count {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--workers must be at least 1".into()));
-                    }
-                    n
-                }
-                None => 2,
-            };
-            let queue_depth = match take_opt_flag_value(&mut args, "--queue-depth")? {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad queue depth {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--queue-depth must be at least 1".into()));
-                    }
-                    n
-                }
-                None => 8,
-            };
-            let job_timeout_secs = match take_opt_flag_value(&mut args, "--job-timeout-secs")? {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad job timeout {v:?}")))?,
-                None => 3600,
-            };
-            let isolate = take_bool_flag(&mut args, "--isolate");
-            let cell_timeout_secs = match take_opt_flag_value(&mut args, "--cell-timeout-secs")? {
-                Some(v) => {
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad cell timeout {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--cell-timeout-secs must be at least 1".into()));
-                    }
-                    n
-                }
-                None => 300,
-            };
-            let crash_loop_threshold =
-                match take_opt_flag_value(&mut args, "--crash-loop-threshold")? {
-                    Some(v) => {
-                        let n: u32 = v
-                            .parse()
-                            .map_err(|_| ArgError(format!("bad crash-loop threshold {v:?}")))?;
-                        if n == 0 {
-                            return Err(ArgError(
-                                "--crash-loop-threshold must be at least 1".into(),
-                            ));
-                        }
-                        n
-                    }
-                    None => 8,
-                };
-            let max_connections = match take_opt_flag_value(&mut args, "--max-connections")? {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad connection cap {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--max-connections must be at least 1".into()));
-                    }
-                    n
-                }
-                None => 64,
-            };
-            let conn_deadline_secs = match take_opt_flag_value(&mut args, "--conn-deadline-secs")? {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad connection deadline {v:?}")))?,
-                None => 10,
-            };
-            ensure_consumed(&args)?;
-            Ok(Command::Serve {
-                addr,
-                data_dir,
-                workers,
-                queue_depth,
-                job_timeout_secs,
-                isolate,
-                cell_timeout_secs,
-                crash_loop_threshold,
-                max_connections,
-                conn_deadline_secs,
-            })
+            let d = ServeConfig::default();
+            Command::Serve(Box::new(ServeConfig {
+                addr: a.value("--addr")?.unwrap_or(d.addr),
+                data_dir: a.value("--data-dir")?.unwrap_or(d.data_dir),
+                workers: a.value_in("--workers", 1..)?.unwrap_or(d.workers),
+                queue_depth: a.value_in("--queue-depth", 1..)?.unwrap_or(d.queue_depth),
+                job_timeout_secs: a.value("--job-timeout-secs")?.unwrap_or(d.job_timeout_secs),
+                isolate: a.switch("--isolate")?,
+                cell_timeout_secs: a
+                    .value_in("--cell-timeout-secs", 1..)?
+                    .unwrap_or(d.cell_timeout_secs),
+                crash_loop_threshold: a
+                    .value_in("--crash-loop-threshold", 1..)?
+                    .unwrap_or(d.crash_loop_threshold),
+                max_connections: a
+                    .value_in("--max-connections", 1..)?
+                    .unwrap_or(d.max_connections),
+                conn_deadline_secs: a
+                    .value("--conn-deadline-secs")?
+                    .unwrap_or(d.conn_deadline_secs),
+                ..d
+            }))
         }
         "submit" => {
-            let addr = take_opt_flag_value(&mut args, "--addr")?;
-            let data_dir = take_opt_flag_value(&mut args, "--data-dir")?
-                .unwrap_or_else(|| "dashlat-serve-data".into());
-            let wait = take_bool_flag(&mut args, "--wait");
-            let sweep_jobs = match take_opt_flag_value(&mut args, "--sweep-jobs")? {
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| ArgError(format!("bad sweep job count {v:?}")))?;
-                    if n == 0 {
-                        return Err(ArgError("--sweep-jobs must be at least 1".into()));
-                    }
-                    Some(n)
-                }
-                None => None,
-            };
-            let max_retries = match take_opt_flag_value(&mut args, "--retries")? {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad retry count {v:?}")))?,
-                None => 2,
-            };
-            let timeout_secs = match take_opt_flag_value(&mut args, "--timeout-secs")? {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| ArgError(format!("bad timeout {v:?}")))?,
-                ),
-                None => None,
-            };
-            if args.is_empty() {
-                return Err(ArgError(
-                    "submit needs a job kind: sweep, chaos or verify".into(),
-                ));
-            }
-            let kind = match args.remove(0).as_str() {
-                "sweep" => {
-                    if args.is_empty() {
-                        return Err(ArgError("submit sweep needs a figure number (2-6)".into()));
-                    }
-                    let figure: u8 = args
-                        .remove(0)
-                        .parse()
-                        .map_err(|_| ArgError("submit sweep needs a figure number (2-6)".into()))?;
-                    if !(2..=6).contains(&figure) {
-                        return Err(ArgError("sweep figure number must be 2-6".into()));
-                    }
-                    dashlat_serve::JobKind::Sweep { figure }
-                }
-                "chaos" => {
-                    let app: App = match take_opt_flag_value(&mut args, "--app")? {
-                        Some(v) => v.parse().map_err(ArgError)?,
-                        None => App::Lu,
-                    };
-                    let trials = match take_opt_flag_value(&mut args, "--trials")? {
-                        Some(v) => {
-                            let n: u32 = v
-                                .parse()
-                                .map_err(|_| ArgError(format!("bad trial count {v:?}")))?;
-                            if n == 0 {
-                                return Err(ArgError("--trials must be positive".into()));
-                            }
-                            n
-                        }
-                        None => 25,
-                    };
-                    let seed = match take_opt_flag_value(&mut args, "--seed")? {
-                        Some(v) => v.parse().map_err(|_| ArgError(format!("bad seed {v:?}")))?,
-                        None => 1,
-                    };
-                    dashlat_serve::JobKind::Chaos { app, trials, seed }
-                }
-                "verify" | "verify-model" => {
-                    let models = match take_opt_flag_value(&mut args, "--models")? {
-                        Some(v) => v
-                            .split(',')
-                            .map(parse_consistency)
-                            .collect::<Result<Vec<_>, _>>()?,
-                        None => Vec::new(),
-                    };
-                    let tests = match take_opt_flag_value(&mut args, "--tests")? {
-                        Some(v) => v.split(',').map(str::to_string).collect(),
-                        None => Vec::new(),
-                    };
-                    let max_runs = match take_opt_flag_value(&mut args, "--max-runs")? {
-                        Some(v) => v
-                            .parse()
-                            .map_err(|_| ArgError(format!("bad run budget {v:?}")))?,
-                        None => 0,
-                    };
-                    dashlat_serve::JobKind::Verify {
-                        models,
-                        tests,
-                        max_runs,
-                    }
-                }
-                other => {
-                    return Err(ArgError(format!(
+            // Submit's own flags may come before or after the job kind.
+            let addr = a.value("--addr")?;
+            let data_dir = a.value("--data-dir")?;
+            let wait = a.switch("--wait")?;
+            let sweep_jobs = a.value_in("--sweep-jobs", 1..)?;
+            let max_retries = a.value("--retries")?;
+            let timeout_secs = a.value("--timeout-secs")?;
+            let chaos = ChaosOptions::default();
+            let kind = match a.positional().as_deref() {
+                Some("sweep") => JobKind::Sweep {
+                    figure: figure_number(&mut a, "submit sweep")?,
+                },
+                Some("chaos") => JobKind::Chaos {
+                    app: a.value("--app")?.unwrap_or(chaos.app),
+                    trials: a.value_in("--trials", 1..)?.unwrap_or(chaos.trials),
+                    seed: a.value("--seed")?.unwrap_or(chaos.seed),
+                },
+                Some("verify" | "verify-model") => JobKind::Verify {
+                    models: a.value_with("--models", models)?.unwrap_or_default(),
+                    tests: a.value_with("--tests", litmus_tests)?.unwrap_or_default(),
+                    max_runs: a.value("--max-runs")?.unwrap_or_default(),
+                },
+                Some(other) => {
+                    return Err(format!(
                         "unknown job kind {other:?} (expected sweep, chaos or verify)"
-                    )))
+                    )
+                    .into())
                 }
+                None => return Err("submit needs a job kind: sweep, chaos or verify".into()),
             };
-            // Everything left is machine flags; validate them here so a
-            // typo is a parse error at the prompt, not a 400 later — the
-            // *raw* tokens travel in the spec, exactly as the server
-            // re-parses them.
-            let mut probe = args.clone();
-            parse_machine_flags(&mut probe)?;
-            ensure_consumed(&probe)?;
-            let machine = std::mem::take(&mut args);
-            Ok(Command::Submit {
+            // Everything left is machine flags: they travel as raw tokens
+            // and the server re-parses them, but `validate` checks them
+            // here too, so a typo fails at the prompt, not as a 400.
+            let mut spec = JobSpec::new(kind, a.rest());
+            spec.sweep_jobs = sweep_jobs;
+            spec.max_retries = max_retries.unwrap_or(spec.max_retries);
+            spec.timeout_secs = timeout_secs;
+            spec.validate()?;
+            Command::Submit {
                 addr,
-                data_dir,
-                spec: Box::new(dashlat_serve::JobSpec {
-                    kind,
-                    machine,
-                    sweep_jobs,
-                    max_retries,
-                    timeout_secs,
-                }),
+                data_dir: data_dir.unwrap_or(ServeConfig::default().data_dir),
+                spec: Box::new(spec),
                 wait,
-            })
+            }
         }
-        "status" => {
-            let addr = take_opt_flag_value(&mut args, "--addr")?;
-            let data_dir = take_opt_flag_value(&mut args, "--data-dir")?
-                .unwrap_or_else(|| "dashlat-serve-data".into());
-            let id = if args.is_empty() {
-                None
-            } else {
-                let v = args.remove(0);
-                Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ArgError(format!("bad job id {v:?}")))?,
-                )
-            };
-            ensure_consumed(&args)?;
-            Ok(Command::Status { addr, data_dir, id })
-        }
-        other => Err(ArgError(format!(
-            "unknown command {other:?}; try `dashlat help`"
-        ))),
-    }
+        "status" => Command::Status {
+            addr: a.value("--addr")?,
+            data_dir: a
+                .value("--data-dir")?
+                .unwrap_or(ServeConfig::default().data_dir),
+            id: a
+                .positional()
+                .map(|v| v.parse().map_err(|_| format!("bad job id {v:?}")))
+                .transpose()?,
+        },
+        other => return Err(format!("unknown command {other:?}; try `dashlat help`").into()),
+    };
+    a.finish()?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -1150,9 +705,9 @@ mod tests {
 
     #[test]
     fn empty_is_help() {
-        assert_eq!(parse(vec![]), Ok(Command::Help));
-        assert_eq!(parse(v(&["help"])), Ok(Command::Help));
-        assert_eq!(parse(v(&["--help"])), Ok(Command::Help));
+        assert!(matches!(parse(vec![]), Ok(Command::Help)));
+        assert!(matches!(parse(v(&["help"])), Ok(Command::Help)));
+        assert!(matches!(parse(v(&["--help"])), Ok(Command::Help)));
     }
 
     #[test]
@@ -1404,23 +959,20 @@ mod tests {
     #[test]
     fn verify_model_defaults_and_flags() {
         let cmd = parse(v(&["verify-model"])).expect("parses");
-        assert_eq!(
-            cmd,
-            Command::VerifyModel {
-                models: vec![Consistency::Sc, Consistency::Rc],
-                tests: vec![],
-                filter: None,
-                max_runs: 0,
-                list: false,
-                stats: false,
-                strict: false,
-                deep_closure: false,
+        match cmd {
+            Command::VerifyModel { suite, list } => {
+                assert_eq!(suite.models, vec![Consistency::Sc, Consistency::Rc]);
+                assert!(suite.tests.is_empty());
+                assert_eq!(suite.filter, None);
+                assert_eq!(suite.max_runs, 0);
+                assert!(!list && !suite.stats && !suite.strict && !suite.deep_closure);
             }
-        );
+            other => panic!("unexpected {other:?}"),
+        }
         let cmd = parse(v(&["verify-model", "--all"])).expect("parses");
         match cmd {
-            Command::VerifyModel { models, .. } => {
-                assert_eq!(models, dashlat_verify::ALL_MODELS.to_vec());
+            Command::VerifyModel { suite, .. } => {
+                assert_eq!(suite.models, dashlat_verify::ALL_MODELS.to_vec());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1434,19 +986,16 @@ mod tests {
             "500",
         ]))
         .expect("parses");
-        assert_eq!(
-            cmd,
-            Command::VerifyModel {
-                models: vec![Consistency::Sc, Consistency::Wc],
-                tests: vec!["sb".into(), "mp".into()],
-                filter: None,
-                max_runs: 500,
-                list: false,
-                stats: false,
-                strict: false,
-                deep_closure: false,
+        match cmd {
+            Command::VerifyModel { suite, list } => {
+                assert_eq!(suite.models, vec![Consistency::Sc, Consistency::Wc]);
+                assert_eq!(suite.tests, ["sb", "mp"]);
+                assert_eq!(suite.filter, None);
+                assert_eq!(suite.max_runs, 500);
+                assert!(!list && !suite.stats && !suite.strict && !suite.deep_closure);
             }
-        );
+            other => panic!("unexpected {other:?}"),
+        }
         assert!(parse(v(&["verify-model", "--all", "--models", "sc"])).is_err());
         assert!(parse(v(&["verify-model", "--tests", "bogus"])).is_err());
         assert!(parse(v(&["verify-model", "--models", "tso"])).is_err());
@@ -1466,16 +1015,9 @@ mod tests {
         ]))
         .expect("parses");
         match cmd {
-            Command::VerifyModel {
-                filter,
-                stats,
-                strict,
-                deep_closure,
-                list,
-                ..
-            } => {
-                assert_eq!(filter.as_deref(), Some("rmw_*"));
-                assert!(stats && strict && deep_closure && !list);
+            Command::VerifyModel { suite, list } => {
+                assert_eq!(suite.filter.as_deref(), Some("rmw_*"));
+                assert!(suite.stats && suite.strict && suite.deep_closure && !list);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1537,8 +1079,7 @@ mod tests {
                 resume,
                 isolate,
                 timeout_secs,
-                retries,
-                bundle_dir,
+                opts,
                 config,
             } => {
                 assert_eq!(number, 3);
@@ -1547,8 +1088,8 @@ mod tests {
                 assert!(!resume);
                 assert!(!isolate);
                 assert_eq!(timeout_secs, 600);
-                assert_eq!(retries, 2);
-                assert_eq!(bundle_dir, None);
+                assert_eq!(opts.max_retries, 2);
+                assert_eq!(opts.bundle_dir, None);
                 assert_eq!(config.scale, AppScale::Test);
             }
             other => panic!("unexpected {other:?}"),
@@ -1578,8 +1119,7 @@ mod tests {
                 resume,
                 isolate,
                 timeout_secs,
-                retries,
-                bundle_dir,
+                opts,
                 ..
             } => {
                 assert_eq!(number, 4);
@@ -1588,8 +1128,8 @@ mod tests {
                 assert!(resume);
                 assert!(isolate);
                 assert_eq!(timeout_secs, 30);
-                assert_eq!(retries, 5);
-                assert_eq!(bundle_dir, Some("/tmp/bundles".into()));
+                assert_eq!(opts.max_retries, 5);
+                assert_eq!(opts.bundle_dir, Some("/tmp/bundles".into()));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1610,12 +1150,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(v(&["cell"])).is_err());
-        assert_eq!(
+        assert!(matches!(
             parse(v(&["repro", "/tmp/b.json"])),
-            Ok(Command::Repro {
-                bundle: "/tmp/b.json".into()
-            })
-        );
+            Ok(Command::Repro { bundle }) if bundle == "/tmp/b.json"
+        ));
         assert!(parse(v(&["repro"])).is_err());
         assert!(parse(v(&["repro", "/tmp/b.json", "extra"])).is_err());
     }
@@ -1624,18 +1162,11 @@ mod tests {
     fn chaos_parsing_defaults_and_overrides() {
         let cmd = parse(v(&["chaos"])).expect("parses");
         match cmd {
-            Command::Chaos {
-                app,
-                trials,
-                seed,
-                determinism,
-                bundle_dir,
-                ..
-            } => {
-                assert_eq!(app, App::Lu);
-                assert_eq!(trials, 25);
-                assert_eq!(seed, 1);
-                assert!(determinism);
+            Command::Chaos { opts, bundle_dir } => {
+                assert_eq!(opts.app, App::Lu);
+                assert_eq!(opts.trials, 25);
+                assert_eq!(opts.seed, 1);
+                assert!(opts.check_determinism);
                 assert_eq!(bundle_dir, ".");
             }
             other => panic!("unexpected {other:?}"),
@@ -1655,26 +1186,15 @@ mod tests {
         ]))
         .expect("parses");
         match cmd {
-            Command::Chaos {
-                app,
-                trials,
-                seed,
-                determinism,
-                bundle_dir,
-                config,
-                serve,
-                data_dir,
-                calibration_budget_ms,
-            } => {
-                assert_eq!(app, App::Pthor);
-                assert_eq!(trials, 3);
-                assert_eq!(seed, 99);
-                assert!(!determinism);
+            // Without --serve the fuzzer runs; --data-dir and the
+            // calibration budget belong to `chaos --serve` only.
+            Command::Chaos { opts, bundle_dir } => {
+                assert_eq!(opts.app, App::Pthor);
+                assert_eq!(opts.trials, 3);
+                assert_eq!(opts.seed, 99);
+                assert!(!opts.check_determinism);
                 assert_eq!(bundle_dir, "/tmp/b");
-                assert_eq!(config.scale, AppScale::Test);
-                assert!(!serve);
-                assert_eq!(data_dir, None);
-                assert_eq!(calibration_budget_ms, 0);
+                assert_eq!(opts.base.scale, AppScale::Test);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1713,7 +1233,7 @@ mod tests {
     #[test]
     fn to_cli_args_round_trips_through_the_parser() {
         // Repro bundles store `ExperimentConfig::to_cli_args()` and replay
-        // it through `parse_machine_flags`; every knob must survive the
+        // it through the machine-flag parser; every knob must survive the
         // text detour exactly.
         let mut no_contention = ExperimentConfig::base_test();
         no_contention.contention = false;
@@ -1742,7 +1262,7 @@ mod tests {
         ];
         for cfg in variants {
             let mut argv = cfg.to_cli_args();
-            let parsed = parse_machine_flags(&mut argv).expect("round-trip parse");
+            let parsed = dashlat::parse_machine_args(&mut argv).expect("round-trip parse");
             assert!(argv.is_empty(), "unconsumed args: {argv:?}");
             assert_eq!(parsed, cfg);
         }
@@ -1765,6 +1285,7 @@ mod tests {
             "dashlat status",
             "--enforce-wb-fifo",
             "--no-check-invariants",
+            "a repeated flag is an",
         ] {
             assert!(USAGE.contains(needle), "USAGE missing {needle:?}");
         }
@@ -1773,21 +1294,21 @@ mod tests {
     #[test]
     fn serve_parsing_defaults_and_overrides() {
         let cmd = parse(v(&["serve"])).expect("parses");
-        assert_eq!(
-            cmd,
-            Command::Serve {
-                addr: "127.0.0.1:0".into(),
-                data_dir: "dashlat-serve-data".into(),
-                workers: 2,
-                queue_depth: 8,
-                job_timeout_secs: 3600,
-                isolate: false,
-                cell_timeout_secs: 300,
-                crash_loop_threshold: 8,
-                max_connections: 64,
-                conn_deadline_secs: 10,
+        match cmd {
+            Command::Serve(c) => {
+                assert_eq!(c.addr, "127.0.0.1:0");
+                assert_eq!(c.data_dir, PathBuf::from("dashlat-serve-data"));
+                assert_eq!(c.workers, 2);
+                assert_eq!(c.queue_depth, 8);
+                assert_eq!(c.job_timeout_secs, 3600);
+                assert!(!c.isolate);
+                assert_eq!(c.cell_timeout_secs, 300);
+                assert_eq!(c.crash_loop_threshold, 8);
+                assert_eq!(c.max_connections, 64);
+                assert_eq!(c.conn_deadline_secs, 10);
             }
-        );
+            other => panic!("unexpected {other:?}"),
+        }
         let cmd = parse(v(&[
             "serve",
             "--addr",
@@ -1803,19 +1324,12 @@ mod tests {
         ]))
         .expect("parses");
         match cmd {
-            Command::Serve {
-                addr,
-                data_dir,
-                workers,
-                queue_depth,
-                job_timeout_secs,
-                ..
-            } => {
-                assert_eq!(addr, "127.0.0.1:8123");
-                assert_eq!(data_dir, "/tmp/d");
-                assert_eq!(workers, 4);
-                assert_eq!(queue_depth, 2);
-                assert_eq!(job_timeout_secs, 0);
+            Command::Serve(c) => {
+                assert_eq!(c.addr, "127.0.0.1:8123");
+                assert_eq!(c.data_dir, PathBuf::from("/tmp/d"));
+                assert_eq!(c.workers, 4);
+                assert_eq!(c.queue_depth, 2);
+                assert_eq!(c.job_timeout_secs, 0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1843,19 +1357,12 @@ mod tests {
         ]))
         .expect("parses");
         match cmd {
-            Command::Serve {
-                isolate,
-                cell_timeout_secs,
-                crash_loop_threshold,
-                max_connections,
-                conn_deadline_secs,
-                ..
-            } => {
-                assert!(isolate);
-                assert_eq!(cell_timeout_secs, 30);
-                assert_eq!(crash_loop_threshold, 3);
-                assert_eq!(max_connections, 16);
-                assert_eq!(conn_deadline_secs, 3);
+            Command::Serve(c) => {
+                assert!(c.isolate);
+                assert_eq!(c.cell_timeout_secs, 30);
+                assert_eq!(c.crash_loop_threshold, 3);
+                assert_eq!(c.max_connections, 16);
+                assert_eq!(c.conn_deadline_secs, 3);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1865,18 +1372,15 @@ mod tests {
     fn chaos_serve_parsing() {
         let cmd = parse(v(&["chaos", "--serve"])).expect("parses");
         match cmd {
-            Command::Chaos {
-                serve,
-                trials,
-                data_dir,
-                calibration_budget_ms,
-                ..
-            } => {
-                assert!(serve);
+            Command::ServeTorture(opts) => {
                 // Service campaigns default to fewer, heavier trials.
-                assert_eq!(trials, 8);
-                assert_eq!(data_dir, None);
-                assert_eq!(calibration_budget_ms, 0);
+                assert_eq!(opts.trials, 8);
+                assert_eq!(opts.seed, 1);
+                assert_eq!(
+                    opts.data_root,
+                    dashlat_serve::TortureOptions::default().data_root
+                );
+                assert_eq!(opts.calibration_budget_ms, 0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1894,19 +1398,11 @@ mod tests {
         ]))
         .expect("parses");
         match cmd {
-            Command::Chaos {
-                serve,
-                trials,
-                seed,
-                data_dir,
-                calibration_budget_ms,
-                ..
-            } => {
-                assert!(serve);
-                assert_eq!(trials, 2);
-                assert_eq!(seed, 42);
-                assert_eq!(data_dir, Some("/tmp/torture".into()));
-                assert_eq!(calibration_budget_ms, 1500);
+            Command::ServeTorture(opts) => {
+                assert_eq!(opts.trials, 2);
+                assert_eq!(opts.seed, 42);
+                assert_eq!(opts.data_root, PathBuf::from("/tmp/torture"));
+                assert_eq!(opts.calibration_budget_ms, 1500);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1937,7 +1433,7 @@ mod tests {
                 wait,
             } => {
                 assert_eq!(addr, None);
-                assert_eq!(data_dir, "dashlat-serve-data");
+                assert_eq!(data_dir, PathBuf::from("dashlat-serve-data"));
                 assert!(wait);
                 assert_eq!(spec.kind, dashlat_serve::JobKind::Sweep { figure: 3 });
                 assert_eq!(spec.sweep_jobs, Some(1));
@@ -2001,22 +1497,16 @@ mod tests {
 
     #[test]
     fn status_parsing() {
-        assert_eq!(
+        assert!(matches!(
             parse(v(&["status"])),
-            Ok(Command::Status {
-                addr: None,
-                data_dir: "dashlat-serve-data".into(),
-                id: None,
-            })
-        );
-        assert_eq!(
+            Ok(Command::Status { addr: None, data_dir, id: None })
+                if data_dir == std::path::Path::new("dashlat-serve-data")
+        ));
+        assert!(matches!(
             parse(v(&["status", "7", "--data-dir", "/tmp/d"])),
-            Ok(Command::Status {
-                addr: None,
-                data_dir: "/tmp/d".into(),
-                id: Some(7),
-            })
-        );
+            Ok(Command::Status { addr: None, data_dir, id: Some(7) })
+                if data_dir == std::path::Path::new("/tmp/d")
+        ));
         assert!(parse(v(&["status", "seven"])).is_err());
     }
 
@@ -2047,5 +1537,271 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Machine flags: `flag | good value, or - for a switch | malformed
+    /// values`. Every command line in `MACHINE_COMMANDS` takes them all.
+    /// (`--jobs 3` matches `jobs_flag_validated_and_pins_default`, which
+    /// pins the same process-wide default concurrently.)
+    const MACHINE_FLAGS: &str = "
+        --processors          | 4       | x 0 65
+        --consistency         | rc      | tso
+        --contexts            | 2       | x 0
+        --switch              | 16      | x
+        --prefetch            | -       |
+        --no-cache            | -       |
+        --full-caches         | -       |
+        --no-contention       | -       |
+        --mesh                | -       |
+        --dir-pointers        | 2       | x 0
+        --lookahead           | 8       | x
+        --test-scale          | -       |
+        --jobs                | 3       | x 0
+        --faults              | light:7 | bogus
+        --check-invariants    | -       |
+        --no-check-invariants | -       |
+        --enforce-wb-fifo     | -       |
+        --analyze             | hb      | bogus
+    ";
+
+    /// Every command line that takes machine flags, minimal and valid.
+    const MACHINE_COMMANDS: &str = "
+        run --app lu
+        figure 3
+        table 2
+        summary
+        trace record --app lu --out t.trace
+        trace replay --in t.trace
+        analyze
+        lint
+        sweep 3
+        cell --app lu
+        chaos
+        chaos --serve
+        submit sweep 3
+        submit chaos
+        submit verify
+    ";
+
+    /// Subcommand flags: `valid command line | flag | good value, or -
+    /// for a switch | malformed values | * when repeatable`.
+    const COMMAND_FLAGS: &str = "
+        run                     | --app                   | lu             | spice
+        run --app lu            | --chart                 | -              |
+        figure 3                | --csv                   | -              |
+        trace record --out t    | --app                   | lu             | spice
+        trace record --app lu   | --out                   | t              |
+        trace replay            | --in                    | t              |
+        analyze                 | --app                   | lu             | spice | *
+        analyze                 | --in                    | t              |
+        analyze                 | --passes                | hb,lockset     | bogus
+        analyze                 | --paper-scale           | -              |
+        lint                    | --app                   | lu             | spice | *
+        lint                    | --all                   | -              |
+        lint                    | --in                    | t              |
+        lint                    | --json                  | -              |
+        lint                    | --strict                | -              |
+        lint                    | --paper-scale           | -              |
+        sweep 3                 | --journal               | j              |
+        sweep 3                 | --out                   | o.json         |
+        sweep 3                 | --resume                | -              |
+        sweep 3                 | --isolate               | -              |
+        sweep 3                 | --timeout-secs          | 30             | x 0
+        sweep 3                 | --retries               | 5              | x
+        sweep 3                 | --bundle-dir            | b              |
+        cell                    | --app                   | lu             | spice
+        chaos                   | --app                   | pthor          | spice
+        chaos                   | --trials                | 3              | x 0
+        chaos                   | --seed                  | 9              | x
+        chaos                   | --no-determinism        | -              |
+        chaos                   | --bundle-dir            | b              |
+        chaos                   | --serve                 | -              |
+        chaos --serve           | --trials                | 2              | x 0
+        chaos --serve           | --seed                  | 42             | x
+        chaos --serve           | --data-dir              | d              |
+        chaos --serve           | --calibration-budget-ms | 1500           | x
+        verify-model            | --all                   | -              |
+        verify-model            | --models                | sc,wc          | tso
+        verify-model            | --tests                 | sb,mp          | no_such_test
+        verify-model            | --filter                | rmw_*          |
+        verify-model            | --max-runs              | 500            | x
+        verify-model            | --list                  | -              |
+        verify-model            | --stats                 | -              |
+        verify-model            | --strict                | -              |
+        verify-model            | --deep-closure          | -              |
+        serve                   | --addr                  | 127.0.0.1:8123 |
+        serve                   | --data-dir              | d              |
+        serve                   | --workers               | 4              | x 0
+        serve                   | --queue-depth           | 2              | x 0
+        serve                   | --job-timeout-secs      | 0              | x
+        serve                   | --isolate               | -              |
+        serve                   | --cell-timeout-secs     | 30             | x 0
+        serve                   | --crash-loop-threshold  | 3              | x 0
+        serve                   | --max-connections       | 16             | x 0
+        serve                   | --conn-deadline-secs    | 3              | x
+        submit sweep 3          | --addr                  | 1.2.3.4:80     |
+        submit sweep 3          | --data-dir              | d              |
+        submit sweep 3          | --wait                  | -              |
+        submit sweep 3          | --sweep-jobs            | 1              | x 0
+        submit sweep 3          | --retries               | 5              | x
+        submit sweep 3          | --timeout-secs          | 60             | x
+        submit chaos            | --app                   | pthor          | spice
+        submit chaos            | --trials                | 3              | x 0
+        submit chaos            | --seed                  | 9              | x
+        submit verify           | --models                | sc,rc          | tso
+        submit verify           | --tests                 | sb             | no_such_test
+        submit verify           | --max-runs              | 500            | x
+        status                  | --addr                  | 1.2.3.4:80     |
+        status                  | --data-dir              | d              |
+    ";
+
+    /// Rows that are not one flag three ways — positionals, required
+    /// flags, flags given to the wrong subcommand, conflicting flags:
+    /// `command line | ok, or the word the rejection must name`.
+    const OTHER_ROWS: &str = "
+        help                                              | ok
+        launch                                            | launch
+        figure                                            | figure
+        figure x                                          | figure
+        figure 7                                          | figure
+        table                                             | table
+        table x                                           | table
+        table 3                                           | table
+        sweep                                             | sweep
+        sweep x                                           | sweep
+        sweep 7                                           | sweep
+        submit                                            | submit
+        submit dance                                      | dance
+        submit sweep                                      | sweep
+        submit sweep x                                    | sweep
+        submit sweep 7                                    | sweep
+        trace                                             | trace
+        trace compress                                    | compress
+        repro b.json                                      | ok
+        repro                                             | repro
+        repro b.json extra                                | extra
+        status 7                                          | ok
+        status seven                                      | job id
+        status 7 8                                        | 8
+        run                                               | --app
+        cell                                              | --app
+        trace record --app lu                             | --out
+        trace replay                                      | --in
+        run --app lu --csv                                | --csv
+        figure 3 --chart                                  | --chart
+        table 1 --csv                                     | --csv
+        summary --resume                                  | --resume
+        sweep 3 --csv                                     | --csv
+        cell --app lu --retries 2                         | --retries
+        analyze --all                                     | --all
+        lint --passes hb                                  | --passes
+        chaos --resume                                    | --resume
+        chaos --data-dir d                                | --data-dir
+        chaos --calibration-budget-ms 5                   | --calibration-budget-ms
+        verify-model --test-scale                         | --test-scale
+        verify-model --app lu                             | --app
+        serve --test-scale                                | --test-scale
+        serve --wait                                      | --wait
+        status --workers 2                                | --workers
+        repro b.json --test-scale                         | --test-scale
+        submit sweep 3 --models sc                        | --models
+        submit verify --trials 2                          | --trials
+        analyze --in t --app lu                           | --in
+        lint --in t --all                                 | --in
+        verify-model --all --models sc                    | --all
+        verify-model --tests sb --filter s                | --filter
+        run --app lu --check-invariants --no-check-invariants | --check-invariants
+    ";
+
+    /// A row: an argv, and `None` when it must parse or the word its
+    /// rejection must name.
+    type Row = (Vec<String>, Option<&'static str>);
+
+    /// The trimmed `|`-separated columns of each non-blank line.
+    fn table(text: &'static str) -> impl Iterator<Item = Vec<&'static str>> {
+        text.lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| l.split('|').map(str::trim).collect())
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// One flag three ways — a good value, no value, each malformed
+    /// value — and given twice, which is rejected unless repeatable.
+    fn flag_rows(
+        rows: &mut Vec<Row>,
+        base: &str,
+        flag: &'static str,
+        good: &str,
+        bad: &str,
+        repeatable: bool,
+    ) {
+        let once = if good == "-" {
+            flag.to_owned()
+        } else {
+            format!("{flag} {good}")
+        };
+        rows.push((words(&format!("{base} {once}")), None));
+        let twice = (!repeatable).then_some(flag);
+        rows.push((words(&format!("{base} {once} {once}")), twice));
+        if good != "-" {
+            rows.push((words(&format!("{base} {flag}")), Some(flag)));
+        }
+        for b in bad.split_whitespace() {
+            rows.push((words(&format!("{base} {flag} {b}")), Some(flag)));
+        }
+    }
+
+    /// The golden table: every row's argv and expected outcome.
+    fn golden_rows() -> Vec<Row> {
+        let mut rows = Vec::new();
+        for base in MACHINE_COMMANDS
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+        {
+            for c in table(MACHINE_FLAGS) {
+                flag_rows(&mut rows, base, c[0], c[1], c[2], false);
+            }
+            let mutate = (!cfg!(feature = "verify-mutations")).then_some("--mutate-ww");
+            rows.push((words(&format!("{base} --mutate-ww")), mutate));
+        }
+        // Chaos draws its own fault schedules.
+        for (argv, want) in &mut rows {
+            if argv[0] == "chaos" && argv.iter().any(|a| a == "--faults") {
+                *want = Some("--faults");
+            }
+        }
+        for c in table(COMMAND_FLAGS) {
+            flag_rows(&mut rows, c[0], c[1], c[2], c[3], c.get(4) == Some(&"*"));
+        }
+        rows.extend(table(OTHER_ROWS).map(|c| (words(c[0]), (c[1] != "ok").then_some(c[1]))));
+        rows
+    }
+
+    #[test]
+    fn golden_parse_table() {
+        let rows = golden_rows();
+        assert_eq!(rows.len(), 1178);
+        let off: Vec<String> = rows
+            .iter()
+            .filter_map(|(argv, want)| {
+                let got = parse(argv.clone());
+                let ok = match (want, &got) {
+                    (None, Ok(_)) => true,
+                    (Some(word), Err(e)) => e.0.contains(word),
+                    _ => false,
+                };
+                (!ok).then(|| format!("{argv:?}: want error naming {want:?}, got {got:?}"))
+            })
+            .collect();
+        assert!(
+            off.is_empty(),
+            "{} row(s) off:\n{}",
+            off.len(),
+            off.join("\n")
+        );
     }
 }

@@ -11,20 +11,19 @@
 mod args;
 use dashlat::isolate;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use args::{parse, ArgError, Command, USAGE};
 use dashlat::apps::App;
-use dashlat::chaos::{active_classes, run_chaos, ChaosOptions};
+use dashlat::args::Args;
+use dashlat::chaos::{active_classes, run_chaos};
 use dashlat::config::ExperimentConfig;
 use dashlat::experiments::FigureReport;
 use dashlat::report::{describe_run, AppFigure, Figure};
 use dashlat::runner::{run, RunFailure};
-use dashlat::sweep::{
-    run_cell_in_process, run_supervised, ReproBundle, SweepCell, SweepOptions, SweepPlan,
-};
+use dashlat::sweep::{run_cell_in_process, run_supervised, ReproBundle, SweepCell, SweepPlan};
 use dashlat_cpu::machine::{Machine, RunError};
 use dashlat_cpu::ops::Topology;
 use dashlat_cpu::trace::{Trace, TraceRecorder};
@@ -32,76 +31,40 @@ use dashlat_mem::layout::AddressSpaceBuilder;
 use dashlat_mem::system::MemorySystem;
 use dashlat_sim::Cycle;
 
-/// A matrix sweep finished with some cells failed; the healthy cells were
-/// still rendered.
-#[derive(Debug)]
-struct PartialMatrix(usize);
-
-impl std::fmt::Display for PartialMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} configuration(s) failed; partial results rendered above",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for PartialMatrix {}
-
-/// Analysis found data races: the subjects are not properly labeled.
-#[derive(Debug)]
-struct RacesFound(usize);
-
-impl std::fmt::Display for RacesFound {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} subject(s) failed race-freedom certification", self.0)
-    }
-}
-
-impl std::error::Error for RacesFound {}
-
-/// The static lint found critical findings (a statically possible
-/// deadlock, barrier divergence, or under-labeled race), or — under
-/// `--strict` — an incomplete analysis.
-#[derive(Debug)]
-struct LintFindings {
-    critical: usize,
-    incomplete: usize,
-}
-
-impl std::fmt::Display for LintFindings {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} subject(s) failed the static lint", self.critical)?;
-        if self.incomplete > 0 {
-            write!(f, " ({} incomplete under --strict)", self.incomplete)?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for LintFindings {}
-
-/// The memory-model verifier found a violation (or could not establish
-/// exhaustiveness, which is treated just as seriously).
-#[derive(Debug)]
-struct ModelViolation;
-
-impl std::fmt::Display for ModelViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("memory-model verification failed (details above)")
-    }
-}
-
-impl std::error::Error for ModelViolation {}
-
-/// A pre-ranked failure from a path where several failure classes can
-/// co-occur (a figure matrix): carries the exit code of its most severe
-/// constituent so `main` does not have to re-derive it.
+/// A failure and the exit code it ends the process with (see `EXIT
+/// CODES` in [`USAGE`]). Paths where failures co-occur (a figure matrix,
+/// a sweep) pre-rank them under the shared precedence,
+/// [`dashlat::runner::EXIT_SEVERITY`], before building one.
 #[derive(Debug)]
 struct WorstFailure {
     code: u8,
     msg: String,
+}
+
+/// Analysis found data races: the subjects are not properly labeled.
+const EXIT_RACE: u8 = 6;
+/// The memory-model verifier found a violation (or could not establish
+/// exhaustiveness, which is treated just as seriously).
+const EXIT_MODEL_VIOLATION: u8 = 7;
+/// A chaos campaign found a failing schedule (shrunk and reported).
+const EXIT_CHAOS_FOUND: u8 = 8;
+/// A repro bundle's recorded failure did not reproduce on replay.
+const EXIT_REPRO_DIVERGED: u8 = 9;
+/// The job service could not be reached, rejected a request, or a
+/// remote job failed without a mappable exit code of its own.
+const EXIT_SERVICE: u8 = 10;
+/// The static lint found critical findings (a statically possible
+/// deadlock, barrier divergence, or under-labeled race), or — under
+/// `--strict` — an incomplete analysis.
+const EXIT_LINT: u8 = 11;
+
+impl WorstFailure {
+    fn new(code: u8, msg: impl Into<String>) -> Self {
+        Self {
+            code,
+            msg: msg.into(),
+        }
+    }
 }
 
 impl std::fmt::Display for WorstFailure {
@@ -112,93 +75,25 @@ impl std::fmt::Display for WorstFailure {
 
 impl std::error::Error for WorstFailure {}
 
-/// The chaos fuzzer found a failing fault schedule (shrunk and bundled).
-#[derive(Debug)]
-struct ChaosFound(String);
-
-impl std::fmt::Display for ChaosFound {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
+/// A job-service failure (exit 10).
+fn service_error(msg: String) -> WorstFailure {
+    WorstFailure::new(EXIT_SERVICE, msg)
 }
 
-impl std::error::Error for ChaosFound {}
-
-/// A repro bundle's recorded failure did not reproduce on replay.
-#[derive(Debug)]
-struct ReproDivergence(String);
-
-impl std::fmt::Display for ReproDivergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ReproDivergence {}
-
-/// The job service could not be reached, rejected a request, or a remote
-/// job failed without a mappable exit code of its own.
-#[derive(Debug)]
-struct ServiceError(String);
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-/// Distinct exit codes so scripts can tell failure classes apart:
-/// 0 success, 1 generic, 2 deadlock, 3 livelock, 4 invariant violation,
-/// 5 partial matrix results, 6 race detected, 7 memory-model violation,
-/// 8 chaos found a failing schedule, 9 repro bundle did not reproduce,
-/// 10 service error, 11 static lint found critical findings.
-/// Paths where failures co-occur pre-rank them into [`WorstFailure`] under
-/// the shared precedence, [`dashlat::runner::EXIT_SEVERITY`].
+/// Distinct exit codes so scripts can tell failure classes apart: the
+/// CLI's own failures carry theirs in [`WorstFailure`]; a simulation
+/// failure maps through [`RunFailure::exit_code`] (2 deadlock,
+/// 3 livelock, 4 invariant violation, 6 race); anything else is 1.
 fn exit_code_for(e: &(dyn std::error::Error + 'static)) -> ExitCode {
-    if let Some(w) = e.downcast_ref::<WorstFailure>() {
-        return ExitCode::from(w.code);
-    }
-    if e.downcast_ref::<ModelViolation>().is_some() {
-        return ExitCode::from(7);
-    }
-    if e.downcast_ref::<ChaosFound>().is_some() {
-        return ExitCode::from(8);
-    }
-    if e.downcast_ref::<ReproDivergence>().is_some() {
-        return ExitCode::from(9);
-    }
-    if e.downcast_ref::<ServiceError>().is_some() {
-        return ExitCode::from(10);
-    }
-    if e.downcast_ref::<RacesFound>().is_some() {
-        return ExitCode::from(6);
-    }
-    if e.downcast_ref::<LintFindings>().is_some() {
-        return ExitCode::from(11);
-    }
-    if e.downcast_ref::<PartialMatrix>().is_some() {
-        return ExitCode::from(5);
-    }
-    if matches!(
-        e.downcast_ref::<RunFailure>(),
-        Some(RunFailure::RaceDetected(_))
-    ) {
-        return ExitCode::from(6);
-    }
-    let run_err = e.downcast_ref::<RunError>().or_else(|| {
-        e.downcast_ref::<RunFailure>().and_then(|f| match f {
-            RunFailure::Error(inner) => Some(inner),
-            RunFailure::Panic(_) | RunFailure::RaceDetected(_) => None,
-        })
-    });
-    match run_err {
-        Some(RunError::Deadlock { .. }) => ExitCode::from(2),
-        Some(RunError::Livelock { .. }) => ExitCode::from(3),
-        Some(RunError::InvariantViolation { .. }) => ExitCode::from(4),
-        _ => ExitCode::FAILURE,
-    }
+    ExitCode::from(if let Some(w) = e.downcast_ref::<WorstFailure>() {
+        w.code
+    } else if let Some(f) = e.downcast_ref::<RunFailure>() {
+        f.exit_code()
+    } else if let Some(err) = e.downcast_ref::<RunError>() {
+        RunFailure::Error(err.clone()).exit_code()
+    } else {
+        1
+    })
 }
 
 fn main() -> ExitCode {
@@ -243,7 +138,11 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             if let Some(report) = &e.analysis {
                 println!("{}", report.render());
                 if report.race_detected() {
-                    return Err(Box::new(RacesFound(1)));
+                    return Err(WorstFailure::new(
+                        EXIT_RACE,
+                        "1 subject(s) failed race-freedom certification",
+                    )
+                    .into());
                 }
             }
             if chart {
@@ -260,14 +159,7 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             config,
             csv,
         } => {
-            let report = match number {
-                2 => dashlat::experiments::figure2(&config),
-                3 => dashlat::experiments::figure3(&config),
-                4 => dashlat::experiments::figure4(&config),
-                5 => dashlat::experiments::figure5(&config),
-                6 => dashlat::experiments::figure6(&config),
-                _ => unreachable!("validated by the parser"),
-            };
+            let report = dashlat::experiments::figure(number, &config);
             for (app, label, failure) in &report.failures {
                 eprintln!("warning: {app}/{label} failed: {failure}");
             }
@@ -371,15 +263,9 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             resume,
             isolate,
             timeout_secs,
-            retries,
-            bundle_dir,
+            opts,
         } => {
             let plan = SweepPlan::figure(number, &config);
-            let opts = SweepOptions {
-                max_retries: retries,
-                bundle_dir: bundle_dir.map(PathBuf::from),
-                ..SweepOptions::default()
-            };
             println!(
                 "supervised sweep {} — {} cells, journal {journal}{}",
                 plan.name,
@@ -414,13 +300,14 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             if report.is_complete() {
                 Ok(())
             } else {
-                Err(Box::new(WorstFailure {
-                    code: report.exit_code(),
-                    msg: format!(
+                Err(WorstFailure::new(
+                    report.exit_code(),
+                    format!(
                         "{} cell(s) failed permanently; results in {out} are partial",
                         report.failures.len()
                     ),
-                }))
+                )
+                .into())
             }
         }
         Command::Cell { app, config } => {
@@ -436,10 +323,7 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             println!("{}", isolate::render_record(&outcome));
             match outcome {
                 Ok(_) => Ok(()),
-                Err(f) => Err(Box::new(WorstFailure {
-                    code: f.code,
-                    msg: f.error,
-                })),
+                Err(f) => Err(WorstFailure::new(f.code, f.error).into()),
             }
         }
         Command::Repro { bundle } => {
@@ -452,9 +336,9 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 b.machine_args.join(" ")
             );
             let app: App = b.app.parse().map_err(ArgError)?;
-            let mut machine_args = b.machine_args.clone();
-            let config = args::parse_machine_flags(&mut machine_args)?;
-            args::ensure_consumed(&machine_args)?;
+            let mut machine_args = Args::new(b.machine_args.clone());
+            let config = ExperimentConfig::base().with_machine_flags(&mut machine_args)?;
+            machine_args.finish()?;
             let cell = SweepCell {
                 app,
                 point: config.label(),
@@ -472,37 +356,27 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     }
                     Ok(())
                 }
-                Err(f) => Err(Box::new(ReproDivergence(format!(
-                    "replay failed with exit {} ({}), but the bundle expects exit {} ({})",
-                    f.code, f.error, b.expect_code, b.expect_error
-                )))),
-                Ok(elapsed) => Err(Box::new(ReproDivergence(format!(
-                    "replay completed ({elapsed} pclocks), but the bundle expects exit {} ({})",
-                    b.expect_code, b.expect_error
-                )))),
+                Err(f) => Err(WorstFailure::new(
+                    EXIT_REPRO_DIVERGED,
+                    format!(
+                        "replay failed with exit {} ({}), but the bundle expects exit {} ({})",
+                        f.code, f.error, b.expect_code, b.expect_error
+                    ),
+                )
+                .into()),
+                Ok(elapsed) => Err(WorstFailure::new(
+                    EXIT_REPRO_DIVERGED,
+                    format!(
+                        "replay completed ({elapsed} pclocks), but the bundle expects exit {} ({})",
+                        b.expect_code, b.expect_error
+                    ),
+                )
+                .into()),
             }
         }
-        Command::Chaos {
-            app,
-            config,
-            trials,
-            seed,
-            determinism,
-            bundle_dir,
-            serve,
-            data_dir,
-            calibration_budget_ms,
-        } => {
-            if serve {
-                return run_serve_torture(trials, seed, data_dir, calibration_budget_ms);
-            }
-            let opts = ChaosOptions {
-                trials,
-                seed,
-                app,
-                check_determinism: determinism,
-                ..ChaosOptions::new(app, (*config).clone())
-            };
+        Command::ServeTorture(opts) => run_serve_torture(&opts),
+        Command::Chaos { opts, bundle_dir } => {
+            let (app, trials, seed) = (opts.app, opts.trials, opts.seed);
             println!(
                 "chaos: fuzzing {trials} fault schedule(s) against {app} (campaign seed {seed})"
             );
@@ -531,7 +405,7 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                         active_classes(&f.minimized),
                         f.shrink_runs
                     );
-                    let mut cfg = (*config).with_invariant_checks(true);
+                    let mut cfg = opts.base.clone().with_invariant_checks(true);
                     // A schedule with no active classes means the bug
                     // needs no faults; bundle the clean configuration.
                     if f.minimized.is_active() {
@@ -553,70 +427,37 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     b.write(&path)?;
                     println!("repro bundle written: {}", path.display());
                     println!("replay with: dashlat repro {}", path.display());
-                    Err(Box::new(ChaosFound(format!(
-                        "chaos found a failing fault schedule ({} oracle): {}",
-                        f.oracle, f.error
-                    ))))
+                    Err(WorstFailure::new(
+                        EXIT_CHAOS_FOUND,
+                        format!(
+                            "chaos found a failing fault schedule ({} oracle): {}",
+                            f.oracle, f.error
+                        ),
+                    )
+                    .into())
                 }
             }
         }
-        Command::VerifyModel {
-            models,
-            tests,
-            filter,
-            max_runs,
-            list,
-            stats,
-            strict,
-            deep_closure,
-        } => {
+        Command::VerifyModel { suite, list } => {
             if list {
                 print!("{}", dashlat_verify::list_corpus());
                 return Ok(());
             }
-            let suite = dashlat_verify::verify_suite_opts(&dashlat_verify::SuiteOptions {
-                models,
-                tests,
-                filter,
-                max_runs,
-                stats,
-                strict,
-                deep_closure,
-            });
-            print!("{}", suite.render());
-            if suite.passed() {
+            let report = dashlat_verify::verify_suite_opts(&suite);
+            print!("{}", report.render());
+            if report.passed() {
                 Ok(())
             } else {
-                Err(Box::new(ModelViolation))
+                Err(WorstFailure::new(
+                    EXIT_MODEL_VIOLATION,
+                    "memory-model verification failed (details above)",
+                )
+                .into())
             }
         }
-        Command::Serve {
-            addr,
-            data_dir,
-            workers,
-            queue_depth,
-            job_timeout_secs,
-            isolate,
-            cell_timeout_secs,
-            crash_loop_threshold,
-            max_connections,
-            conn_deadline_secs,
-        } => {
+        Command::Serve(config) => {
             dashlat_serve::signal::install();
-            let server =
-                std::sync::Arc::new(dashlat_serve::Server::new(dashlat_serve::ServeConfig {
-                    addr,
-                    data_dir: PathBuf::from(data_dir),
-                    workers,
-                    queue_depth,
-                    job_timeout_secs,
-                    isolate,
-                    cell_timeout_secs,
-                    crash_loop_threshold,
-                    max_connections,
-                    conn_deadline_secs,
-                    ..dashlat_serve::ServeConfig::default()
-                })?);
+            let server = std::sync::Arc::new(dashlat_serve::Server::new(*config)?);
             // Graceful shutdown (SIGTERM/SIGINT/POST /shutdown) returns
             // Ok from run(), so the daemon exits 0.
             server.run()?;
@@ -630,25 +471,27 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         } => {
             let addr = resolve_addr(addr, &data_dir)?;
             let resp = dashlat_serve::request(&addr, "POST", "/jobs", Some(&spec.to_json()))
-                .map_err(|e| ServiceError(format!("cannot reach daemon at {addr}: {e}")))?;
+                .map_err(|e| service_error(format!("cannot reach daemon at {addr}: {e}")))?;
             if resp.status == 429 {
                 let retry = resp.header("retry-after").unwrap_or("2");
-                return Err(Box::new(ServiceError(format!(
+                return Err(service_error(format!(
                     "daemon shed the submission (queue full); retry after {retry}s"
-                ))));
+                ))
+                .into());
             }
             if resp.status != 202 {
-                return Err(Box::new(ServiceError(format!(
+                return Err(service_error(format!(
                     "daemon rejected the submission ({}): {}",
                     resp.status,
                     resp.body.trim()
-                ))));
+                ))
+                .into());
             }
             let id = dashlat_sim::json::Value::parse(&resp.body)
                 .ok()
                 .and_then(|v| v.get("id").and_then(dashlat_sim::json::Value::as_u64))
                 .ok_or_else(|| {
-                    ServiceError(format!("daemon returned no job id: {}", resp.body.trim()))
+                    service_error(format!("daemon returned no job id: {}", resp.body.trim()))
                 })?;
             println!("job #{id} submitted ({})", spec.describe());
             if !wait {
@@ -663,33 +506,38 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 Some(id) => {
                     let resp = dashlat_serve::request(&addr, "GET", &format!("/jobs/{id}"), None)
                         .map_err(|e| {
-                        ServiceError(format!("cannot reach daemon at {addr}: {e}"))
+                        service_error(format!("cannot reach daemon at {addr}: {e}"))
                     })?;
                     if resp.status != 200 {
-                        return Err(Box::new(ServiceError(format!(
+                        return Err(service_error(format!(
                             "daemon returned {} for job {id}: {}",
                             resp.status,
                             resp.body.trim()
-                        ))));
+                        ))
+                        .into());
                     }
                     let job = dashlat_sim::json::Value::parse(&resp.body)
-                        .map_err(|e| ServiceError(format!("bad status document: {e}")))?;
+                        .map_err(|e| service_error(format!("bad status document: {e}")))?;
                     println!("{}", describe_job(&job));
                     Ok(())
                 }
                 None => {
-                    let health = dashlat_serve::request(&addr, "GET", "/healthz", None)
-                        .map_err(|e| ServiceError(format!("cannot reach daemon at {addr}: {e}")))?;
+                    let health =
+                        dashlat_serve::request(&addr, "GET", "/healthz", None).map_err(|e| {
+                            service_error(format!("cannot reach daemon at {addr}: {e}"))
+                        })?;
                     println!("daemon at {addr}: {}", health.body.trim());
-                    let resp = dashlat_serve::request(&addr, "GET", "/jobs", None)
-                        .map_err(|e| ServiceError(format!("cannot reach daemon at {addr}: {e}")))?;
+                    let resp =
+                        dashlat_serve::request(&addr, "GET", "/jobs", None).map_err(|e| {
+                            service_error(format!("cannot reach daemon at {addr}: {e}"))
+                        })?;
                     let doc = dashlat_sim::json::Value::parse(&resp.body)
-                        .map_err(|e| ServiceError(format!("bad job list: {e}")))?;
+                        .map_err(|e| service_error(format!("bad job list: {e}")))?;
                     let jobs = doc
                         .get("jobs")
                         .and_then(dashlat_sim::json::Value::as_arr)
                         .ok_or_else(|| {
-                            ServiceError(format!("bad job list: {}", resp.body.trim()))
+                            service_error(format!("bad job list: {}", resp.body.trim()))
                         })?;
                     if jobs.is_empty() {
                         println!("no jobs");
@@ -729,7 +577,11 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
             if racy > 0 {
-                return Err(Box::new(RacesFound(racy)));
+                return Err(WorstFailure::new(
+                    EXIT_RACE,
+                    format!("{racy} subject(s) failed race-freedom certification"),
+                )
+                .into());
             }
             Ok(())
         }
@@ -830,42 +682,40 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             if critical > 0 {
-                return Err(Box::new(LintFindings {
-                    critical,
-                    incomplete,
-                }));
+                let mut msg = format!("{critical} subject(s) failed the static lint");
+                if incomplete > 0 {
+                    msg.push_str(&format!(" ({incomplete} incomplete under --strict)"));
+                }
+                return Err(WorstFailure::new(EXIT_LINT, msg).into());
             }
             Ok(())
         }
     }
 }
 
-/// Finds the daemon: an explicit `--addr` wins, otherwise the `addr`
-/// file the daemon publishes in its data directory.
 /// `dashlat chaos --serve`: the service-level torture harness. Boots a
 /// daemon per seeded schedule, misbehaves on schedule, and judges the
 /// wreckage with the four service oracles; a failing schedule is
-/// delta-debugged to minimal and reported with exit 8.
+/// delta-debugged to minimal and reported with exit 8. The data root
+/// must be absent or empty — nothing already in it is ever deleted — and
+/// a root the harness created is removed again after a green run.
 fn run_serve_torture(
-    trials: u32,
-    seed: u64,
-    data_dir: Option<String>,
-    calibration_budget_ms: u64,
+    opts: &dashlat_serve::TortureOptions,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let data_root = data_dir.map_or_else(
-        || std::env::temp_dir().join(format!("dashlat-torture-{}", std::process::id())),
-        PathBuf::from,
-    );
+    let root = &opts.data_root;
+    if std::fs::read_dir(root).is_ok_and(|mut entries| entries.next().is_some()) {
+        return Err(format!(
+            "--data-dir {} is not empty; torture campaigns need an absent or empty directory",
+            root.display()
+        )
+        .into());
+    }
+    let created = !root.exists();
     println!(
-        "chaos --serve: {trials} torture schedule(s) against a live daemon (campaign seed {seed})"
+        "chaos --serve: {} torture schedule(s) against a live daemon (campaign seed {})",
+        opts.trials, opts.seed
     );
-    let report = dashlat_serve::run_torture(&dashlat_serve::TortureOptions {
-        trials,
-        seed,
-        data_root: data_root.clone(),
-        calibration_budget_ms,
-        ..dashlat_serve::TortureOptions::default()
-    });
+    let report = dashlat_serve::run_torture(opts);
     if let Some(why) = report.skipped {
         println!("torture skipped: {why}");
         return Ok(());
@@ -877,7 +727,9 @@ fn run_serve_torture(
                  (job-loss, log-integrity, cache, recovery)",
                 report.trials_run
             );
-            std::fs::remove_dir_all(&data_root).ok();
+            if created {
+                std::fs::remove_dir_all(root).ok();
+            }
             Ok(())
         }
         Some(f) => {
@@ -892,23 +744,30 @@ fn run_serve_torture(
                 f.minimized.active_classes(),
                 f.shrink_runs
             );
-            println!("  campaign data kept under {}", data_root.display());
-            Err(Box::new(ChaosFound(format!(
-                "serve torture found a failing schedule ({} oracle): {}",
-                f.oracle, f.error
-            ))))
+            println!("  campaign data kept under {}", root.display());
+            Err(WorstFailure::new(
+                EXIT_CHAOS_FOUND,
+                format!(
+                    "serve torture found a failing schedule ({} oracle): {}",
+                    f.oracle, f.error
+                ),
+            )
+            .into())
         }
     }
 }
 
-fn resolve_addr(addr: Option<String>, data_dir: &str) -> Result<String, Box<ServiceError>> {
+/// Finds the daemon: an explicit `--addr` wins, otherwise the `addr`
+/// file the daemon publishes in its data directory.
+fn resolve_addr(addr: Option<String>, data_dir: &Path) -> Result<String, WorstFailure> {
     match addr {
         Some(a) => Ok(a),
-        None => dashlat_serve::read_addr_file(Path::new(data_dir)).map_err(|e| {
-            Box::new(ServiceError(format!(
-                "no --addr given and no daemon addr file under {data_dir}/ ({e}); \
-                 is `dashlat serve` running?"
-            )))
+        None => dashlat_serve::read_addr_file(data_dir).map_err(|e| {
+            service_error(format!(
+                "no --addr given and no daemon addr file under {}/ ({e}); \
+                 is `dashlat serve` running?",
+                data_dir.display()
+            ))
         }),
     }
 }
@@ -920,9 +779,9 @@ fn wait_for_job(addr: &str, id: u64) -> Result<(), Box<dyn std::error::Error>> {
     let mut last_status = String::new();
     loop {
         let resp = dashlat_serve::request(addr, "GET", &format!("/jobs/{id}"), None)
-            .map_err(|e| ServiceError(format!("lost the daemon at {addr}: {e}")))?;
+            .map_err(|e| service_error(format!("lost the daemon at {addr}: {e}")))?;
         let job = dashlat_sim::json::Value::parse(&resp.body)
-            .map_err(|e| ServiceError(format!("bad status document: {e}")))?;
+            .map_err(|e| service_error(format!("bad status document: {e}")))?;
         let status = job
             .get("status")
             .and_then(dashlat_sim::json::Value::as_str)
@@ -943,17 +802,19 @@ fn wait_for_job(addr: &str, id: u64) -> Result<(), Box<dyn std::error::Error>> {
                 let code = job
                     .get("exit_code")
                     .and_then(dashlat_sim::json::Value::as_u64)
-                    .map_or(10, |c| u8::try_from(c).unwrap_or(10));
-                return Err(Box::new(WorstFailure {
-                    code: if code == 0 { 10 } else { code },
-                    msg: format!("job #{id} {status}: {detail}"),
-                }));
+                    .map_or(EXIT_SERVICE, |c| u8::try_from(c).unwrap_or(EXIT_SERVICE));
+                return Err(WorstFailure::new(
+                    if code == 0 { EXIT_SERVICE } else { code },
+                    format!("job #{id} {status}: {detail}"),
+                )
+                .into());
             }
             "interrupted" => {
-                return Err(Box::new(ServiceError(format!(
+                return Err(service_error(format!(
                     "job #{id} was checkpointed by a daemon shutdown; it resumes when the \
                      daemon restarts"
-                ))));
+                ))
+                .into());
             }
             _ => std::thread::sleep(Duration::from_millis(200)),
         }
@@ -1009,10 +870,7 @@ fn figure_outcome(report: &FigureReport) -> Result<(), Box<dyn std::error::Error
             report.failures.len()
         )
     };
-    Err(Box::new(WorstFailure {
-        code: report.exit_code(),
-        msg,
-    }))
+    Err(WorstFailure::new(report.exit_code(), msg).into())
 }
 
 /// Runs `app` once with a recorder attached and returns the trace,
@@ -1081,31 +939,33 @@ mod tests {
     #[test]
     fn exit_codes_map_each_error_class() {
         let as_exit = |e: Box<dyn std::error::Error>| exit_code_for(e.as_ref());
-        assert_eq!(as_exit(Box::new(ModelViolation)), ExitCode::from(7));
-        assert_eq!(as_exit(Box::new(RacesFound(1))), ExitCode::from(6));
-        assert_eq!(
-            as_exit(Box::new(LintFindings {
-                critical: 1,
-                incomplete: 0
-            })),
-            ExitCode::from(11)
-        );
-        assert_eq!(as_exit(Box::new(PartialMatrix(2))), ExitCode::from(5));
-        assert_eq!(
-            as_exit(Box::new(ChaosFound("schedule".into()))),
-            ExitCode::from(8)
-        );
-        assert_eq!(
-            as_exit(Box::new(ReproDivergence("diverged".into()))),
-            ExitCode::from(9)
-        );
-        assert_eq!(
-            as_exit(Box::new(WorstFailure {
-                code: 4,
-                msg: String::new()
-            })),
-            ExitCode::from(4)
-        );
+        let fail = |code: u8| as_exit(Box::new(WorstFailure::new(code, "x")));
+        assert_eq!(fail(EXIT_MODEL_VIOLATION), ExitCode::from(7));
+        assert_eq!(fail(EXIT_RACE), ExitCode::from(6));
+        assert_eq!(fail(EXIT_LINT), ExitCode::from(11));
+        assert_eq!(fail(EXIT_CHAOS_FOUND), ExitCode::from(8));
+        assert_eq!(fail(EXIT_REPRO_DIVERGED), ExitCode::from(9));
+        assert_eq!(fail(EXIT_SERVICE), ExitCode::from(10));
+        assert_eq!(fail(4), ExitCode::from(4));
+        let race = RunFailure::RaceDetected(Box::new(dashlat_analyze::AnalysisReport {
+            subject: String::new(),
+            nprocs: 0,
+            events: 0,
+            passes: vec![],
+            hb: None,
+            lockset: None,
+            barrier: None,
+            prefetch: None,
+            sync_balance: None,
+            replay_notes: vec![],
+        }));
+        assert_eq!(as_exit(Box::new(race)), ExitCode::from(6));
+        let livelock = RunError::Livelock {
+            events: 1,
+            at: Cycle(9),
+            stuck: vec![],
+        };
+        assert_eq!(as_exit(Box::new(livelock)), ExitCode::from(3));
         assert_eq!(
             as_exit(Box::new(std::io::Error::other("x"))),
             ExitCode::FAILURE

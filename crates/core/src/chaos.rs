@@ -39,9 +39,17 @@ pub struct ChaosOptions {
     pub max_shrink_runs: u32,
 }
 
+impl Default for ChaosOptions {
+    /// LU on the test-scale base machine, with [`ChaosOptions::new`]'s
+    /// campaign defaults — what `dashlat chaos` runs with no flags.
+    fn default() -> Self {
+        Self::new(App::Lu, ExperimentConfig::base_test())
+    }
+}
+
 impl ChaosOptions {
-    /// Defaults: 25 trials, seed 1, LU at test scale, determinism oracle
-    /// on, 64 shrink runs.
+    /// Defaults: 25 trials, seed 1, determinism oracle on, 64 shrink
+    /// runs.
     pub fn new(app: App, base: ExperimentConfig) -> Self {
         Self {
             trials: 25,

@@ -14,6 +14,8 @@ use dashlat_mem::system::MemConfig;
 use dashlat_sim::fault::FaultPlan;
 use dashlat_sim::Cycle;
 
+use crate::args::Args;
+
 /// Application data-set scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppScale {
@@ -321,6 +323,78 @@ impl ExperimentConfig {
         args
     }
 
+    /// Reads the machine flags from `args` on top of this configuration.
+    /// This is the single parser behind the CLI's machine flags, the
+    /// figure binaries, `dashlat repro` bundle replay, and the `dashlat
+    /// serve` job-submission API — all of them accept exactly the
+    /// argument list [`ExperimentConfig::to_cli_args`] emits, so a
+    /// configuration round-trips bit-exactly through any of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message, naming the flag, for a malformed,
+    /// out-of-range or repeated flag.
+    pub fn with_machine_flags(mut self, args: &mut Args) -> Result<Self, String> {
+        if let Some(n) = args.value_in("--processors", 1..=64)? {
+            self.processors = n;
+        }
+        if let Some(model) = args.value("--consistency")? {
+            self.consistency = model;
+        }
+        let contexts = args.value_in("--contexts", 1..)?.unwrap_or(self.contexts);
+        let switch = args.value("--switch")?.map_or(self.switch_overhead, Cycle);
+        self = self.with_contexts(contexts, switch);
+        self.prefetching |= args.switch("--prefetch")?;
+        self.caching &= !args.switch("--no-cache")?;
+        self.full_caches |= args.switch("--full-caches")?;
+        self.contention &= !args.switch("--no-contention")?;
+        if args.switch("--mesh")? {
+            self.network = NetworkModel::Mesh2D;
+        }
+        if let Some(pointers) = args.value_in("--dir-pointers", 1..)? {
+            self.directory = DirectoryKind::LimitedPtr { pointers };
+        }
+        if let Some(window) = args.value("--lookahead")? {
+            self.read_lookahead = Cycle(window);
+        }
+        if args.switch("--test-scale")? {
+            self.scale = AppScale::Test;
+        }
+        if let Some(n) = args.value_in("--jobs", 1..)? {
+            // Worker count is a property of the sweep engine, not of the
+            // simulated machine, so it pins the process-wide default
+            // instead of living in the config (which takes part in
+            // bit-identical comparisons).
+            crate::pool::set_default_jobs(Some(n));
+        }
+        if let Some(plan) = args.value_with("--faults", FaultPlan::from_spec)? {
+            self.faults = Some(plan);
+        }
+        match (
+            args.switch("--check-invariants")?,
+            args.switch("--no-check-invariants")?,
+        ) {
+            (true, true) => {
+                return Err("--check-invariants and --no-check-invariants conflict".into())
+            }
+            (on, off) if on || off => self.check_invariants = on,
+            _ => {}
+        }
+        self.enforce_wb_fifo |= args.switch("--enforce-wb-fifo")?;
+        if args.switch("--mutate-ww")? {
+            #[cfg(feature = "verify-mutations")]
+            {
+                self.mutate_ww = true;
+            }
+            #[cfg(not(feature = "verify-mutations"))]
+            return Err("--mutate-ww requires a build with the verify-mutations feature".into());
+        }
+        if let Some(passes) = args.value_with("--analyze", dashlat_analyze::parse_passes)? {
+            self.analyze = passes;
+        }
+        Ok(self)
+    }
+
     /// A short label like `"RC+pf 4ctx/4"` for report columns.
     pub fn label(&self) -> String {
         let mut s = self.consistency.to_string();
@@ -352,146 +426,18 @@ impl Default for ExperimentConfig {
 
 /// Extracts the machine flags from `args`, removing everything it
 /// consumes; unrecognized tokens are left in place for the caller to
-/// validate. This is the single parser behind the CLI's machine flags,
-/// `dashlat repro` bundle replay, and the `dashlat serve` job-submission
-/// API — all three accept exactly the argument list
-/// [`ExperimentConfig::to_cli_args`] emits, so a configuration round-trips
-/// bit-exactly through any of them.
+/// validate. A thin wrapper over [`ExperimentConfig::with_machine_flags`]
+/// for callers that hold a plain argument vector.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for a malformed or out-of-range value.
-#[allow(clippy::too_many_lines)]
+/// Returns a user-facing message for a malformed, out-of-range or
+/// repeated flag.
 pub fn parse_machine_args(args: &mut Vec<String>) -> Result<ExperimentConfig, String> {
-    let mut cfg = ExperimentConfig::base();
-    let mut contexts: usize = 1;
-    let mut switch: u64 = 4;
-    let take_value = |args: &mut Vec<String>, i: usize, flag: &str| -> Result<String, String> {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(v)
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--processors" => {
-                let v = take_value(args, i, "--processors")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad processor count {v:?}"))?;
-                if !(1..=64).contains(&n) {
-                    return Err("--processors must be 1..=64".into());
-                }
-                cfg.processors = n;
-            }
-            "--consistency" => {
-                let v = take_value(args, i, "--consistency")?;
-                cfg = cfg.with_consistency(v.parse()?);
-            }
-            "--contexts" => {
-                let v = take_value(args, i, "--contexts")?;
-                contexts = v.parse().map_err(|_| format!("bad context count {v:?}"))?;
-                if contexts == 0 {
-                    return Err("--contexts must be positive".into());
-                }
-            }
-            "--switch" => {
-                let v = take_value(args, i, "--switch")?;
-                switch = v
-                    .parse()
-                    .map_err(|_| format!("bad switch overhead {v:?}"))?;
-            }
-            "--prefetch" => {
-                args.remove(i);
-                cfg = cfg.with_prefetching();
-            }
-            "--no-cache" => {
-                args.remove(i);
-                cfg = cfg.without_caching();
-            }
-            "--full-caches" => {
-                args.remove(i);
-                cfg = cfg.with_full_caches();
-            }
-            "--no-contention" => {
-                args.remove(i);
-                cfg.contention = false;
-            }
-            "--mesh" => {
-                args.remove(i);
-                cfg = cfg.with_mesh_network();
-            }
-            "--dir-pointers" => {
-                let v = take_value(args, i, "--dir-pointers")?;
-                let n: usize = v.parse().map_err(|_| format!("bad pointer count {v:?}"))?;
-                if n == 0 {
-                    return Err("--dir-pointers must be positive".into());
-                }
-                cfg = cfg.with_limited_directory(n);
-            }
-            "--lookahead" => {
-                let v = take_value(args, i, "--lookahead")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad lookahead window {v:?}"))?;
-                cfg = cfg.with_read_lookahead(Cycle(n));
-            }
-            "--test-scale" => {
-                args.remove(i);
-                cfg.scale = AppScale::Test;
-            }
-            "--jobs" => {
-                let v = take_value(args, i, "--jobs")?;
-                let n: usize = v.parse().map_err(|_| format!("bad job count {v:?}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                // Worker count is a property of the sweep engine, not of
-                // the simulated machine, so it pins the process-wide
-                // default instead of living in the config (which takes
-                // part in bit-identical comparisons).
-                crate::pool::set_default_jobs(Some(n));
-            }
-            "--faults" => {
-                let v = take_value(args, i, "--faults")?;
-                cfg = cfg.with_faults(FaultPlan::from_spec(&v)?);
-            }
-            "--check-invariants" => {
-                args.remove(i);
-                cfg = cfg.with_invariant_checks(true);
-            }
-            "--no-check-invariants" => {
-                args.remove(i);
-                cfg = cfg.with_invariant_checks(false);
-            }
-            "--enforce-wb-fifo" => {
-                args.remove(i);
-                cfg = cfg.with_wb_fifo_enforcement();
-            }
-            "--mutate-ww" => {
-                args.remove(i);
-                #[cfg(feature = "verify-mutations")]
-                {
-                    cfg = cfg.with_ww_mutation();
-                }
-                #[cfg(not(feature = "verify-mutations"))]
-                {
-                    return Err(
-                        "--mutate-ww requires a build with the verify-mutations feature".into(),
-                    );
-                }
-            }
-            "--analyze" => {
-                let v = take_value(args, i, "--analyze")?;
-                cfg = cfg.with_analysis(dashlat_analyze::parse_passes(&v)?);
-            }
-            _ => i += 1,
-        }
-    }
-    Ok(cfg.with_contexts(contexts, Cycle(switch)))
+    let mut reader = Args::new(std::mem::take(args));
+    let config = ExperimentConfig::base().with_machine_flags(&mut reader);
+    *args = reader.rest();
+    config
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! [`ExperimentConfig::base_test`] for quick runs) and returns the
 //! rendered-ready structure. The experiment index lives in `DESIGN.md`.
 
+use std::ops::RangeInclusive;
+
 use dashlat_cpu::machine::RunError;
 use dashlat_mem::latency::LatencyTable;
 use dashlat_sim::Cycle;
@@ -117,14 +119,31 @@ fn figure_from_matrix(title: &str, configs: &[ExperimentConfig]) -> FigureReport
     }
 }
 
-/// The machine-variant columns of one paper figure (2–6), in bar order.
+/// The paper figures this reproduction regenerates as sweeps: every
+/// front end (`dashlat figure`/`sweep`/`submit sweep`, job specs, the
+/// bench binaries' `--figures` lists) accepts exactly these numbers.
+pub const FIGURES: RangeInclusive<u8> = 2..=6;
+
+/// Parses a figure number, accepting only [`FIGURES`].
+///
+/// # Errors
+///
+/// Says which numbers exist.
+pub fn parse_figure(s: &str) -> Result<u8, String> {
+    s.parse()
+        .ok()
+        .filter(|n| FIGURES.contains(n))
+        .ok_or_else(|| format!("no figure {s:?}: the paper's sweep figures are {FIGURES:?}"))
+}
+
+/// The machine-variant columns of one paper figure, in bar order.
 /// This is the single source of truth for the figure presets — the figure
 /// functions, the bench harness and the parallel-determinism tests all
 /// sweep exactly these matrices.
 ///
 /// # Panics
 ///
-/// Panics for a figure number outside 2..=6.
+/// Panics for a figure number outside [`FIGURES`].
 pub fn figure_configs(figure: u8, base: &ExperimentConfig) -> Vec<ExperimentConfig> {
     let sw = Cycle(4);
     match figure {
@@ -160,56 +179,56 @@ pub fn figure_configs(figure: u8, base: &ExperimentConfig) -> Vec<ExperimentConf
                 .with_prefetching()
                 .with_contexts(4, sw),
         ],
-        n => panic!("no figure {n}: the paper's sweep figures are 2..=6"),
+        n => panic!("no figure {n}: the paper's sweep figures are {FIGURES:?}"),
     }
 }
 
+/// Paper figure `number` (one of [`FIGURES`]): the matrix of
+/// [`figure_configs`] under that figure's title. Failed cells are
+/// reported, not fatal.
+///
+/// # Panics
+///
+/// Panics for a figure number outside [`FIGURES`].
+pub fn figure(number: u8, base: &ExperimentConfig) -> FigureReport {
+    let title = match number {
+        2 => "Figure 2: Effect of caching shared data (normalized to no-cache)",
+        3 => "Figure 3: Effect of relaxing the consistency model (normalized to SC)",
+        4 => "Figure 4: Effect of prefetching (normalized to SC without prefetching)",
+        5 => "Figure 5: Effect of multiple contexts under SC (normalized to 1 context)",
+        6 => "Figure 6: Effect of combining the schemes (4-cycle switch, normalized to SC/1ctx)",
+        n => panic!("no figure {n}: the paper's sweep figures are {FIGURES:?}"),
+    };
+    figure_from_matrix(title, &figure_configs(number, base))
+}
+
 /// Figure 2: effect of caching shared data (no-cache baseline vs coherent
-/// caches, both under SC). Failed cells are reported, not fatal.
+/// caches, both under SC).
 pub fn figure2(base: &ExperimentConfig) -> FigureReport {
-    figure_from_matrix(
-        "Figure 2: Effect of caching shared data (normalized to no-cache)",
-        &figure_configs(2, base),
-    )
+    figure(2, base)
 }
 
 /// Figure 3: effect of relaxing the consistency model (SC vs RC).
-/// Failed cells are reported, not fatal.
 pub fn figure3(base: &ExperimentConfig) -> FigureReport {
-    figure_from_matrix(
-        "Figure 3: Effect of relaxing the consistency model (normalized to SC)",
-        &figure_configs(3, base),
-    )
+    figure(3, base)
 }
 
 /// Figure 4: effect of prefetching, without and with, under SC and RC.
-/// Bars: SC, SC+pf, RC, RC+pf — normalized to SC. Failed cells are
-/// reported, not fatal.
+/// Bars: SC, SC+pf, RC, RC+pf — normalized to SC.
 pub fn figure4(base: &ExperimentConfig) -> FigureReport {
-    figure_from_matrix(
-        "Figure 4: Effect of prefetching (normalized to SC without prefetching)",
-        &figure_configs(4, base),
-    )
+    figure(4, base)
 }
 
 /// Figure 5: effect of multiple contexts under SC: 1 context, then 2 and 4
-/// contexts at 16-cycle and at 4-cycle switch overhead. Failed cells are
-/// reported, not fatal.
+/// contexts at 16-cycle and at 4-cycle switch overhead.
 pub fn figure5(base: &ExperimentConfig) -> FigureReport {
-    figure_from_matrix(
-        "Figure 5: Effect of multiple contexts under SC (normalized to 1 context)",
-        &figure_configs(5, base),
-    )
+    figure(5, base)
 }
 
 /// Figure 6: combining the schemes (4-cycle switch): SC with 1/2/4
 /// contexts, RC with 1/2/4 contexts, RC+prefetch with 1/2/4 contexts.
-/// Failed cells are reported, not fatal.
 pub fn figure6(base: &ExperimentConfig) -> FigureReport {
-    figure_from_matrix(
-        "Figure 6: Effect of combining the schemes (4-cycle switch, normalized to SC/1ctx)",
-        &figure_configs(6, base),
-    )
+    figure(6, base)
 }
 
 /// The concluding claim (§7): the best technique combination per

@@ -21,6 +21,9 @@
 //!   resume, failure classification, retry with backoff, repro bundles.
 //! * [`chaos`] — fault-schedule fuzzing against the invariant checker
 //!   with delta-debugging shrinking of failing schedules.
+//! * [`args`] — the argument reader every front end parses its command
+//!   line with; [`ExperimentConfig::with_machine_flags`] reads the
+//!   machine flags through it.
 //!
 //! # Example
 //!
@@ -41,6 +44,7 @@
 //! ```
 
 pub mod apps;
+pub mod args;
 pub mod cellcache;
 pub mod chaos;
 pub mod config;

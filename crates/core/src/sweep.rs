@@ -69,13 +69,14 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// The full matrix for paper figure `number` (2..=6): every
-    /// application of Table 2 crossed with that figure's machine
-    /// configurations, in the same order the figure binaries sweep.
+    /// The full matrix for paper figure `number` (one of
+    /// [`FIGURES`](crate::experiments::FIGURES)): every application of
+    /// Table 2 crossed with that figure's machine configurations, in the
+    /// same order the figure binaries sweep.
     ///
     /// # Panics
     ///
-    /// Panics for a figure number outside 2..=6 (same contract as
+    /// Panics for a figure number outside the range (same contract as
     /// [`figure_configs`]).
     pub fn figure(number: u8, base: &ExperimentConfig) -> Self {
         let configs = figure_configs(number, base);

@@ -8,18 +8,20 @@
 //! memory-model verification suites.
 
 use dashlat::apps::App;
+use dashlat::chaos::ChaosOptions;
 use dashlat::config::ExperimentConfig;
-use dashlat::sweep::SweepPlan;
+use dashlat::experiments::FIGURES;
+use dashlat::sweep::{SweepOptions, SweepPlan};
 use dashlat_cpu::config::Consistency;
 use dashlat_sim::json::{quote, Value};
 
 /// What a job runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
-    /// A supervised figure sweep (paper figures 2..=6): journaled,
-    /// resumable, served through the result cache.
+    /// A supervised sweep of one paper figure: journaled, resumable,
+    /// served through the result cache.
     Sweep {
-        /// Figure number, 2..=6.
+        /// Figure number, one of [`FIGURES`].
         figure: u8,
     },
     /// A chaos campaign: randomized fault schedules against the online
@@ -74,15 +76,22 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A sweep spec with default supervision knobs.
-    pub fn sweep(figure: u8, machine: Vec<String>) -> Self {
+    /// A spec with default supervision knobs: the process-default sweep
+    /// worker count, [`SweepOptions`]' retry budget, the server's
+    /// deadline.
+    pub fn new(kind: JobKind, machine: Vec<String>) -> Self {
         Self {
-            kind: JobKind::Sweep { figure },
+            kind,
             machine,
             sweep_jobs: None,
-            max_retries: 2,
+            max_retries: SweepOptions::default().max_retries,
             timeout_secs: None,
         }
+    }
+
+    /// A sweep spec with default supervision knobs.
+    pub fn sweep(figure: u8, machine: Vec<String>) -> Self {
+        Self::new(JobKind::Sweep { figure }, machine)
     }
 
     /// Renders the spec as the JSON document accepted by `POST /jobs`.
@@ -151,17 +160,25 @@ impl JobSpec {
                     .collect(),
             }
         };
+        let u32_field = |key: &str| -> Result<Option<u32>, String> {
+            v.get(key)
+                .and_then(Value::as_u64)
+                .map(|n| {
+                    u32::try_from(n).map_err(|_| format!("{key} must fit in 32 bits, got {n}"))
+                })
+                .transpose()
+        };
         let kind = match v.get("kind").and_then(Value::as_str) {
             Some("sweep") => {
                 let figure = v
                     .get("figure")
                     .and_then(Value::as_u64)
                     .ok_or("sweep jobs need a numeric figure")?;
-                if !(2..=6).contains(&figure) {
-                    return Err(format!("figure must be 2..=6, got {figure}"));
-                }
                 JobKind::Sweep {
-                    figure: figure as u8,
+                    figure: u8::try_from(figure)
+                        .ok()
+                        .filter(|n| FIGURES.contains(n))
+                        .ok_or(format!("figure must be {FIGURES:?}, got {figure}"))?,
                 }
             }
             Some("chaos") => {
@@ -170,10 +187,11 @@ impl JobSpec {
                     .and_then(Value::as_str)
                     .ok_or("chaos jobs need an app")?
                     .parse()?;
+                let d = ChaosOptions::default();
                 JobKind::Chaos {
                     app,
-                    trials: v.get("trials").and_then(Value::as_u64).unwrap_or(25) as u32,
-                    seed: v.get("seed").and_then(Value::as_u64).unwrap_or(1),
+                    trials: u32_field("trials")?.unwrap_or(d.trials),
+                    seed: v.get("seed").and_then(Value::as_u64).unwrap_or(d.seed),
                 }
             }
             Some("verify") => {
@@ -190,16 +208,34 @@ impl JobSpec {
             Some(other) => return Err(format!("unknown job kind {other:?}")),
             None => return Err("job spec missing kind".into()),
         };
+        let defaults = Self::new(kind, strings("machine")?);
         Ok(Self {
-            kind,
-            machine: strings("machine")?,
             sweep_jobs: v
                 .get("sweep_jobs")
                 .and_then(Value::as_u64)
                 .map(|n| n as usize),
-            max_retries: v.get("max_retries").and_then(Value::as_u64).unwrap_or(2) as u32,
+            max_retries: u32_field("max_retries")?.unwrap_or(defaults.max_retries),
             timeout_secs: v.get("timeout_secs").and_then(Value::as_u64),
+            ..defaults
         })
+    }
+
+    /// Checks what [`JobSpec::from_json`] cannot see field by field — the
+    /// one validation `dashlat submit` and the daemon's admission share,
+    /// so a bad spec is refused up front instead of failing as a job:
+    /// the machine flags parse for every kind, a chaos campaign runs at
+    /// least one trial, and every litmus test named exists.
+    ///
+    /// # Errors
+    ///
+    /// Says what is wrong.
+    pub fn validate(&self) -> Result<(), String> {
+        self.machine_config()?;
+        match &self.kind {
+            JobKind::Chaos { trials: 0, .. } => Err("chaos jobs need at least one trial".into()),
+            JobKind::Verify { tests, .. } => dashlat_verify::check_test_names(tests),
+            _ => Ok(()),
+        }
     }
 
     /// Parses the machine flags into a full configuration, rejecting
@@ -365,6 +401,46 @@ mod tests {
         assert!(JobSpec::from_json("{\"kind\":\"chaos\",\"app\":\"spice\"}").is_err());
         let bad_machine = JobSpec::sweep(3, vec!["--no-such-flag".into()]);
         assert!(bad_machine.machine_config().is_err());
+        // Numbers that do not fit the spec's fields are refused, not
+        // truncated.
+        let huge = r#"{"kind":"chaos","app":"lu","trials":4294967296}"#;
+        assert!(JobSpec::from_json(huge).unwrap_err().contains("trials"));
+        let huge = r#"{"kind":"sweep","figure":3,"max_retries":4294967296}"#;
+        assert!(JobSpec::from_json(huge)
+            .unwrap_err()
+            .contains("max_retries"));
+    }
+
+    #[test]
+    fn validate_checks_machine_flags_trials_and_test_names_for_every_kind() {
+        let words = |line: &str| line.split_whitespace().map(String::from).collect();
+        let chaos = |trials, machine| {
+            let kind = JobKind::Chaos {
+                app: App::Lu,
+                trials,
+                seed: 1,
+            };
+            JobSpec::new(kind, words(machine)).validate()
+        };
+        let verify = |tests| {
+            let kind = JobKind::Verify {
+                models: vec![Consistency::Sc],
+                tests: words(tests),
+                max_runs: 0,
+            };
+            JobSpec::new(kind, Vec::new()).validate()
+        };
+        assert!(chaos(3, "--test-scale").is_ok());
+        assert!(chaos(3, "--bogus").is_err());
+        assert!(chaos(0, "").is_err());
+        assert!(verify("sb").is_ok());
+        assert!(verify("sb no_such_test")
+            .unwrap_err()
+            .contains("no_such_test"));
+        assert!(JobSpec::sweep(3, words("--bogus")).validate().is_err());
+        assert!(JobSpec::sweep(3, words("--processors 4"))
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -341,6 +341,7 @@ impl Server {
     /// policy: reject invalid specs, shed load beyond `queue_depth`,
     /// admit nothing while draining.
     fn admit(&self, spec: &JobSpec) -> Result<u64, AdmitError> {
+        spec.validate().map_err(AdmitError::Invalid)?;
         let cells_total = spec.cells_total().map_err(AdmitError::Invalid)?;
         let mut st = self.state.lock().expect("state lock");
         if st.shutting_down || self.stop_requested() {
@@ -1198,6 +1199,37 @@ mod tests {
         // Draining admits nothing.
         server.state.lock().unwrap().shutting_down = true;
         assert_eq!(server.admit(&spec), Err(AdmitError::ShuttingDown));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Specs that used to be admitted and then fail (or, worse,
+    /// "complete" having checked nothing) are a 400 at the door.
+    #[test]
+    fn invalid_specs_are_rejected_at_the_door() {
+        let dir = tmp_data_dir("invalid-specs");
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        for body in [
+            r#"{"kind":"verify","models":["sc"],"tests":["no_such_test"]}"#,
+            r#"{"kind":"chaos","app":"lu","trials":4294967296}"#,
+            r#"{"kind":"chaos","app":"lu","trials":1,"machine":["--bogus"]}"#,
+            r#"{"kind":"chaos","app":"lu","trials":0}"#,
+            r#"{"kind":"sweep","figure":3,"max_retries":4294967296}"#,
+        ] {
+            let resp = client::request(&addr, "POST", "/jobs", Some(body)).expect("submit");
+            assert_eq!(resp.status, 400, "{body}: {resp:?}");
+        }
+        let jobs = client::request(&addr, "GET", "/jobs", None).expect("list");
+        assert!(
+            !jobs.body.contains("\"id\""),
+            "nothing admitted: {}",
+            jobs.body
+        );
+        server.stop();
+        handle.join().expect("join").expect("run ok");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -63,7 +63,8 @@ pub struct TortureOptions {
     /// Base seed; trial `i` uses an independent fork.
     pub seed: u64,
     /// Root directory for campaign data dirs (one subdir per campaign,
-    /// including shrink re-runs).
+    /// including shrink re-runs). It must be absent or empty: the
+    /// harness writes into it and never deletes anything.
     pub data_root: PathBuf,
     /// Budget for shrinking a failing schedule (campaign re-runs).
     pub max_shrink_runs: u32,
@@ -74,11 +75,13 @@ pub struct TortureOptions {
 }
 
 impl Default for TortureOptions {
+    /// What `dashlat chaos --serve` runs with no flags: eight schedules
+    /// from seed 1 under a per-process temp root.
     fn default() -> Self {
         Self {
             trials: 8,
-            seed: 0x7041_7065,
-            data_root: std::env::temp_dir().join("dashlat-torture"),
+            seed: 1,
+            data_root: std::env::temp_dir().join(format!("dashlat-torture-{}", std::process::id())),
             max_shrink_runs: 24,
             calibration_budget_ms: 0,
         }
@@ -330,7 +333,6 @@ fn build_reference(dir: &Path) -> io::Result<Reference> {
 /// oracle tripped.
 pub fn run_torture(opts: &TortureOptions) -> TortureReport {
     let mut campaign_no = 0u32;
-    std::fs::remove_dir_all(&opts.data_root).ok();
     let reference = match build_reference(&opts.data_root.join("reference")) {
         Ok(r) => r,
         Err(e) => {

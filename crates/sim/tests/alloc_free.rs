@@ -7,7 +7,7 @@
 //! the overflow heap at its high-water mark — a schedule/drain cycle is
 //! pure pointer work. This test proves it with a counting global
 //! allocator: after a warm-up phase, thousands of schedule/drain rounds
-//! perform **zero** heap allocations.
+//! perform **zero** heap allocations on the measuring thread.
 //!
 //! The guarantee matters because the dispatch loop runs tens of millions
 //! of times per simulated second; an accidental allocation (a bucket
@@ -15,20 +15,32 @@
 //! reused) is invisible in unit tests but dominates a profile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dashlat_sim::{Cycle, EventQueue, QueueHints};
 
 /// Counts every allocation (and every growing reallocation) made through
-/// the global allocator. Frees are not counted: recycling is allowed to
-/// *return* memory, it just must not *acquire* any.
+/// the global allocator, per thread: the test harness runs tests on
+/// parallel threads, and a process-wide count would charge one test
+/// with another's allocations. Frees are not counted: recycling is
+/// allowed to *return* memory, it just must not *acquire* any.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so the allocator can
+    // touch it at any point of a thread's life without allocating.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` only fails while the thread is being torn down, when
+    // nothing is being measured.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -38,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if new_size > layout.size() {
-            ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+            count_one();
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -47,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// One simulated workload round: a handful of events in the current

@@ -165,6 +165,28 @@ fn glob_match(pat: &str, name: &str) -> bool {
     m(pat.as_bytes(), name.as_bytes())
 }
 
+/// Checks that every name selects a corpus test — the one check behind
+/// `verify-model --tests`, `dashlat submit verify --tests` and the
+/// daemon's verify-job admission, so a typo fails up front instead of
+/// verifying nothing.
+///
+/// # Errors
+///
+/// Names the first unknown test and lists the corpus.
+pub fn check_test_names(names: &[String]) -> Result<(), String> {
+    let corpus = corpus();
+    match names
+        .iter()
+        .find(|n| !corpus.iter().any(|t| t.name == n.as_str()))
+    {
+        Some(n) => Err(format!(
+            "unknown litmus test {n:?} (known: {})",
+            corpus.iter().map(|t| t.name).collect::<Vec<_>>().join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Renders the corpus as a name-and-description listing (one test per
 /// line) for `verify-model --list`.
 pub fn list_corpus() -> String {
