@@ -97,6 +97,11 @@ fn exit_code_for(e: &(dyn std::error::Error + 'static)) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    // A malformed fault spec fails here, before any command touches a file.
+    if let Err(e) = dashlat_sim::faultfs::env_plan() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse(argv) {
         Ok(cmd) => match execute(cmd) {

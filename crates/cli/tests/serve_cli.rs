@@ -161,7 +161,7 @@ fn crash_mid_job_restart_resumes_to_identical_bytes_with_cache() {
     let mut daemon = spawn_daemon(
         &data,
         &["--workers", "1", "--queue-depth", "8"],
-        &[("DASHLAT_CRASH_AFTER_JOURNAL_APPEND", "9")],
+        &[("DASHLAT_FAULTFS", "crash=appends:9")],
     );
     wait_ready(&data);
     let mut sweep_submit = vec!["--sweep-jobs", "1", "sweep", "3"];
@@ -238,4 +238,52 @@ fn crash_mid_job_restart_resumes_to_identical_bytes_with_cache() {
     assert_eq!(resp.status, 200);
     let status = daemon.wait().expect("daemon reaped");
     assert_eq!(status.code(), Some(0));
+}
+
+/// The crash-loop circuit breaker end to end: with the kill class at
+/// probability 1 every isolated cell worker is SIGKILLed, two crashes in
+/// a row open the breaker, every later cell fails on its first attempt
+/// with the breaker's permanent error, and the job ends `failed`.
+#[test]
+fn crash_loop_breaker_fails_the_remaining_cells_fast() {
+    let data = scratch("breaker");
+    let mut daemon = spawn_daemon(
+        &data,
+        &["--isolate", "--crash-loop-threshold", "2"],
+        &[("DASHLAT_FAULTFS", "kill=1")],
+    );
+    let addr = wait_ready(&data);
+    let mut sweep_submit = vec!["--sweep-jobs", "1", "sweep", "3"];
+    sweep_submit.extend(MACHINE);
+    let out = dashlat(&submit_args(&data, &sweep_submit));
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !job_status(&addr, 1).contains("\"status\":\"failed\"") {
+        assert!(Instant::now() < deadline, "job 1 never failed");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // Cell 0 crashed twice (opening the breaker), then hit it.
+    let journal = std::fs::read_to_string(data.join("jobs/1/sweep.journal")).expect("journal");
+    let cells: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"cell\""))
+        .collect();
+    assert_eq!(cells.len(), 6, "{journal}");
+    for cell in &cells[1..] {
+        assert!(
+            cell.contains("\"attempts\":1,")
+                && cell.contains("crash-loop circuit breaker open")
+                && cell.contains("\"class\":\"permanent\""),
+            "{cell}"
+        );
+    }
+    let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert!(
+        health.body.contains("\"breaker_trips\":1"),
+        "{}",
+        health.body
+    );
+    daemon.kill().expect("daemon killed");
+    daemon.wait().expect("daemon reaped");
 }

@@ -1,7 +1,7 @@
 //! End-to-end checks of `dashlat chaos --serve` through the real
 //! binary: a clean torture campaign leaves all four service oracles
 //! green, and arming the planted torn-publish bug
-//! (`DASHLAT_BUG_TORN_PUBLISH=1`) makes the cache oracle trip and the
+//! (`DASHLAT_FAULTFS=torn=1`) makes the cache oracle trip and the
 //! shrinker reduce the failing schedule to the disk-fault class alone.
 //!
 //! Torture campaigns boot real daemons and burn tens of seconds of
@@ -93,7 +93,7 @@ fn planted_torn_publish_bug_is_caught_and_shrunk() {
     // cover runners whose load shifts the interleaving slightly.
     let mut caught = None;
     for seed in [4, 3] {
-        let (out, stdout, dir) = run_torture("bug", seed, &[("DASHLAT_BUG_TORN_PUBLISH", "1")]);
+        let (out, stdout, dir) = run_torture("bug", seed, &[("DASHLAT_FAULTFS", "torn=1")]);
         if skipped(&stdout) {
             let _ = std::fs::remove_dir_all(&dir);
             return;

@@ -118,7 +118,7 @@ fn deterministic_crash_then_parallel_resume_is_bit_identical() {
     let args = sweep_args(&dir, &[]);
     let out = Command::new(env!("CARGO_BIN_EXE_dashlat"))
         .args(&args)
-        .env("DASHLAT_CRASH_AFTER_JOURNAL_APPEND", "3")
+        .env("DASHLAT_FAULTFS", "crash=appends:3")
         .output()
         .expect("sweep runs");
     assert_ne!(
@@ -153,7 +153,7 @@ fn crash_before_rename_leaves_no_partial_output() {
     let args = sweep_args(&dir, &[]);
     let out = Command::new(env!("CARGO_BIN_EXE_dashlat"))
         .args(&args)
-        .env("DASHLAT_CRASH_AFTER_TEMP_WRITE", "1")
+        .env("DASHLAT_FAULTFS", "crash=temp-write")
         .output()
         .expect("sweep runs");
     assert_ne!(
@@ -190,7 +190,7 @@ fn crash_after_rename_leaves_a_durable_published_output() {
     let args = sweep_args(&dir, &[]);
     let out = Command::new(env!("CARGO_BIN_EXE_dashlat"))
         .args(&args)
-        .env("DASHLAT_CRASH_AFTER_RENAME", "1")
+        .env("DASHLAT_FAULTFS", "crash=rename")
         .output()
         .expect("sweep runs");
     assert_ne!(
@@ -204,6 +204,35 @@ fn crash_after_rename_leaves_a_durable_published_output() {
         .expect("published output must survive a crash after the rename");
     assert_eq!(&published, reference_log());
     assert_eq!(count_cell_records(&dir.join("f3.journal")), 6);
+}
+
+/// A malformed `DASHLAT_FAULTFS` is refused at startup with exit 1
+/// naming the bad key, before the sweep creates its journal — so the
+/// same command without the variable then runs clean.
+#[test]
+fn malformed_fault_spec_exits_1_before_touching_files() {
+    let dir = scratch("badspec");
+    let args = sweep_args(&dir, &[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_dashlat"))
+        .args(&args)
+        .env("DASHLAT_FAULTFS", "bogus=1")
+        .output()
+        .expect("sweep runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`bogus`"), "{stderr}");
+    assert!(
+        !dir.join("f3.journal").exists(),
+        "no journal before the check"
+    );
+
+    let argrefs: Vec<&str> = args.iter().map(String::as_str).collect();
+    let out = dashlat(&argrefs);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "rerun without the spec: {out:?}"
+    );
 }
 
 /// A journal written under one configuration is refused under another

@@ -10,6 +10,10 @@
 //! schedule that provokes a failure is then *shrunk* — classes dropped,
 //! magnitudes halved, the seed zeroed — to the smallest schedule that
 //! still fails, which is what goes into the repro bundle a human debugs.
+//!
+//! The trial-and-shrink loop itself is generic ([`campaign`]): the
+//! service torture harness in `dashlat-serve` drives it with its own
+//! schedules, check and candidates, and both report [`Failure`].
 
 use dashlat_sim::fault::FaultPlan;
 use dashlat_sim::rng::Xorshift;
@@ -62,25 +66,63 @@ impl ChaosOptions {
     }
 }
 
+/// What one check found wrong with a schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Finding {
+    /// Which oracle tripped.
+    pub oracle: String,
+    /// What the oracle saw.
+    pub error: String,
+    /// Exit code a replay of the failing run ends with (1 when the
+    /// finding has no exit code of its own).
+    pub code: u8,
+}
+
+impl Finding {
+    /// A finding of `oracle` with the generic exit code 1.
+    pub fn new(oracle: &str, error: String) -> Self {
+        Finding {
+            oracle: oracle.to_owned(),
+            error,
+            code: 1,
+        }
+    }
+}
+
 /// A failing schedule, before and after shrinking.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChaosFailure {
+pub struct Failure<S> {
     /// Trial number (0-based) that found it.
     pub trial: u32,
     /// The schedule as drawn.
-    pub original: FaultPlan,
+    pub original: S,
     /// The smallest schedule that still fails.
-    pub minimized: FaultPlan,
+    pub minimized: S,
     /// The failure the *minimized* schedule provokes.
     pub error: String,
-    /// CLI exit code for the failure class.
+    /// Exit code a replay of the minimized schedule ends with.
     pub code: u8,
-    /// Which oracle tripped: `baseline` (the fault-free run itself
-    /// failed — the bug needs no faults at all, and the minimal schedule
-    /// is the empty one), `failure`, or `determinism`.
+    /// Which oracle tripped on the minimized schedule. Machine chaos
+    /// names `baseline` (the fault-free run itself failed — the bug
+    /// needs no faults at all, and the minimal schedule is the empty
+    /// one), `failure` or `determinism`.
     pub oracle: String,
-    /// Simulator runs spent shrinking.
+    /// Checks spent shrinking.
     pub shrink_runs: u32,
+}
+
+impl<S> Failure<S> {
+    fn new(trial: u32, original: S, minimized: S, finding: Finding, shrink_runs: u32) -> Self {
+        Failure {
+            trial,
+            original,
+            minimized,
+            error: finding.error,
+            code: finding.code,
+            oracle: finding.oracle,
+            shrink_runs,
+        }
+    }
 }
 
 /// The outcome of a chaos campaign.
@@ -94,7 +136,7 @@ pub struct ChaosReport {
     pub clean_elapsed: Option<u64>,
     /// The first failing schedule found, if any (the campaign stops at
     /// the first failure — one minimal repro beats ten raw ones).
-    pub failure: Option<ChaosFailure>,
+    pub failure: Option<Failure<FaultPlan>>,
 }
 
 /// The canonical empty schedule: reported as the "minimized" schedule
@@ -151,9 +193,7 @@ pub fn random_plan(rng: &mut Xorshift) -> FaultPlan {
     plan
 }
 
-/// Generic greedy delta-debugging engine, shared by the machine-fault
-/// shrinker below and the service torture harness's schedule shrinker
-/// (`dashlat-serve`).
+/// Generic greedy delta-debugging engine behind [`campaign`].
 ///
 /// `simpler` lists candidate reductions of the current best, ordered
 /// cheapest-explanation-first; any candidate equal to the current best
@@ -192,26 +232,12 @@ pub fn shrink<P: Clone + PartialEq>(
     }
 }
 
-/// Greedy delta-debugging over a fault plan: repeatedly tries simpler
-/// candidates, keeping each one that still makes `fails` return true,
-/// until no candidate reduces further or `max_runs` predicate calls are
-/// spent. Returns the minimized plan and the number of calls used.
-///
-/// Reduction order — cheapest explanation first:
+/// The ordered reduction candidates for one fault plan, cheapest
+/// explanation first:
 /// 1. drop whole fault classes (NACK, delay, buffer-full);
 /// 2. shrink magnitudes (halve probabilities, pull retry/backoff/delay
 ///    knobs to their floor);
 /// 3. zero the schedule seed.
-pub fn shrink_plan(
-    start: FaultPlan,
-    fails: impl FnMut(&FaultPlan) -> bool,
-    max_runs: u32,
-) -> (FaultPlan, u32) {
-    shrink(start, plan_candidates, fails, max_runs)
-}
-
-/// The ordered reduction candidates for one fault plan (see
-/// [`shrink_plan`] for the phase rationale).
 fn plan_candidates(best: &FaultPlan) -> Vec<FaultPlan> {
     let mut cands = Vec::new();
 
@@ -269,133 +295,116 @@ fn faulted_verdict(
         .map_err(|f| CellFailure::classify(&f, false))
 }
 
-/// Checks one schedule against the oracles. `Ok(())` = schedule is
-/// clean; `Err((error, code, oracle))` = finding.
+/// Checks one schedule against the oracles.
 fn check_schedule(
     app: App,
     base: &ExperimentConfig,
     plan: &FaultPlan,
     check_determinism: bool,
-) -> Result<(), (String, u8, String)> {
-    match faulted_verdict(app, base, plan) {
-        Err(f) => Err((f.error, f.code, "failure".into())),
-        Ok(elapsed) => {
-            if check_determinism {
-                match faulted_verdict(app, base, plan) {
-                    Err(f) => Err((
-                        format!("second run failed where first passed: {}", f.error),
-                        f.code,
-                        "determinism".into(),
-                    )),
-                    Ok(second) if second != elapsed => Err((
-                        format!(
-                            "non-deterministic elapsed time under identical fault schedule: \
-                             {elapsed} vs {second} pclocks"
-                        ),
-                        1,
-                        "determinism".into(),
-                    )),
-                    Ok(_) => Ok(()),
-                }
-            } else {
-                Ok(())
-            }
-        }
+) -> Result<(), Finding> {
+    let elapsed = faulted_verdict(app, base, plan).map_err(|f| Finding {
+        code: f.code,
+        ..Finding::new("failure", f.error)
+    })?;
+    if !check_determinism {
+        return Ok(());
     }
+    match faulted_verdict(app, base, plan) {
+        Err(f) => Err(Finding {
+            code: f.code,
+            ..Finding::new(
+                "determinism",
+                format!("second run failed where first passed: {}", f.error),
+            )
+        }),
+        Ok(second) if second != elapsed => Err(Finding::new(
+            "determinism",
+            format!(
+                "non-deterministic elapsed time under identical fault schedule: \
+                 {elapsed} vs {second} pclocks"
+            ),
+        )),
+        Ok(_) => Ok(()),
+    }
+}
+
+/// Runs a trial-and-shrink campaign: each trial `draw`s a schedule and
+/// `check`s it, and the campaign stops at the first failing one. That
+/// schedule is shrunk with [`shrink`] over `candidates` (any finding
+/// counts as reproducing — a smaller schedule tripping a different
+/// oracle is still a smaller finding), and the failure reports the
+/// finding of the last schedule that failed, which is the minimized one.
+/// `tripped` hears about the first finding before shrinking starts.
+/// Returns the number of trials run and the failure, if any.
+pub fn campaign<S: Clone + PartialEq>(
+    trials: u32,
+    max_shrink_runs: u32,
+    mut draw: impl FnMut(u32) -> S,
+    mut check: impl FnMut(&S) -> Result<(), Finding>,
+    mut candidates: impl FnMut(&S) -> Vec<S>,
+    mut tripped: impl FnMut(u32, &Finding),
+) -> (u32, Option<Failure<S>>) {
+    for trial in 0..trials {
+        let schedule = draw(trial);
+        let Err(mut finding) = check(&schedule) else {
+            continue;
+        };
+        tripped(trial, &finding);
+        let (minimized, shrink_runs) = shrink(
+            schedule.clone(),
+            &mut candidates,
+            |cand| match check(cand) {
+                Ok(()) => false,
+                Err(found) => {
+                    finding = found;
+                    true
+                }
+            },
+            max_shrink_runs,
+        );
+        let failure = Failure::new(trial, schedule, minimized, finding, shrink_runs);
+        return (trial + 1, Some(failure));
+    }
+    (trials, None)
 }
 
 /// Runs a chaos campaign. The fault-free baseline runs first: if it
 /// *itself* fails, that is already the campaign's finding — the bug
 /// needs no fault schedule at all, so the report carries
-/// [`INACTIVE_PLAN`] as the (trivially minimal) schedule. Otherwise each
-/// trial draws a schedule, runs it, and the campaign stops at the first
-/// failure, shrinking it to minimal.
+/// [`INACTIVE_PLAN`] as the (trivially minimal) schedule. Otherwise the
+/// campaign draws schedules from the campaign seed and shrinks the first
+/// failing one to minimal ([`campaign`]).
 pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let mut base = opts.base.clone().with_invariant_checks(true);
     base.faults = None;
     let clean_elapsed = match run_isolated(opts.app, &base) {
         Ok(e) => e.result.elapsed.as_u64(),
         Err(f) => {
-            let failure = CellFailure::classify(&f, false);
+            let f = CellFailure::classify(&f, false);
+            let finding = Finding {
+                code: f.code,
+                ..Finding::new("baseline", f.error)
+            };
             return ChaosReport {
                 trials_run: 0,
                 clean_elapsed: None,
-                failure: Some(ChaosFailure {
-                    trial: 0,
-                    original: INACTIVE_PLAN,
-                    minimized: INACTIVE_PLAN,
-                    error: failure.error,
-                    code: failure.code,
-                    oracle: "baseline".into(),
-                    shrink_runs: 0,
-                }),
+                failure: Some(Failure::new(0, INACTIVE_PLAN, INACTIVE_PLAN, finding, 0)),
             };
         }
     };
-
     let mut rng = Xorshift::new(opts.seed);
-    for trial in 0..opts.trials {
-        let plan = random_plan(&mut rng);
-        if let Err((_, _, oracle)) = check_schedule(opts.app, &base, &plan, opts.check_determinism)
-        {
-            // Shrink against the *same* oracle set; any failure counts as
-            // reproducing (a smaller schedule tripping a different oracle
-            // is still a smaller finding).
-            let (minimized, shrink_runs) = shrink_plan(
-                plan,
-                |cand| check_schedule(opts.app, &base, cand, opts.check_determinism).is_err(),
-                opts.max_shrink_runs,
-            );
-            // Re-derive the failure from the minimized schedule so the
-            // bundle's expectation matches what a replay will see.
-            let (error, code, final_oracle) =
-                match check_schedule(opts.app, &base, &minimized, opts.check_determinism) {
-                    Err(finding) => finding,
-                    // Flaky-at-the-boundary shrink result; fall back to
-                    // the original (which definitely failed this process).
-                    Ok(()) => {
-                        let (error, code, o) =
-                            check_schedule(opts.app, &base, &plan, opts.check_determinism)
-                                .err()
-                                .unwrap_or((
-                                    "failure did not reproduce on re-check".into(),
-                                    1,
-                                    oracle,
-                                ));
-                        return ChaosReport {
-                            trials_run: trial + 1,
-                            clean_elapsed: Some(clean_elapsed),
-                            failure: Some(ChaosFailure {
-                                trial,
-                                original: plan,
-                                minimized: plan,
-                                error,
-                                code,
-                                oracle: o,
-                                shrink_runs,
-                            }),
-                        };
-                    }
-                };
-            return ChaosReport {
-                trials_run: trial + 1,
-                clean_elapsed: Some(clean_elapsed),
-                failure: Some(ChaosFailure {
-                    trial,
-                    original: plan,
-                    minimized,
-                    error,
-                    code,
-                    oracle: final_oracle,
-                    shrink_runs,
-                }),
-            };
-        }
-    }
+    let (trials_run, failure) = campaign(
+        opts.trials,
+        opts.max_shrink_runs,
+        |_| random_plan(&mut rng),
+        |plan| check_schedule(opts.app, &base, plan, opts.check_determinism),
+        plan_candidates,
+        |_, _| {},
+    );
     ChaosReport {
-        trials_run: opts.trials,
+        trials_run,
         clean_elapsed: Some(clean_elapsed),
-        failure: None,
+        failure,
     }
 }
 
@@ -435,7 +444,7 @@ mod tests {
         };
         let fails = |p: &FaultPlan| p.nack_prob > 0.0 && p.delay_prob > 0.0;
         assert!(fails(&start));
-        let (min, runs) = shrink_plan(start, fails, 200);
+        let (min, runs) = shrink(start, plan_candidates, fails, 200);
         assert!(fails(&min), "shrinking must preserve the failure");
         assert_eq!(active_classes(&min), 2);
         assert_eq!(min.buffer_full_prob, 0.0);
@@ -450,8 +459,9 @@ mod tests {
     fn shrinker_respects_the_run_budget() {
         let start = FaultPlan::heavy(1);
         let mut calls = 0u32;
-        let (_, runs) = shrink_plan(
+        let (_, runs) = shrink(
             start,
+            plan_candidates,
             |_| {
                 calls += 1;
                 true
@@ -475,7 +485,7 @@ mod tests {
             buffer_full_prob: 0.0,
         };
         // Only this exact plan fails.
-        let (min, _) = shrink_plan(start, |p| *p == start, 50);
+        let (min, _) = shrink(start, plan_candidates, |p| *p == start, 50);
         assert_eq!(min, start);
     }
 }

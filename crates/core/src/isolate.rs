@@ -8,23 +8,19 @@
 //! (`{"ok":N}` or `{"err":{…}}`); everything else about the outcome is
 //! derived from that line plus the exit status.
 //!
-//! # Worker-kill injection
-//!
-//! The service torture harness needs to SIGKILL workers on a seeded
-//! schedule to prove the daemon survives. [`arm_kills`] arms a
-//! process-global plan: while armed, each spawned cell draws once and,
-//! if selected, is killed after a seeded delay inside the poll loop.
-//! The parent observes an ordinary signal death — indistinguishable from
-//! the OOM killer — and applies its normal transient-retry policy.
+//! Each spawned cell draws once from the armed host-fault plan
+//! ([`dashlat_sim::faultfs::draw_kill`]) and, if selected, is SIGKILLed
+//! after a seeded delay: the torture harness's worker-kill class. The
+//! parent sees an ordinary signal death and applies its normal
+//! transient-retry policy.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::sweep::{CellFailure, FailureClass, SweepCell};
+use dashlat_sim::faultfs;
 use dashlat_sim::json::Value;
-use dashlat_sim::Xorshift;
 
 /// How often the supervisor polls a running cell.
 const POLL: Duration = Duration::from_millis(20);
@@ -35,73 +31,6 @@ const POLL: Duration = Duration::from_millis(20);
 /// tests and drivers hosted in other binaries point this at a built
 /// `dashlat`.
 pub const CELL_BIN_ENV: &str = "DASHLAT_CELL_BIN";
-
-/// A seeded plan for killing cell subprocesses, for the torture harness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KillPlan {
-    /// Seed for the deterministic draw stream.
-    pub seed: u64,
-    /// Probability each spawned cell is selected for a SIGKILL.
-    pub kill_prob: f64,
-    /// A selected cell is killed after a uniform delay in
-    /// `[0, max_delay_ms]`, so kills land at different points of the
-    /// cell's run.
-    pub max_delay_ms: u64,
-}
-
-struct ArmedKills {
-    plan: KillPlan,
-    rng: Xorshift,
-    kills: u64,
-}
-
-static KILLS: Mutex<Option<ArmedKills>> = Mutex::new(None);
-
-fn kills_lock() -> std::sync::MutexGuard<'static, Option<ArmedKills>> {
-    match KILLS.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Arms the process-global worker-kill plan, replacing any previous one
-/// and resetting the draw stream.
-pub fn arm_kills(plan: KillPlan) {
-    let rng = Xorshift::new(plan.seed);
-    *kills_lock() = Some(ArmedKills {
-        plan,
-        rng,
-        kills: 0,
-    });
-}
-
-/// Disarms worker-kill injection and returns how many cells were killed
-/// since [`arm_kills`]. Safe to call when nothing is armed.
-pub fn disarm_kills() -> u64 {
-    kills_lock().take().map_or(0, |a| a.kills)
-}
-
-/// Draws the kill decision for one spawned cell: `None` (spare it) or
-/// the delay to wait before killing.
-fn draw_kill() -> Option<Duration> {
-    let mut guard = kills_lock();
-    let armed = guard.as_mut()?;
-    if !armed.rng.chance(armed.plan.kill_prob) {
-        return None;
-    }
-    let delay = if armed.plan.max_delay_ms == 0 {
-        0
-    } else {
-        armed.rng.below(armed.plan.max_delay_ms + 1)
-    };
-    Some(Duration::from_millis(delay))
-}
-
-fn record_kill() {
-    if let Some(armed) = kills_lock().as_mut() {
-        armed.kills += 1;
-    }
-}
 
 /// True when `failure` describes the *worker* dying (timeout, signal,
 /// spawn failure, crash before reporting) rather than the simulation
@@ -142,21 +71,18 @@ pub fn run_cell_subprocess(cell: &SweepCell, timeout: Duration) -> Result<u64, C
     let mut child = cmd
         .spawn()
         .map_err(|e| CellFailure::transient(format!("cannot spawn cell subprocess: {e}")))?;
-    let kill_after = draw_kill();
+    let kill_after = faultfs::draw_kill();
 
     let start = Instant::now();
     let status = loop {
         match child.try_wait() {
             Ok(Some(status)) => break status,
             Ok(None) => {
-                if let Some(delay) = kill_after {
-                    if start.elapsed() >= delay {
-                        // Injected worker kill: a real SIGKILL, so the
-                        // child dies exactly like an OOM-killed worker
-                        // and the normal signal-death path below runs.
-                        let _ = child.kill();
-                        record_kill();
-                    }
+                if kill_after.is_some_and(|delay| start.elapsed() >= delay) {
+                    // Injected worker kill: a real SIGKILL, so the child
+                    // dies exactly like an OOM-killed worker and the
+                    // normal signal-death path below runs.
+                    let _ = child.kill();
                 }
                 if start.elapsed() >= timeout {
                     let _ = child.kill();
@@ -252,28 +178,6 @@ mod tests {
         assert_eq!(parse_err(&rendered), Some(f));
         assert_eq!(parse_ok("garbage"), None);
         assert_eq!(parse_err("{\"ok\":1}"), None);
-    }
-
-    #[test]
-    fn kill_plan_draws_are_deterministic_and_disarm_is_safe() {
-        // Drawing directly (not spawning) keeps this test hermetic.
-        let draw_all = |seed: u64| -> Vec<Option<Duration>> {
-            arm_kills(KillPlan {
-                seed,
-                kill_prob: 0.5,
-                max_delay_ms: 40,
-            });
-            let draws = (0..64).map(|_| draw_kill()).collect();
-            disarm_kills();
-            draws
-        };
-        let a = draw_all(5);
-        let b = draw_all(5);
-        assert_eq!(a, b, "same seed, same kill schedule");
-        assert!(a.iter().any(Option::is_some) && a.iter().any(Option::is_none));
-        assert!(a.iter().flatten().all(|d| *d <= Duration::from_millis(40)));
-        assert_eq!(disarm_kills(), 0, "disarm when disarmed is a no-op");
-        assert_eq!(draw_kill(), None, "disarmed draws never kill");
     }
 
     #[test]

@@ -1258,12 +1258,8 @@ mod tests {
         for seed in 0..64u64 {
             let jdir = dir.join(format!("s{seed}"));
             std::fs::create_dir_all(&jdir).unwrap();
-            faultfs::arm(FaultFsPlan {
-                seed,
-                eio_prob: 0.4,
-                path_filter: Some(jdir.to_string_lossy().into_owned()),
-                ..FaultFsPlan::default()
-            });
+            let spec = format!("seed={seed},eio=0.4,filter={}", jdir.display());
+            let faults = faultfs::arm(FaultFsPlan::from_spec(&spec).unwrap());
             let result = run_supervised(
                 &plan,
                 &jdir.join("sweep.journal"),
@@ -1272,7 +1268,7 @@ mod tests {
                 &opts,
                 runner,
             );
-            faultfs::disarm();
+            drop(faults);
             match result {
                 Ok(_) => {} // every draw passed; try the next seed
                 Err(SweepError::Io(e)) => {

@@ -238,14 +238,6 @@ impl ProcConfig {
         self.enforce_wb_fifo = true;
         self
     }
-
-    /// Returns a copy with the seeded write-buffer reordering bug armed
-    /// (see [`ProcConfig::relaxation_bug`]).
-    #[cfg(feature = "verify-mutations")]
-    pub fn with_relaxation_bug(mut self) -> Self {
-        self.relaxation_bug = true;
-        self
-    }
 }
 
 impl Default for ProcConfig {

@@ -460,12 +460,6 @@ impl RunResult {
     pub fn utilization(&self) -> f64 {
         self.aggregate.utilization()
     }
-
-    /// Speedup of this run over `other`: how many times faster this run
-    /// was (`other.elapsed / self.elapsed`; > 1 means this run won).
-    pub fn speedup_over(&self, other: &RunResult) -> f64 {
-        other.elapsed.as_u64().max(1) as f64 / self.elapsed.as_u64().max(1) as f64
-    }
 }
 
 /// The machine executor. Construct with [`Machine::new`] and call

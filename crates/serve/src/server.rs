@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use dashlat::chaos::{run_chaos, ChaosOptions};
 use dashlat::sweep::{
     run_cell_in_process, run_supervised_controlled, work_fingerprint, CellFailure, FailureClass,
-    SweepControl, SweepOptions, SweepPlan,
+    SweepControl, SweepError, SweepOptions, SweepPlan,
 };
 use dashlat_sim::journal::{atomic_write, Journal};
 use dashlat_sim::json::quote;
@@ -199,9 +199,11 @@ pub struct Server {
     conns: AtomicUsize,
     /// Lifetime count of connections shed at the cap with 503.
     conns_shed: AtomicU64,
-    /// Lifetime count of `state.json` writes that failed (each is also
-    /// logged; the job stays resumable, so nothing is lost — but a
-    /// nonzero value means the data dir is unhealthy).
+    /// Lifetime count of job files the daemon failed to publish:
+    /// `job.json` at admission, a sweep's journal or log, `verify.txt`,
+    /// `state.json`. Each is also reported — in the admission reply, the
+    /// job's detail, or on stderr — and a nonzero value means the data
+    /// dir is unhealthy.
     persist_failures: AtomicU64,
     /// Lifetime count of result-cache inserts that failed (best-effort:
     /// each costs a future re-simulation, never correctness).
@@ -357,7 +359,10 @@ impl Server {
         let dir = self.job_dir(id);
         std::fs::create_dir_all(&dir)
             .and_then(|()| atomic_write(&dir.join("job.json"), &spec.to_json()))
-            .map_err(|e| AdmitError::Invalid(format!("persisting job: {e}")))?;
+            .map_err(|e| {
+                self.persist_failures.fetch_add(1, Ordering::Relaxed);
+                AdmitError::Invalid(format!("persisting job: {e}"))
+            })?;
         st.jobs.push(JobEntry {
             id,
             spec: Some(spec.clone()),
@@ -593,11 +598,16 @@ impl Server {
                         outcome.skipped = report.skipped;
                         outcome
                     }
-                    Err(e) => JobOutcome::terminal(
-                        JobStatus::Failed,
-                        1,
-                        format!("sweep supervision failed: {e}"),
-                    ),
+                    Err(e) => {
+                        if matches!(e, SweepError::Io(_)) {
+                            self.persist_failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                        JobOutcome::terminal(
+                            JobStatus::Failed,
+                            1,
+                            format!("sweep supervision failed: {e}"),
+                        )
+                    }
                 }
             }
             JobKind::Chaos { app, trials, seed } => {
@@ -653,22 +663,30 @@ impl Server {
                     models.clone()
                 };
                 let suite = dashlat_verify::verify_suite(&models, tests, *max_runs);
-                let _ = atomic_write(&dir.join("verify.txt"), &suite.render());
+                let unwritten = atomic_write(&dir.join("verify.txt"), &suite.render())
+                    .err()
+                    .map(|e| {
+                        self.persist_failures.fetch_add(1, Ordering::Relaxed);
+                        format!("the verify.txt report was not written: {e}")
+                    });
                 if suite.passed() {
-                    JobOutcome::terminal(
-                        JobStatus::Complete,
-                        0,
-                        format!(
-                            "{} litmus cells, {} machine runs — all passed",
-                            suite.verdicts.len(),
-                            suite.runs()
-                        ),
-                    )
+                    let mut detail = format!(
+                        "{} litmus cells, {} machine runs — all passed",
+                        suite.verdicts.len(),
+                        suite.runs()
+                    );
+                    if let Some(note) = unwritten {
+                        detail = format!("{detail}; {note}");
+                    }
+                    JobOutcome::terminal(JobStatus::Complete, 0, detail)
                 } else {
                     JobOutcome::terminal(
                         JobStatus::Failed,
                         7,
-                        "memory-model verification failed (see verify.txt)".to_owned(),
+                        format!(
+                            "memory-model verification failed ({})",
+                            unwritten.as_deref().unwrap_or("see verify.txt")
+                        ),
                     )
                 }
             }
@@ -1497,11 +1515,8 @@ mod tests {
         // Every write under this daemon's cache/ fails; the plan is
         // process-global, so the filter keeps other tests' I/O (and this
         // daemon's journals and state files) untouched.
-        faultfs::arm(FaultFsPlan {
-            eio_prob: 1.0,
-            path_filter: Some(dir.join("cache").to_string_lossy().into_owned()),
-            ..FaultFsPlan::default()
-        });
+        let spec = format!("eio=1,filter={}", dir.join("cache").display());
+        let faults = faultfs::arm(FaultFsPlan::from_spec(&spec).unwrap());
         assert_eq!(write_failures(), 0);
         let (first, first_log) = run_job(1);
         let cells = first
@@ -1512,11 +1527,57 @@ mod tests {
         // Nothing was cached, so the resubmitted job simulates every cell
         // again and publishes the same bytes.
         let (second, second_log) = run_job(2);
-        let stats = faultfs::disarm();
+        let stats = faults.stats();
+        drop(faults);
         assert_eq!(second.get("cache_hits").and_then(Value::as_u64), Some(0));
         assert_eq!(write_failures(), 2 * cells);
         assert!(stats.injected >= 2 * cells, "{stats:?}");
         assert_eq!(first_log, second_log);
+        server.stop();
+        handle.join().expect("join").expect("run ok");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A verify report the daemon could not write is counted in
+    /// `persist_failures` and named in the job's detail.
+    #[test]
+    fn failed_verify_report_write_is_counted_and_named() {
+        use dashlat_sim::{faultfs, FaultFsPlan};
+        let dir = tmp_data_dir("verify-report-fault");
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let _faults = faultfs::arm(FaultFsPlan::from_spec("eio=1,filter=verify.txt").unwrap());
+        let spec = r#"{"kind":"verify","models":["sc"],"tests":["sb"]}"#;
+        let sub = client::request(&addr, "POST", "/jobs", Some(spec)).expect("submit");
+        assert_eq!(sub.status, 202, "{sub:?}");
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let status = loop {
+            let body = client::request(&addr, "GET", "/jobs/1", None)
+                .expect("status")
+                .body;
+            if body.contains("\"status\":\"complete\"") {
+                break body;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "verify job did not complete: {body}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(
+            status.contains("the verify.txt report was not written"),
+            "{status}"
+        );
+        assert!(!dir.join("jobs/1/verify.txt").exists(), "{status}");
+        let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert!(
+            health.body.contains("\"persist_failures\":1,"),
+            "{}",
+            health.body
+        );
         server.stop();
         handle.join().expect("join").expect("run ok");
         std::fs::remove_dir_all(&dir).ok();

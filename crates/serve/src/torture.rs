@@ -22,10 +22,11 @@
 //! * **recovery** — the restarted daemon answers `/healthz` and drains
 //!   every recovered job within a bound.
 //!
-//! A failing schedule is handed to the generic delta-debugging engine
-//! ([`dashlat::chaos::shrink`]): drop whole fault classes, then halve
-//! magnitudes, then zero the seed — each candidate re-runs a full
-//! campaign, so the minimized schedule is a *reproducer*, not a guess.
+//! Trials and shrinking run on the generic campaign loop
+//! ([`dashlat::chaos::campaign`]): a failing schedule is delta-debugged
+//! by dropping whole fault classes, then halving magnitudes, then
+//! zeroing the seed — each candidate re-runs a full campaign, so the
+//! minimized schedule is a *reproducer*, not a guess.
 
 use std::collections::HashMap;
 use std::io;
@@ -33,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dashlat::isolate::{arm_kills, disarm_kills, KillPlan};
+use dashlat::chaos::{self, Failure, Finding};
 use dashlat::sweep::{
     run_cell_in_process, run_supervised_controlled, work_fingerprint, SweepControl, SweepOptions,
     SweepPlan,
@@ -178,7 +179,7 @@ pub fn random_schedule(rng: &mut Xorshift) -> ServeSchedule {
 }
 
 /// Shrink candidates: drop a whole class, then halve magnitudes, then
-/// zero the seed. Mirrors [`dashlat::chaos::shrink_plan`]'s ordering so
+/// zero the seed. Mirrors the machine-fault candidates' ordering so
 /// minimized schedules name the *class* that matters first.
 pub fn schedule_candidates(best: &ServeSchedule) -> Vec<ServeSchedule> {
     let mut out = Vec::new();
@@ -236,30 +237,13 @@ fn half(p: f64) -> f64 {
     }
 }
 
-/// One oracle violation found by a campaign.
-#[derive(Debug, Clone)]
-pub struct TortureFailure {
-    /// Trial index that first produced the failure.
-    pub trial: u32,
-    /// The schedule as originally drawn.
-    pub original: ServeSchedule,
-    /// The delta-debugged minimal schedule that still fails.
-    pub minimized: ServeSchedule,
-    /// Which oracle tripped (on the minimized schedule).
-    pub oracle: String,
-    /// What the oracle saw.
-    pub error: String,
-    /// Campaign re-runs the shrinker spent.
-    pub shrink_runs: u32,
-}
-
 /// What a torture run produced.
 #[derive(Debug, Clone)]
 pub struct TortureReport {
     /// Schedules completed (including the failing one, if any).
     pub trials_run: u32,
     /// The first oracle violation, shrunk — `None` means all green.
-    pub failure: Option<TortureFailure>,
+    pub failure: Option<Failure<ServeSchedule>>,
     /// Set when the runner was too slow for the timing-bound oracles
     /// and the run was skipped loudly instead of flaking.
     pub skipped: Option<String>,
@@ -332,78 +316,49 @@ fn build_reference(dir: &Path) -> io::Result<Reference> {
 /// oracles; the returned report carries the shrunk reproducer if any
 /// oracle tripped.
 pub fn run_torture(opts: &TortureOptions) -> TortureReport {
-    let mut campaign_no = 0u32;
+    let skip = |why: String| TortureReport {
+        trials_run: 0,
+        failure: None,
+        skipped: Some(why),
+    };
     let reference = match build_reference(&opts.data_root.join("reference")) {
         Ok(r) => r,
-        Err(e) => {
-            return TortureReport {
-                trials_run: 0,
-                failure: None,
-                skipped: Some(format!("reference sweep could not be built: {e}")),
-            }
-        }
+        Err(e) => return skip(format!("reference sweep could not be built: {e}")),
     };
     if opts.calibration_budget_ms > 0 && reference.per_cell_ms > opts.calibration_budget_ms {
-        return TortureReport {
-            trials_run: 0,
-            failure: None,
-            skipped: Some(format!(
-                "runner too slow for timing-bound oracles: {}ms/cell fault-free \
-                 (budget {}ms) — skipping loudly rather than flaking",
-                reference.per_cell_ms, opts.calibration_budget_ms
-            )),
-        };
+        return skip(format!(
+            "runner too slow for timing-bound oracles: {}ms/cell fault-free \
+             (budget {}ms) — skipping loudly rather than flaking",
+            reference.per_cell_ms, opts.calibration_budget_ms
+        ));
     }
 
     let mut rng = Xorshift::new(opts.seed);
-    for trial in 0..opts.trials {
-        let schedule = random_schedule(&mut rng.fork());
-        println!("torture trial #{trial}: {}", schedule.to_spec());
-        campaign_no += 1;
-        let verdict = run_campaign(
-            &schedule,
-            &opts.data_root.join(format!("campaign-{campaign_no}")),
-            &reference,
-        );
-        let Err((oracle, error)) = verdict else {
-            continue;
-        };
-        println!("torture trial #{trial}: {oracle} oracle tripped — {error}; shrinking");
-        let last: std::cell::RefCell<(String, String)> =
-            std::cell::RefCell::new((oracle.clone(), error.clone()));
-        let (minimized, shrink_runs) = dashlat::chaos::shrink(
-            schedule.clone(),
-            schedule_candidates,
-            |cand| {
-                campaign_no += 1;
-                let dir = opts.data_root.join(format!("campaign-{campaign_no}"));
-                match run_campaign(cand, &dir, &reference) {
-                    Ok(()) => false,
-                    Err(found) => {
-                        *last.borrow_mut() = found;
-                        true
-                    }
-                }
-            },
-            opts.max_shrink_runs,
-        );
-        let (oracle, error) = last.into_inner();
-        return TortureReport {
-            trials_run: trial + 1,
-            failure: Some(TortureFailure {
-                trial,
-                original: schedule,
-                minimized,
-                oracle,
-                error,
-                shrink_runs,
-            }),
-            skipped: None,
-        };
-    }
+    let mut campaign_no = 0u32;
+    let (trials_run, failure) = chaos::campaign(
+        opts.trials,
+        opts.max_shrink_runs,
+        |trial| {
+            let schedule = random_schedule(&mut rng.fork());
+            println!("torture trial #{trial}: {}", schedule.to_spec());
+            schedule
+        },
+        |schedule| {
+            campaign_no += 1;
+            let dir = opts.data_root.join(format!("campaign-{campaign_no}"));
+            run_campaign(schedule, &dir, &reference)
+        },
+        schedule_candidates,
+        |trial, found| {
+            println!(
+                "torture trial #{trial}: {} oracle tripped — {}; shrinking",
+                found.oracle, found.error
+            );
+        },
+    );
     TortureReport {
-        trials_run: opts.trials,
-        failure: None,
+        trials_run,
+        failure,
         skipped: None,
     }
 }
@@ -480,21 +435,21 @@ fn await_terminal(addr: &str, ids: &[u64], deadline: Instant) -> bool {
 }
 
 /// Runs one campaign under `schedule`, returning the first oracle
-/// violation as `(oracle, error)`.
+/// violation.
 #[allow(clippy::too_many_lines)]
 fn run_campaign(
     schedule: &ServeSchedule,
     dir: &Path,
     reference: &Reference,
-) -> Result<(), (String, String)> {
-    std::fs::create_dir_all(dir).map_err(|e| ("setup".to_owned(), format!("campaign dir: {e}")))?;
-    let fail = |oracle: &str, error: String| (oracle.to_owned(), error);
+) -> Result<(), Finding> {
+    let fail = |oracle: &str, error: String| Finding::new(oracle, error);
+    std::fs::create_dir_all(dir).map_err(|e| fail("setup", format!("campaign dir: {e}")))?;
 
     // Phase 1: boot clean, then arm the schedule. The addr file is
     // published before faults arm, so the harness can always find the
-    // daemon initially.
-    let (server, handle, addr) =
-        boot(dir).map_err(|e| ("setup".to_owned(), format!("boot: {e}")))?;
+    // daemon initially. Disk faults are scoped to this campaign's dir;
+    // kills hit every cell the daemon spawns.
+    let (server, handle, addr) = boot(dir).map_err(|e| fail("setup", format!("boot: {e}")))?;
     let Some(addr) = addr else {
         server.stop();
         let _ = handle.join();
@@ -503,24 +458,17 @@ fn run_campaign(
             "daemon never published addr fault-free".into(),
         ));
     };
-    if schedule.disk_active() {
-        faultfs::arm(FaultFsPlan {
-            seed: schedule.seed,
-            eio_prob: schedule.disk_eio_prob,
-            enospc_prob: 0.0,
-            short_write_prob: schedule.disk_short_prob,
-            fsync_prob: schedule.disk_fsync_prob,
-            rename_prob: schedule.disk_eio_prob / 2.0,
-            path_filter: Some(dir.to_string_lossy().into_owned()),
-        });
-    }
-    if schedule.worker_kill_prob > 0.0 {
-        arm_kills(KillPlan {
-            seed: schedule.seed,
-            kill_prob: schedule.worker_kill_prob,
-            max_delay_ms: 200,
-        });
-    }
+    let faults = faultfs::arm(FaultFsPlan {
+        seed: schedule.seed,
+        eio_prob: schedule.disk_eio_prob,
+        short_write_prob: schedule.disk_short_prob,
+        fsync_prob: schedule.disk_fsync_prob,
+        rename_prob: schedule.disk_eio_prob / 2.0,
+        path_filter: Some(dir.to_string_lossy().into_owned()),
+        kill_prob: schedule.worker_kill_prob,
+        kill_max_delay_ms: 200,
+        ..FaultFsPlan::default()
+    });
 
     // Phase 2: submit work. Only 202-acknowledged jobs enter the
     // job-loss oracle; shed or refused submissions are fair game.
@@ -562,7 +510,6 @@ fn run_campaign(
         match boot(dir) {
             Ok((s, h, _)) => (s, h),
             Err(e) => {
-                disarm_all();
                 return Err(fail(
                     "recovery",
                     format!("mid-campaign restart failed: {e}"),
@@ -581,7 +528,7 @@ fn run_campaign(
     }
 
     // Phase 5: disarm everything and restart fresh — the judged phase.
-    disarm_all();
+    drop(faults);
     server.stop();
     let _ = handle.join();
     let (server, handle, addr) = match boot(dir) {
@@ -602,11 +549,6 @@ fn run_campaign(
     verdict
 }
 
-fn disarm_all() {
-    let _ = faultfs::disarm();
-    let _ = disarm_kills();
-}
-
 /// The four oracles, applied to a recovered fault-free daemon.
 fn judge(
     addr: &str,
@@ -614,8 +556,8 @@ fn judge(
     dir: &Path,
     reference: &Reference,
     schedule: &ServeSchedule,
-) -> Result<(), (String, String)> {
-    let fail = |oracle: &str, error: String| Err((oracle.to_owned(), error));
+) -> Result<(), Finding> {
+    let fail = |oracle: &str, error: String| Err(Finding::new(oracle, error));
 
     // Recovery: the daemon answers and drains every recovered job.
     match client::request(addr, "GET", "/healthz", None) {

@@ -14,69 +14,24 @@
 //!   [`Journal::read_committed_lines`] tolerates a torn tail (a final
 //!   line without `\n` from a crash mid-append) by dropping it.
 //!
-//! # Deterministic crash points
+//! # Host faults
 //!
-//! Integration tests need to die at *exactly* the worst moment, which a
-//! racing `kill -9` cannot guarantee. Two environment variables turn the
-//! primitives into their own fault injectors:
-//!
-//! * `DASHLAT_CRASH_AFTER_TEMP_WRITE=1` — [`atomic_write`] aborts after
-//!   the temp file is written and fsync'd but *before* the rename: the
-//!   destination must be untouched.
-//! * `DASHLAT_CRASH_AFTER_JOURNAL_APPEND=n` — the process aborts once
-//!   `n` journal lines have been appended (and fsync'd) process-wide:
-//!   the journal must contain exactly those `n` committed lines.
-//! * `DASHLAT_CRASH_AFTER_RENAME=1` — [`atomic_write`] aborts right
-//!   after the rename *and* the directory fsync: the destination must
-//!   hold the complete new contents under its final name — the rename
-//!   itself is durable, not just the file data.
-//!
-//! Both hooks call [`std::process::abort`], the closest in-process
-//! stand-in for SIGKILL (no unwinding, no destructors, no atexit).
-//!
-//! # Fault injection
-//!
-//! Crash points model the *process* dying; [`crate::faultfs`] models the
-//! *disk* failing. Every write, fsync and rename below is routed through
-//! that seam, so an armed fault plan can make any step return `EIO`,
-//! `ENOSPC`, a short write or a failed fsync — and the tests assert the
-//! atomic-publication contract survives all of them: errors propagate,
-//! the destination is never torn, and a retry after the fault clears
-//! publishes cleanly.
-//!
-//! # Planted bug: `DASHLAT_BUG_TORN_PUBLISH`
-//!
-//! Setting this variable to `1` replaces [`atomic_write`]'s temp-file →
-//! fsync → rename dance with a naive in-place truncate-and-write. That is
-//! the classic torn-publish bug the dance exists to prevent: combined
-//! with an injected write fault, readers can observe an empty or
-//! half-written "published" file. It exists so the service torture
-//! harness (`dashlat chaos --serve`) can prove its log-integrity oracle
-//! actually catches the corruption and shrinks the failing schedule —
-//! the same planted-regression idiom as the verifier's `verify-mutations`
-//! feature. Never set it outside those tests.
+//! Every write, fsync and rename below is routed through
+//! [`crate::faultfs`], the one host-fault seam. An armed fault plan can
+//! make any step return `EIO`, `ENOSPC`, a short write or a failed fsync
+//! — and the tests assert the atomic-publication contract survives all
+//! of them: errors propagate, the destination is never torn, and a retry
+//! after the fault clears publishes cleanly. The same plan's crash point
+//! makes these primitives die at exactly the worst moment (after the
+//! temp write, after the n-th append, or after the rename), and its
+//! planted torn publish replaces [`atomic_write`]'s dance with a naive
+//! in-place write for the torture harness to catch.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Environment variable enabling the abort-before-rename crash point in
-/// [`atomic_write`].
-pub const CRASH_AFTER_TEMP_WRITE_ENV: &str = "DASHLAT_CRASH_AFTER_TEMP_WRITE";
-
-/// Environment variable enabling the abort-after-n-appends crash point
-/// in [`Journal::append`].
-pub const CRASH_AFTER_JOURNAL_APPEND_ENV: &str = "DASHLAT_CRASH_AFTER_JOURNAL_APPEND";
-
-/// Environment variable enabling the abort-after-rename crash point in
-/// [`atomic_write`]: the process dies after rename + directory fsync, so
-/// the published file must be findable under its final name on restart.
-pub const CRASH_AFTER_RENAME_ENV: &str = "DASHLAT_CRASH_AFTER_RENAME";
-
-/// Environment variable enabling the planted torn-publish bug in
-/// [`atomic_write`] (see the module docs). Test-only.
-pub const BUG_TORN_PUBLISH_ENV: &str = "DASHLAT_BUG_TORN_PUBLISH";
+use crate::faultfs::{self, CrashPoint};
 
 /// Fsyncs the directory `dir` (or the current directory when `None`) so
 /// a rename or file creation inside it survives power loss. Directory
@@ -88,7 +43,7 @@ pub const BUG_TORN_PUBLISH_ENV: &str = "DASHLAT_BUG_TORN_PUBLISH";
 fn sync_dir(dir: Option<&Path>) -> io::Result<()> {
     let dir = dir.unwrap_or_else(|| Path::new("."));
     if let Ok(dirf) = File::open(dir) {
-        crate::faultfs::sync_all(&dirf, dir)?;
+        faultfs::sync_all(&dirf, dir)?;
     }
     Ok(())
 }
@@ -103,14 +58,14 @@ fn sync_dir(dir: Option<&Path>) -> io::Result<()> {
 /// Propagates I/O errors from any step; on failure the temp file is
 /// removed on a best-effort basis and `path` is untouched.
 pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
-    if std::env::var(BUG_TORN_PUBLISH_ENV).as_deref() == Ok("1") {
+    if faultfs::torn_publish() {
         // Planted torn-publish bug (module docs): truncate the
         // destination and write in place. An injected write fault now
         // leaves a torn published file — exactly what the rename dance
         // prevents — for the torture harness to catch.
         let mut f = File::create(path)?;
-        crate::faultfs::write_all(&mut f, path, contents.as_bytes())?;
-        crate::faultfs::sync_all(&f, path)?;
+        faultfs::write_all(&mut f, path, contents.as_bytes())?;
+        faultfs::sync_all(&f, path)?;
         return Ok(());
     }
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
@@ -128,24 +83,20 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     };
     let write_result = (|| {
         let mut f = File::create(&tmp)?;
-        crate::faultfs::write_all(&mut f, &tmp, contents.as_bytes())?;
-        crate::faultfs::sync_all(&f, &tmp)?;
-        if std::env::var(CRASH_AFTER_TEMP_WRITE_ENV).as_deref() == Ok("1") {
-            // Deterministic crash point: die with the temp file durable
-            // but the destination not yet switched over.
-            std::process::abort();
-        }
-        crate::faultfs::rename(&tmp, path)?;
+        faultfs::write_all(&mut f, &tmp, contents.as_bytes())?;
+        faultfs::sync_all(&f, &tmp)?;
+        // Deterministic crash point: die with the temp file durable but
+        // the destination not yet switched over.
+        faultfs::crash_point(CrashPoint::AfterTempWrite);
+        faultfs::rename(&tmp, path)?;
         // Durability of the rename needs the directory entry synced —
         // without this the file data is safe but the *name* can vanish
         // in a power loss, which is indistinguishable from never having
         // published at all.
         sync_dir(dir)?;
-        if std::env::var(CRASH_AFTER_RENAME_ENV).as_deref() == Ok("1") {
-            // Deterministic crash point: the rename is durable; a
-            // restart must find the complete new contents at `path`.
-            std::process::abort();
-        }
+        // Deterministic crash point: the rename is durable; a restart
+        // must find the complete new contents at `path`.
+        faultfs::crash_point(CrashPoint::AfterRename);
         Ok(())
     })();
     if write_result.is_err() {
@@ -153,10 +104,6 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     }
     write_result
 }
-
-/// Process-wide count of journal lines appended, feeding the
-/// `DASHLAT_CRASH_AFTER_JOURNAL_APPEND` crash point.
-static APPENDS: AtomicU64 = AtomicU64::new(0);
 
 /// An append-only line journal with per-line durability.
 #[derive(Debug)]
@@ -199,11 +146,6 @@ impl Journal {
         })
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one line (a `\n` is added) and fsyncs before returning:
     /// once this returns, the line survives `kill -9`.
     ///
@@ -220,19 +162,12 @@ impl Journal {
             !line.contains('\n'),
             "journal lines must not contain newlines"
         );
-        crate::faultfs::write_all(&mut self.file, &self.path, line.as_bytes())?;
-        crate::faultfs::write_all(&mut self.file, &self.path, b"\n")?;
-        crate::faultfs::sync_data(&self.file, &self.path)?;
-        if let Ok(v) = std::env::var(CRASH_AFTER_JOURNAL_APPEND_ENV) {
-            if let Ok(n) = v.parse::<u64>() {
-                let done = APPENDS.fetch_add(1, Ordering::SeqCst) + 1;
-                if done >= n {
-                    // Deterministic crash point: this line is committed,
-                    // nothing after it will be.
-                    std::process::abort();
-                }
-            }
-        }
+        faultfs::write_all(&mut self.file, &self.path, line.as_bytes())?;
+        faultfs::write_all(&mut self.file, &self.path, b"\n")?;
+        faultfs::sync_data(&self.file, &self.path)?;
+        // Deterministic crash point: this line is committed, nothing
+        // after it will be.
+        faultfs::journal_appended();
         Ok(())
     }
 
@@ -342,50 +277,20 @@ mod tests {
 
     #[test]
     fn atomic_write_under_every_fault_class_leaves_destination_untouched() {
-        use crate::faultfs::{self, FaultFsPlan};
-        let _g = crate::faultfs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let d = tmpdir("faulted-atomic");
         let p = d.join("out.json");
         atomic_write(&p, "published v1").expect("clean publish");
-        let classes: [(&str, FaultFsPlan); 4] = [
-            (
-                "eio",
-                FaultFsPlan {
-                    eio_prob: 1.0,
-                    ..FaultFsPlan::default()
-                },
-            ),
-            (
-                "short write",
-                FaultFsPlan {
-                    short_write_prob: 1.0,
-                    ..FaultFsPlan::default()
-                },
-            ),
-            (
-                "fsync",
-                FaultFsPlan {
-                    fsync_prob: 1.0,
-                    ..FaultFsPlan::default()
-                },
-            ),
-            (
-                "rename",
-                FaultFsPlan {
-                    rename_prob: 1.0,
-                    ..FaultFsPlan::default()
-                },
-            ),
+        let classes = [
+            ("eio", "eio=1"),
+            ("short write", "short=1"),
+            ("fsync", "fsync=1"),
+            ("rename", "rename=1"),
         ];
-        for (name, plan) in classes {
-            faultfs::arm(FaultFsPlan {
-                path_filter: Some(d.to_string_lossy().into_owned()),
-                ..plan
-            });
+        for (name, spec) in classes {
+            let faults = faultfs::arm(faultfs::scoped(&d, spec));
             let err = atomic_write(&p, "torn v2").expect_err(name);
-            let stats = faultfs::disarm();
+            let stats = faults.stats();
+            drop(faults);
             assert!(
                 err.to_string().contains("injected fault"),
                 "{name}: unexpected error {err}"
@@ -413,35 +318,14 @@ mod tests {
 
     #[test]
     fn faulted_journal_append_propagates_and_commits_nothing() {
-        use crate::faultfs::{self, FaultFsPlan};
-        let _g = crate::faultfs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let d = tmpdir("faulted-append");
-        let plans = [
-            FaultFsPlan {
-                eio_prob: 1.0,
-                ..FaultFsPlan::default()
-            },
-            FaultFsPlan {
-                short_write_prob: 1.0,
-                ..FaultFsPlan::default()
-            },
-            FaultFsPlan {
-                fsync_prob: 1.0,
-                ..FaultFsPlan::default()
-            },
-        ];
-        for (i, plan) in plans.into_iter().enumerate() {
+        for (i, spec) in ["eio=1", "short=1", "fsync=1"].into_iter().enumerate() {
             let p = d.join(format!("sweep-{i}.journal"));
             let mut j = Journal::create(&p).expect("create");
             j.append("{\"a\":1}").expect("clean append");
-            faultfs::arm(FaultFsPlan {
-                path_filter: Some(d.to_string_lossy().into_owned()),
-                ..plan
-            });
+            let faults = faultfs::arm(faultfs::scoped(&d, spec));
             let err = j.append("{\"b\":2}").expect_err("faulted append");
-            faultfs::disarm();
+            drop(faults);
             assert!(err.to_string().contains("injected fault"), "{err}");
             // The acknowledged line always survives, and no reader ever
             // sees torn garbage. (A failed *fsync* may still leave the

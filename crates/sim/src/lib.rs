@@ -20,9 +20,11 @@
 //! * [`fault`] — deterministic, seeded fault injection (directory NACKs
 //!   with exponential backoff, delayed packets, transient buffer-full
 //!   events) used to harden experiments against protocol perturbation.
-//! * [`faultfs`] — the same idea for the filesystem: a seeded fault plan
-//!   over the journal's writes, fsyncs and renames (EIO, ENOSPC, short
-//!   writes) backing the service torture harness in `dashlat-serve`.
+//! * [`faultfs`] — the same idea for the host: one seeded fault plan over
+//!   the journal's writes, fsyncs and renames (EIO, ENOSPC, short
+//!   writes), worker kills, crash points and a planted torn publish,
+//!   backing the crash tests and the service torture harness in
+//!   `dashlat-serve`.
 //! * [`journal`] — crash-safe file primitives (atomic whole-file writes,
 //!   an fsync'd append-only line journal) backing the resumable sweep
 //!   supervisor in `dashlat`.

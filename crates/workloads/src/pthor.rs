@@ -250,11 +250,6 @@ impl Pthor {
         self.evaluations
     }
 
-    /// Tasks currently queued (test telemetry).
-    pub fn tasks_queued(&self) -> usize {
-        self.in_queues
-    }
-
     fn nproc(&self) -> usize {
         self.topo.processes()
     }
