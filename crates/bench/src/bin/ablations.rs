@@ -9,8 +9,8 @@
 //! * cache scaling (the paper's §2.3 scaled-vs-full-size check),
 //! * contention on/off (how much of the latency is queueing).
 //!
-//! Every measurement goes through a [`SweepLog`]: each study's cells are
-//! queued as a [`SweepBatch`] and run in parallel on the sweep worker pool
+//! Every measurement goes through a [`SweepLog`]: each study's points run
+//! in parallel on the sweep worker pool through [`SweepLog::measure`]
 //! (`--jobs N` to cap it). A single failing configuration is recorded and
 //! skipped, the rest of the sweep still runs, and the binary ends with a
 //! (partial, if needed) JSON record and exit code 5 instead of aborting
@@ -20,8 +20,8 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 
 use dashlat::apps::App;
-use dashlat::runner::run;
-use dashlat_bench::{base_config_from_args, print_preamble, SweepBatch, SweepLog};
+use dashlat::runner::run_isolated;
+use dashlat_bench::{base_config_from_args, print_preamble, run_point, SweepLog};
 use dashlat_sim::Cycle;
 
 fn main() -> ExitCode {
@@ -32,24 +32,20 @@ fn main() -> ExitCode {
     println!("## Write-buffer depth (MP3D, RC)\n");
     const DEPTHS: [usize; 6] = [1, 2, 4, 8, 16, 32];
     let rc = base.clone().with_rc();
-    let mut batch = SweepBatch::new();
-    for depth in DEPTHS {
-        let cfg = rc.clone();
-        batch.add("write-buffer-depth", format!("depth={depth}"), move || {
-            // Depth is a ProcConfig knob; route it through a one-off run.
-            let topo = cfg.topology();
-            let mut space = dashlat_mem::layout::AddressSpaceBuilder::new(cfg.processors);
-            let w = App::Mp3d.build(cfg.scale, topo, &mut space, false);
-            let mem = dashlat_mem::system::MemorySystem::new(cfg.mem_config(), space.build());
-            let mut pc = cfg.proc_config();
-            pc.write_buffer_entries = depth;
-            dashlat_cpu::machine::Machine::new(pc, topo, mem, w)
-                .run()
-                .map(|r| r.elapsed.as_u64())
-                .map_err(|e| e.to_string())
-        });
-    }
-    let elapsed = log.measure_batch(batch, None);
+    let points = DEPTHS.map(|depth| (format!("depth={depth}"), depth));
+    let elapsed = log.measure("write-buffer-depth", &points, None, |&depth| {
+        // Depth is a ProcConfig knob; route it through a one-off run.
+        let topo = rc.topology();
+        let mut space = dashlat_mem::layout::AddressSpaceBuilder::new(rc.processors);
+        let w = App::Mp3d.build(rc.scale, topo, &mut space, false);
+        let mem = dashlat_mem::system::MemorySystem::new(rc.mem_config(), space.build());
+        let mut pc = rc.proc_config();
+        pc.write_buffer_entries = depth;
+        dashlat_cpu::machine::Machine::new(pc, topo, mem, w)
+            .run()
+            .map(|r| r.elapsed.as_u64())
+            .map_err(|e| e.to_string())
+    });
     for (depth, t) in DEPTHS.iter().zip(&elapsed) {
         if let Some(t) = t {
             println!("  depth {depth:>2}: {t:>12} pclk");
@@ -58,23 +54,19 @@ fn main() -> ExitCode {
 
     println!("\n## Invalidation-ack latency (PTHOR, RC; what releases wait for)\n");
     const ACKS: [u64; 5] = [0, 10, 20, 40, 80];
-    let mut batch = SweepBatch::new();
-    for ack in ACKS {
-        let cfg = base.clone().with_rc();
-        batch.add("inval-ack-latency", format!("ack={ack}"), move || {
-            let topo = cfg.topology();
-            let mut space = dashlat_mem::layout::AddressSpaceBuilder::new(cfg.processors);
-            let w = App::Pthor.build(cfg.scale, topo, &mut space, false);
-            let mut mc = cfg.mem_config();
-            mc.latencies.inval_roundtrip = Cycle(ack);
-            let mem = dashlat_mem::system::MemorySystem::new(mc, space.build());
-            dashlat_cpu::machine::Machine::new(cfg.proc_config(), topo, mem, w)
-                .run()
-                .map(|r| r.elapsed.as_u64())
-                .map_err(|e| e.to_string())
-        });
-    }
-    let elapsed = log.measure_batch(batch, None);
+    let points = ACKS.map(|ack| (format!("ack={ack}"), ack));
+    let elapsed = log.measure("inval-ack-latency", &points, None, |&ack| {
+        let topo = rc.topology();
+        let mut space = dashlat_mem::layout::AddressSpaceBuilder::new(rc.processors);
+        let w = App::Pthor.build(rc.scale, topo, &mut space, false);
+        let mut mc = rc.mem_config();
+        mc.latencies.inval_roundtrip = Cycle(ack);
+        let mem = dashlat_mem::system::MemorySystem::new(mc, space.build());
+        dashlat_cpu::machine::Machine::new(rc.proc_config(), topo, mem, w)
+            .run()
+            .map(|r| r.elapsed.as_u64())
+            .map_err(|e| e.to_string())
+    });
     for (ack, t) in ACKS.iter().zip(&elapsed) {
         if let Some(t) = t {
             println!("  ack +{ack:>3}: {t:>12} pclk");
@@ -84,33 +76,29 @@ fn main() -> ExitCode {
     println!(
         "\n## Prefetch schedule: distributed vs whole-column burst (LU, SC+pf; section 5.2)\n"
     );
-    let mut batch = SweepBatch::new();
-    for burst in [false, true] {
+    let points = [false, true].map(|burst| {
         let point = if burst { "burst" } else { "distributed" };
-        let cfg = base.clone();
-        batch.add("prefetch-schedule", point, move || {
-            let topo = cfg.topology();
-            let mut space = dashlat_mem::layout::AddressSpaceBuilder::new(cfg.processors);
-            let params = dashlat_workloads::lu::LuParams {
-                burst_prefetch: burst,
-                ..match cfg.scale {
-                    dashlat::config::AppScale::Paper => dashlat_workloads::lu::LuParams::paper(),
-                    dashlat::config::AppScale::Test => {
-                        dashlat_workloads::lu::LuParams::test_scale()
-                    }
-                }
-            };
-            let w = dashlat_workloads::lu::Lu::new(params, topo, &mut space, true);
-            let mem = dashlat_mem::system::MemorySystem::new(cfg.mem_config(), space.build());
-            let mut pc = cfg.proc_config();
-            pc.prefetching = true;
-            dashlat_cpu::machine::Machine::new(pc, topo, mem, w)
-                .run()
-                .map(|r| r.elapsed.as_u64())
-                .map_err(|e| e.to_string())
-        });
-    }
-    let elapsed = log.measure_batch(batch, None);
+        (point.to_owned(), burst)
+    });
+    let elapsed = log.measure("prefetch-schedule", &points, None, |&burst| {
+        let topo = base.topology();
+        let mut space = dashlat_mem::layout::AddressSpaceBuilder::new(base.processors);
+        let params = dashlat_workloads::lu::LuParams {
+            burst_prefetch: burst,
+            ..match base.scale {
+                dashlat::config::AppScale::Paper => dashlat_workloads::lu::LuParams::paper(),
+                dashlat::config::AppScale::Test => dashlat_workloads::lu::LuParams::test_scale(),
+            }
+        };
+        let w = dashlat_workloads::lu::Lu::new(params, topo, &mut space, true);
+        let mem = dashlat_mem::system::MemorySystem::new(base.mem_config(), space.build());
+        let mut pc = base.proc_config();
+        pc.prefetching = true;
+        dashlat_cpu::machine::Machine::new(pc, topo, mem, w)
+            .run()
+            .map(|r| r.elapsed.as_u64())
+            .map_err(|e| e.to_string())
+    });
     for (burst, t) in [false, true].iter().zip(&elapsed) {
         if let Some(t) = t {
             println!(
@@ -122,17 +110,11 @@ fn main() -> ExitCode {
 
     println!("\n## Context-switch overhead (MP3D, SC, 4 contexts)\n");
     const SWITCHES: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
-    let mut batch = SweepBatch::new();
-    for sw in SWITCHES {
+    let points = SWITCHES.map(|sw| {
         let cfg = base.clone().with_contexts(4, Cycle(sw));
-        batch.add_run(
-            "context-switch-overhead",
-            format!("switch={sw}"),
-            App::Mp3d,
-            &cfg,
-        );
-    }
-    let elapsed = log.measure_batch(batch, None);
+        (format!("switch={sw}"), (App::Mp3d, cfg))
+    });
+    let elapsed = log.measure("context-switch-overhead", &points, None, run_point);
     for (sw, t) in SWITCHES.iter().zip(&elapsed) {
         if let Some(t) = t {
             println!("  switch {sw:>2}: {t:>12} pclk");
@@ -144,28 +126,23 @@ fn main() -> ExitCode {
     let read_hits: Vec<Mutex<String>> = (0..CACHES.len() * App::ALL.len())
         .map(|_| Mutex::new(String::new()))
         .collect();
-    let mut batch = SweepBatch::new();
-    for (c, (label, full)) in CACHES.iter().enumerate() {
-        for (a, app) in App::ALL.iter().enumerate() {
-            let cfg = if *full {
+    let mut points = Vec::new();
+    for (label, full) in CACHES {
+        for app in App::ALL {
+            let cfg = if full {
                 base.clone().with_full_caches()
             } else {
                 base.clone()
             };
-            let hits = &read_hits[c * App::ALL.len() + a];
-            let app = *app;
-            batch.add(
-                "cache-scaling",
-                format!("{label}/{}", app.name()),
-                move || {
-                    let e = run(app, &cfg).map_err(|e| e.to_string())?;
-                    *hits.lock().expect("hits lock") = e.result.mem.read_hits.to_string();
-                    Ok(e.result.elapsed.as_u64())
-                },
-            );
+            let hits = &read_hits[points.len()];
+            points.push((format!("{label}/{}", app.name()), (app, cfg, hits)));
         }
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("cache-scaling", &points, None, |(app, cfg, hits)| {
+        let e = run_isolated(*app, cfg).map_err(|f| f.to_string())?;
+        *hits.lock().expect("hits lock") = e.result.mem.read_hits.to_string();
+        Ok(e.result.elapsed.as_u64())
+    });
     for (c, (label, _)) in CACHES.iter().enumerate() {
         for (a, app) in App::ALL.iter().enumerate() {
             let i = c * App::ALL.len() + a;
@@ -181,19 +158,14 @@ fn main() -> ExitCode {
 
     println!("\n## Read lookahead: the section-4.1 out-of-order what-if (all apps, RC)\n");
     const WINDOWS: [u64; 5] = [0, 16, 32, 64, 128];
-    let mut batch = SweepBatch::new();
+    let mut points = Vec::new();
     for app in App::ALL {
         for window in WINDOWS {
             let cfg = base.clone().with_rc().with_read_lookahead(Cycle(window));
-            batch.add_run(
-                "read-lookahead",
-                format!("{}/W{window}", app.name()),
-                app,
-                &cfg,
-            );
+            points.push((format!("{}/W{window}", app.name()), (app, cfg)));
         }
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("read-lookahead", &points, None, run_point);
     for (a, app) in App::ALL.iter().enumerate() {
         print!("  {:<6}", app.name());
         for (wi, window) in WINDOWS.iter().enumerate() {
@@ -206,17 +178,13 @@ fn main() -> ExitCode {
     }
 
     println!("\n## Network model: endpoint ports vs 2-D mesh (all apps, SC)\n");
-    let mut batch = SweepBatch::new();
+    let mut points = Vec::new();
     for app in App::ALL {
-        batch.add_run("network-model", format!("{}/ports", app.name()), app, &base);
-        batch.add_run(
-            "network-model",
-            format!("{}/mesh", app.name()),
-            app,
-            &base.clone().with_mesh_network(),
-        );
+        points.push((format!("{}/ports", app.name()), (app, base.clone())));
+        let mesh = base.clone().with_mesh_network();
+        points.push((format!("{}/mesh", app.name()), (app, mesh)));
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("network-model", &points, None, run_point);
     for (a, app) in App::ALL.iter().enumerate() {
         if let (Some(ports), Some(mesh)) = (elapsed[2 * a], elapsed[2 * a + 1]) {
             println!(
@@ -230,19 +198,15 @@ fn main() -> ExitCode {
     println!("\n## Directory organisation: full-map vs Dir_i-B (MP3D + PTHOR, SC)\n");
     const PTRS: [usize; 3] = [1, 2, 4];
     const DIR_APPS: [App; 2] = [App::Mp3d, App::Pthor];
-    let mut batch = SweepBatch::new();
+    let mut points = Vec::new();
     for app in DIR_APPS {
-        batch.add_run("directory", format!("{}/full-map", app.name()), app, &base);
+        points.push((format!("{}/full-map", app.name()), (app, base.clone())));
         for ptrs in PTRS {
-            batch.add_run(
-                "directory",
-                format!("{}/Dir{ptrs}B", app.name()),
-                app,
-                &base.clone().with_limited_directory(ptrs),
-            );
+            let limited = base.clone().with_limited_directory(ptrs);
+            points.push((format!("{}/Dir{ptrs}B", app.name()), (app, limited)));
         }
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("directory", &points, None, run_point);
     let stride = 1 + PTRS.len();
     for (a, app) in DIR_APPS.iter().enumerate() {
         let full = elapsed[a * stride];
@@ -258,14 +222,14 @@ fn main() -> ExitCode {
     }
 
     println!("\n## Contention model on/off (all apps, SC)\n");
-    let mut batch = SweepBatch::new();
+    let mut points = Vec::new();
     for app in App::ALL {
-        batch.add_run("contention", format!("{}/on", app.name()), app, &base);
+        points.push((format!("{}/on", app.name()), (app, base.clone())));
         let mut cfg = base.clone();
         cfg.contention = false;
-        batch.add_run("contention", format!("{}/off", app.name()), app, &cfg);
+        points.push((format!("{}/off", app.name()), (app, cfg)));
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("contention", &points, None, run_point);
     for (a, app) in App::ALL.iter().enumerate() {
         if let (Some(on), Some(off)) = (elapsed[2 * a], elapsed[2 * a + 1]) {
             println!(

@@ -1,6 +1,6 @@
 //! CI bench-gate: fails the build on a >10% events/sec regression.
 //!
-//! The committed baseline (`BENCH_8.json`, produced by `perf --out`) was
+//! The committed baseline (`BENCH_16.json`, produced by `perf --out`) was
 //! recorded on one particular machine; CI runners are differently sized
 //! and differently noisy, so the gate never compares absolute numbers
 //! directly. Instead:
@@ -13,9 +13,10 @@
 //!    banner and **skips** (exit 0): a flaky failure teaches people to
 //!    ignore the gate, which is worse than an occasional skipped check.
 //! 2. **Sweep the pinned subset.** Figures `--figures` (default `2,3`)
-//!    are swept exactly the way `perf`'s parallel pass does (same memo
-//!    discipline), and per-figure events/sec is compared against the
-//!    rescaled baseline.
+//!    are swept exactly the way `perf`'s serial pass does — one worker,
+//!    through [`dashlat_bench::sweep_figure`], every cell simulated — and
+//!    per-figure events/sec is compared against the rescaled baseline's
+//!    headline, which is that same serial quantity.
 //! 3. **Gate.** Any figure slower than `rescaled × (1 − tolerance)`
 //!    (default tolerance 10%) fails with exit 1. Being *faster* than the
 //!    baseline never fails — it prints a reminder to refresh the
@@ -23,15 +24,14 @@
 //!
 //! Usage: `bench_gate [--baseline PATH] [--figures 2,3] [--tolerance
 //! 0.10] [--noise 0.12]`
+//!
+//! A baseline that is missing, or lacks the calibration score or a gated
+//! figure's events/sec, exits 1 naming the file before anything runs.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use dashlat::apps::App;
-use dashlat::cellcache::CellMemo;
-use dashlat::experiments::figure_configs;
-use dashlat::{effective_jobs, run_matrix_jobs_memo, ExperimentConfig};
-use dashlat_bench::{calibrate, command_line, figure_list, or_exit};
+use dashlat::ExperimentConfig;
+use dashlat_bench::{calibrate, command_line, figure_list, or_exit, sweep_figure};
 
 /// Extracts the number following `"key":` from `json`, starting the scan
 /// at `from`. Good enough for the flat records `perf` emits; a structural
@@ -54,19 +54,40 @@ fn baseline_events_per_sec(json: &str, figure: u8) -> Option<f64> {
     extract_f64(json, "events_per_sec", at)
 }
 
+/// The baseline's recorded calibration score and each gated figure's
+/// events/sec, in `figures` order.
+///
+/// # Errors
+///
+/// Names the file and what it could not provide.
+fn read_baseline(path: &str, figures: &[u8]) -> Result<(f64, Vec<f64>), String> {
+    let json =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let calibration = extract_f64(&json, "calibration_events_per_sec", 0).ok_or_else(|| {
+        format!(
+            "baseline {path} has no calibration_events_per_sec; regenerate it with `perf --out`"
+        )
+    })?;
+    let per_figure = figures
+        .iter()
+        .map(|&figure| {
+            baseline_events_per_sec(&json, figure)
+                .ok_or_else(|| format!("baseline {path} has no events_per_sec for figure {figure}"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((calibration, per_figure))
+}
+
 fn main() -> ExitCode {
     let mut args = command_line();
     let baseline_path: String =
-        or_exit(args.value("--baseline")).unwrap_or_else(|| "BENCH_8.json".into());
+        or_exit(args.value("--baseline")).unwrap_or_else(|| "BENCH_16.json".into());
     let tolerance: f64 = or_exit(args.value("--tolerance")).unwrap_or(0.10);
     let noise: f64 = or_exit(args.value("--noise")).unwrap_or(0.12);
     let figures = or_exit(args.value_with("--figures", figure_list)).unwrap_or_else(|| vec![2, 3]);
     or_exit(args.finish());
 
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let recorded_calibration = extract_f64(&baseline, "calibration_events_per_sec", 0)
-        .expect("baseline has no calibration_events_per_sec; regenerate it with `perf --out`");
+    let (recorded_calibration, recorded) = or_exit(read_baseline(&baseline_path, &figures));
 
     println!(
         "# bench-gate — baseline {baseline_path}, tolerance {:.0}%\n",
@@ -94,30 +115,16 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Step 2: sweep the pinned subset the way perf's parallel pass does.
+    // Step 2: sweep the pinned subset the way perf's serial pass does.
     let base = ExperimentConfig::base();
-    let jobs = effective_jobs(None);
-    let memo = CellMemo::new();
     let mut failed = false;
     let mut faster = false;
-    for &figure in &figures {
-        let configs = figure_configs(figure, &base);
-        let start = Instant::now();
-        let mut sim_events = 0u64;
-        let mut failures = 0usize;
-        for &app in &App::ALL {
-            let report = run_matrix_jobs_memo(app, &configs, Some(jobs), Some(&memo));
-            failures += report.failures().len();
-            for e in report.successes() {
-                sim_events += e.result.sim_events;
-            }
-        }
-        let measured = sim_events as f64 / start.elapsed().as_secs_f64();
-        let recorded = baseline_events_per_sec(&baseline, figure)
-            .unwrap_or_else(|| panic!("baseline {baseline_path} has no figure {figure}"));
+    for (&figure, &recorded) in figures.iter().zip(&recorded) {
+        let sweep = sweep_figure(figure, &base, 1);
+        let measured = sweep.sim_events as f64 / (sweep.wall_ms / 1e3);
         let expected = recorded * scale;
         let ratio = measured / expected;
-        let verdict = if failures > 0 {
+        let verdict = if sweep.failures > 0 {
             failed = true;
             "FAIL (cells failed)"
         } else if ratio < 1.0 - tolerance {

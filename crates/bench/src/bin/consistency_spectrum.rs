@@ -3,15 +3,15 @@
 //! The paper evaluates the two ends and notes that processor consistency
 //! and weak consistency fall in between (§4). This binary sweeps all four
 //! models over the three applications. The sweep is resilient: a failed
-//! cell is reported and the remaining models still render (exit code 5
-//! marks a partial result).
+//! cell is reported and the remaining models still render, and the exit
+//! code is the figure binaries' ([`FigureReport::exit_code`]).
+//!
+//! [`FigureReport::exit_code`]: dashlat::experiments::FigureReport::exit_code
 
 use std::process::ExitCode;
 
-use dashlat::apps::App;
 use dashlat::config::ExperimentConfig;
-use dashlat::report::AppFigure;
-use dashlat::runner::run_matrix;
+use dashlat::experiments::figure_from_matrix;
 use dashlat_bench::{base_config_from_args, print_preamble};
 use dashlat_cpu::config::Consistency;
 
@@ -27,20 +27,13 @@ fn main() -> ExitCode {
     .into_iter()
     .map(|m| base.clone().with_consistency(m))
     .collect();
-    let mut failed = 0usize;
-    for app in App::ALL {
-        let report = run_matrix(app, &configs);
-        for (label, failure) in report.failures() {
-            eprintln!("warning: {app}/{label} failed: {failure}");
-            failed += 1;
-        }
-        let runs: Vec<_> = report.successes().into_iter().cloned().collect();
-        // Bars are normalized to SC (the first cell); without it the group
-        // cannot be scaled.
-        if runs.is_empty() || report.cells[0].outcome.is_err() {
-            continue;
-        }
-        let g = AppFigure::from_experiments(&runs);
+    // Bars are normalized to SC (the first cell); an app whose SC cell
+    // failed has no group.
+    let report = figure_from_matrix("Consistency spectrum", &configs);
+    for (app, label, failure) in &report.failures {
+        eprintln!("warning: {app}/{label} failed: {failure}");
+    }
+    for g in &report.figure.groups {
         println!("{}", g.app);
         for (i, bar) in g.bars.iter().enumerate() {
             println!(
@@ -52,9 +45,5 @@ fn main() -> ExitCode {
         }
         println!();
     }
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(5)
-    }
+    ExitCode::from(report.exit_code())
 }

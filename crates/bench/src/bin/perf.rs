@@ -4,11 +4,10 @@
 //! machine, this one measures the *simulator*: wall-clock per figure
 //! matrix, simulation events per second, and the serial-vs-parallel
 //! speedup of the sweep engine. It writes the machine-readable record
-//! (`BENCH_8.json` at the repo root by convention) that CI's bench-gate
+//! (`BENCH_16.json` at the repo root by convention) that CI's bench-gate
 //! and the results log track across commits.
 //!
-//! Usage: `perf [--test-scale] [--jobs N] [--out PATH] [--figures 2,3]
-//! [--no-memo]`
+//! Usage: `perf [--test-scale] [--jobs N] [--out PATH] [--figures 2,3]`
 //!
 //! * `--test-scale` — reduced data sets (CI smoke); default is paper scale.
 //! * `--jobs N` — worker count for the parallel pass (default all cores;
@@ -16,64 +15,35 @@
 //! * `--out PATH` — where to write the JSON record (default stdout only).
 //! * `--figures LIST` — comma-separated subset of the paper figures
 //!   (default all).
-//! * `--no-memo` — disable the cross-figure result memo (see below).
 //!
-//! Each figure is swept twice through [`dashlat::run_matrix_jobs_memo`]:
-//! once with `jobs = 1` (the serial baseline) and once with the requested
+//! Each figure is swept twice through [`dashlat_bench::sweep_figure`]:
+//! once with one worker (the serial pass) and once with the requested
 //! worker count. The two reports must fingerprint identically — the
 //! harness asserts it, so a determinism regression fails the benchmark
 //! run rather than silently producing numbers for diverging sweeps.
 //!
-//! ## The result memo
-//!
-//! The figure presets share machine configurations (the base machine
-//! appears in all five figures; RC in three), so the harness keeps one
-//! [`CellMemo`] per *pass kind* — one shared by every serial pass, one by
-//! every parallel pass, never mixed — and repeated configurations are
-//! served from it instead of re-simulated. Per-pass memos keep the
-//! serial/parallel comparison symmetric: both sides do exactly the same
-//! simulation work, so the speedup column stays honest. Hits are
-//! reported per figure in the JSON (`memo_hits`) so a reader can see how
-//! much of a figure's throughput came from sharing rather than raw
-//! kernel speed; `--no-memo` measures the kernel alone.
+//! Both passes simulate every cell they count. The headline
+//! `events_per_sec` is the serial pass's: it does not depend on the
+//! host's core count, and it is the quantity `bench_gate` measures.
+//! `parallel_ms` and `speedup` show what the worker pool adds, read
+//! against each figure's `jobs_effective` — the workers its per-app
+//! matrices were granted.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use dashlat::apps::App;
-use dashlat::cellcache::CellMemo;
-use dashlat::experiments::{figure_configs, FIGURES};
-use dashlat::{
-    effective_jobs, hardware_cores, matrix_jobs, run_matrix_jobs_memo, ExperimentConfig,
-    MatrixReport,
-};
-use dashlat_bench::{calibrate, command_line, figure_list, or_exit, BenchArgs};
+use dashlat::experiments::FIGURES;
+use dashlat::{effective_jobs, hardware_cores, ExperimentConfig, MatrixReport};
+use dashlat_bench::{calibrate, command_line, figure_list, or_exit, sweep_figure, BenchArgs};
 
 struct FigureTiming {
     figure: u8,
     cells: usize,
     serial_ms: f64,
     parallel_ms: f64,
+    jobs_effective: usize,
     sim_events: u64,
     sim_cycles: u64,
     failures: usize,
-    /// Cells served from the parallel pass's memo for this figure.
-    memo_hits: u64,
-}
-
-fn sweep(
-    figure: u8,
-    base: &ExperimentConfig,
-    jobs: usize,
-    memo: Option<&CellMemo>,
-) -> (Vec<MatrixReport>, f64) {
-    let configs = figure_configs(figure, base);
-    let start = Instant::now();
-    let reports: Vec<MatrixReport> = App::ALL
-        .iter()
-        .map(|&app| run_matrix_jobs_memo(app, &configs, Some(jobs), memo))
-        .collect();
-    (reports, start.elapsed().as_secs_f64() * 1e3)
 }
 
 fn fingerprint(reports: &[MatrixReport]) -> String {
@@ -83,7 +53,6 @@ fn fingerprint(reports: &[MatrixReport]) -> String {
 fn main() -> ExitCode {
     let mut args = command_line();
     let base = or_exit(BenchArgs::read(&mut args)).config;
-    let use_memo = !or_exit(args.switch("--no-memo"));
     let figures = or_exit(args.value_with("--figures", figure_list));
     let figures = figures.unwrap_or_else(|| FIGURES.collect());
     let out_path: Option<String> = or_exit(args.value("--out"));
@@ -91,11 +60,10 @@ fn main() -> ExitCode {
     let jobs = effective_jobs(None);
 
     println!(
-        "# Simulator performance — {} processors, {:?} scale, {jobs} job(s), {} core(s), memo {}\n",
+        "# Simulator performance — {} processors, {:?} scale, {jobs} job(s), {} core(s)\n",
         base.processors,
         base.scale,
         hardware_cores(),
-        if use_memo { "on" } else { "off" },
     );
 
     // Host-speed calibration, recorded in the JSON so the CI bench-gate
@@ -107,48 +75,40 @@ fn main() -> ExitCode {
         calibration_spread * 1e2,
     );
 
-    // One memo per pass kind, shared across figures (see module docs).
-    let serial_memo = CellMemo::new();
-    let parallel_memo = CellMemo::new();
     let mut timings = Vec::new();
     for &figure in &figures {
-        let hits_before = parallel_memo.hits();
-        let (serial, serial_ms) = sweep(figure, &base, 1, use_memo.then_some(&serial_memo));
-        let (parallel, parallel_ms) =
-            sweep(figure, &base, jobs, use_memo.then_some(&parallel_memo));
+        let serial = sweep_figure(figure, &base, 1);
+        let parallel = sweep_figure(figure, &base, jobs);
         assert_eq!(
-            fingerprint(&serial),
-            fingerprint(&parallel),
+            fingerprint(&serial.reports),
+            fingerprint(&parallel.reports),
             "figure {figure}: parallel sweep diverged from serial — determinism regression"
         );
-        let memo_hits = parallel_memo.hits() - hits_before;
-        let mut sim_events = 0u64;
-        let mut sim_cycles = 0u64;
-        let mut cells = 0usize;
-        let mut failures = 0usize;
-        for report in &parallel {
-            cells += report.cells.len();
-            failures += report.failures().len();
-            for e in report.successes() {
-                sim_events += e.result.sim_events;
-                sim_cycles += e.result.elapsed.as_u64();
-            }
-        }
-        println!(
-            "figure {figure}: {cells:>2} cells | serial {serial_ms:>9.1} ms | parallel {parallel_ms:>9.1} ms | speedup {:>4.2}x | {:>5.2} Mevents/s | {memo_hits} memo hit(s)",
-            serial_ms / parallel_ms,
-            sim_events as f64 / parallel_ms / 1e3,
-        );
-        timings.push(FigureTiming {
+        let t = FigureTiming {
             figure,
-            cells,
-            serial_ms,
-            parallel_ms,
-            sim_events,
-            sim_cycles,
-            failures,
-            memo_hits,
-        });
+            cells: serial.reports.iter().map(|r| r.cells.len()).sum(),
+            serial_ms: serial.wall_ms,
+            parallel_ms: parallel.wall_ms,
+            jobs_effective: parallel.jobs_effective,
+            sim_events: serial.sim_events,
+            sim_cycles: serial
+                .reports
+                .iter()
+                .flat_map(MatrixReport::successes)
+                .map(|e| e.result.elapsed.as_u64())
+                .sum(),
+            failures: serial.failures,
+        };
+        println!(
+            "figure {figure}: {:>2} cells | serial {:>9.1} ms | parallel {:>9.1} ms on {} worker(s) | speedup {:>4.2}x | {:>5.2} Mevents/s",
+            t.cells,
+            t.serial_ms,
+            t.parallel_ms,
+            t.jobs_effective,
+            t.serial_ms / t.parallel_ms,
+            t.sim_events as f64 / t.serial_ms / 1e3,
+        );
+        timings.push(t);
     }
 
     let total_serial: f64 = timings.iter().map(|t| t.serial_ms).sum();
@@ -161,7 +121,6 @@ fn main() -> ExitCode {
     let json = render_json(
         &base,
         jobs,
-        use_memo,
         calibration,
         &timings,
         total_serial,
@@ -180,24 +139,21 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     base: &ExperimentConfig,
     jobs: usize,
-    use_memo: bool,
     calibration: f64,
     timings: &[FigureTiming],
     total_serial: f64,
     total_parallel: f64,
 ) -> String {
-    // `jobs` is what was requested; `jobs_effective` is what the matrix
-    // policy actually grants on this host for a figure-sized matrix —
-    // recorded so a throughput claim can be read against the parallelism
-    // that produced it (a 1-core runner legitimately reports speedup 1.0).
-    let jobs_effective = matrix_jobs(&figure_configs(3, base), Some(jobs));
+    // `jobs` is what was requested; each figure's `jobs_effective` is what
+    // the matrix policy granted its matrices on this host — recorded so
+    // the speedup column can be read against the parallelism that
+    // produced it (a 1-core runner legitimately reports speedup 1.0).
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"scale\": \"{:?}\",\n  \"processors\": {},\n  \"cores\": {},\n  \"jobs\": {jobs},\n  \"jobs_effective\": {jobs_effective},\n  \"memo\": {use_memo},\n  \"calibration_events_per_sec\": {calibration:.0},\n",
+        "  \"scale\": \"{:?}\",\n  \"processors\": {},\n  \"cores\": {},\n  \"jobs\": {jobs},\n  \"calibration_events_per_sec\": {calibration:.0},\n",
         base.scale,
         base.processors,
         hardware_cores(),
@@ -205,16 +161,16 @@ fn render_json(
     out.push_str("  \"figures\": [\n");
     for (i, t) in timings.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"figure\": {}, \"cells\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"speedup\": {:.3}, \"sim_events\": {}, \"sim_cycles\": {}, \"events_per_sec\": {:.0}, \"memo_hits\": {}, \"failures\": {}}}{}\n",
+            "    {{\"figure\": {}, \"cells\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"jobs_effective\": {}, \"speedup\": {:.3}, \"sim_events\": {}, \"sim_cycles\": {}, \"events_per_sec\": {:.0}, \"failures\": {}}}{}\n",
             t.figure,
             t.cells,
             t.serial_ms,
             t.parallel_ms,
+            t.jobs_effective,
             t.serial_ms / t.parallel_ms,
             t.sim_events,
             t.sim_cycles,
-            t.sim_events as f64 / (t.parallel_ms / 1e3),
-            t.memo_hits,
+            t.sim_events as f64 / (t.serial_ms / 1e3),
             t.failures,
             if i + 1 < timings.len() { "," } else { "" },
         ));

@@ -10,16 +10,16 @@
 //!    single-context processors" — the parallelism freed by fewer
 //!    processors becomes available for latency hiding.
 //!
-//! Every measurement goes through a [`SweepLog`]: the cells of each part
-//! are queued as a [`SweepBatch`] and run in parallel on the sweep worker
-//! pool (`--jobs N` to cap it), and one failed machine size degrades the
+//! Every measurement goes through a [`SweepLog`]: the points of each part
+//! run in parallel on the sweep worker pool through [`SweepLog::measure`]
+//! (`--jobs N` to cap it), and one failed machine size degrades the
 //! output to a partial JSON record (exit code 5) instead of aborting the
 //! whole study.
 
 use std::process::ExitCode;
 
 use dashlat::apps::App;
-use dashlat_bench::{base_config_from_args, print_preamble, SweepBatch, SweepLog};
+use dashlat_bench::{base_config_from_args, print_preamble, run_point, SweepLog};
 use dashlat_sim::Cycle;
 
 fn main() -> ExitCode {
@@ -29,15 +29,15 @@ fn main() -> ExitCode {
 
     println!("## Speedup vs processor count (SC)\n");
     const PROCS: [usize; 5] = [1, 2, 4, 8, 16];
-    let mut batch = SweepBatch::new();
+    let mut points = Vec::new();
     for app in App::ALL {
         for procs in PROCS {
             let mut cfg = base.clone();
             cfg.processors = procs;
-            batch.add_run("speedup", format!("{}/p{procs}", app.name()), app, &cfg);
+            points.push((format!("{}/p{procs}", app.name()), (app, cfg)));
         }
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("speedup", &points, None, run_point);
     for (a, app) in App::ALL.iter().enumerate() {
         print!("  {:<6}", app.name());
         let mut baseline = None;
@@ -57,21 +57,16 @@ fn main() -> ExitCode {
     }
 
     println!("\n## PTHOR with 4 processors: multiple contexts shine (§6.1)\n");
-    let mut batch = SweepBatch::new();
+    let mut points = Vec::new();
     for procs in [4usize, 16] {
         let mut one = base.clone();
         one.processors = procs;
         let mut four = base.clone().with_contexts(4, Cycle(4));
         four.processors = procs;
-        batch.add_run("pthor-contexts", format!("p{procs}/1ctx"), App::Pthor, &one);
-        batch.add_run(
-            "pthor-contexts",
-            format!("p{procs}/4ctx"),
-            App::Pthor,
-            &four,
-        );
+        points.push((format!("p{procs}/1ctx"), (App::Pthor, one)));
+        points.push((format!("p{procs}/4ctx"), (App::Pthor, four)));
     }
-    let elapsed = log.measure_batch(batch, None);
+    let elapsed = log.measure("pthor-contexts", &points, None, run_point);
     for (i, procs) in [4usize, 16].iter().enumerate() {
         if let (Some(t1), Some(t4)) = (elapsed[2 * i], elapsed[2 * i + 1]) {
             println!(

@@ -25,18 +25,23 @@
 //! (default: all cores); results are always recorded in input order and
 //! are bit-identical to a serial run.
 //!
-//! The sweep-log machinery ([`SweepBatch`], [`SweepLog`], [`SweepPoint`])
+//! The sweep-log machinery ([`SweepLog`], [`SweepPoint`], [`run_point`])
 //! lives in `dashlat::sweeplog` (re-exported here unchanged) so the CLI's
 //! supervised sweep can share it.
+//!
+//! `perf` and `bench_gate` time a figure through one function,
+//! [`sweep_figure`], which simulates every cell it counts.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-pub use dashlat::sweeplog::{SweepBatch, SweepLog, SweepPoint};
+pub use dashlat::sweeplog::{run_point, SweepLog, SweepPoint};
 
+use dashlat::apps::App;
 use dashlat::args::Args;
 use dashlat::config::ExperimentConfig;
-use dashlat::experiments::{parse_figure, FigureReport};
+use dashlat::experiments::{figure_configs, parse_figure, FigureReport};
+use dashlat::runner::{matrix_jobs, run_matrix_jobs, MatrixReport};
 use dashlat_analyze::PassKind;
 
 /// One timed run of a small, fixed simulation (16-node uniform-random
@@ -78,6 +83,50 @@ pub fn calibrate(samples: usize) -> (f64, f64) {
     let best = scores.iter().copied().fold(f64::MIN, f64::max);
     let worst = scores.iter().copied().fold(f64::MAX, f64::min);
     (best, (best - worst) / best)
+}
+
+/// One timed sweep of a paper figure: every application's matrix of the
+/// figure's configurations, each cell simulated.
+pub struct FigureSweep {
+    /// One report per application, in [`App::ALL`] order.
+    pub reports: Vec<MatrixReport>,
+    /// Wall-clock time of the whole sweep, in milliseconds.
+    pub wall_ms: f64,
+    /// Simulation events of the cells that completed.
+    pub sim_events: u64,
+    /// Cells that failed.
+    pub failures: usize,
+    /// Workers [`matrix_jobs`] granted each per-application matrix.
+    pub jobs_effective: usize,
+}
+
+/// Sweeps paper figure `figure` over `base` with `jobs` workers per
+/// application matrix and times it. This is the one measurement `perf`
+/// and `bench_gate` share, so their events/sec count the same work.
+///
+/// # Panics
+///
+/// Panics for a figure number outside
+/// [`FIGURES`](dashlat::experiments::FIGURES).
+pub fn sweep_figure(figure: u8, base: &ExperimentConfig, jobs: usize) -> FigureSweep {
+    let configs = figure_configs(figure, base);
+    let start = Instant::now();
+    let reports: Vec<MatrixReport> = App::ALL
+        .iter()
+        .map(|&app| run_matrix_jobs(app, &configs, Some(jobs)))
+        .collect();
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    FigureSweep {
+        sim_events: reports
+            .iter()
+            .flat_map(MatrixReport::successes)
+            .map(|e| e.result.sim_events)
+            .sum(),
+        failures: reports.iter().map(|r| r.failures().len()).sum(),
+        jobs_effective: matrix_jobs(&configs, Some(jobs)),
+        reports,
+        wall_ms,
+    }
 }
 
 /// The flags every figure and table binary takes.

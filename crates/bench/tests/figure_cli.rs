@@ -1,6 +1,6 @@
 //! The figure binaries read `dashlat figure`'s machine flags through the
 //! same parser: every flag changes the figure exactly as it changes
-//! `dashlat::experiments::figure2`, and an unknown flag is an error.
+//! `dashlat::experiments::figure(2, ..)`, and an unknown flag is an error.
 
 use std::process::{Command, Output};
 
@@ -31,5 +31,8 @@ fn every_machine_flag_reaches_the_figure() {
     let mut argv = machine.map(String::from).to_vec();
     let config = dashlat::parse_machine_args(&mut argv).expect("machine flags parse");
     assert!(!config.contention);
-    assert_eq!(csv, dashlat::experiments::figure2(&config).figure.to_csv());
+    assert_eq!(
+        csv,
+        dashlat::experiments::figure(2, &config).figure.to_csv()
+    );
 }

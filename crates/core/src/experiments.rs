@@ -14,7 +14,7 @@ use dashlat_sim::Cycle;
 use crate::apps::App;
 use crate::config::ExperimentConfig;
 use crate::report::{AppFigure, Figure, Table2, Table2Row};
-use crate::runner::{run, run_matrix, worst_exit_code, Experiment, RunFailure};
+use crate::runner::{run, run_matrix_jobs, worst_exit_code, Experiment, RunFailure};
 
 /// Renders Table 1: the memory-operation latencies of the simulated
 /// machine (configuration, not measurement).
@@ -97,11 +97,14 @@ impl FigureReport {
     }
 }
 
-fn figure_from_matrix(title: &str, configs: &[ExperimentConfig]) -> FigureReport {
+/// Sweeps one column of machine configurations over every application and
+/// assembles the bars under `title`, normalized to the first
+/// configuration. Failed cells are reported, not fatal.
+pub fn figure_from_matrix(title: &str, configs: &[ExperimentConfig]) -> FigureReport {
     let mut groups = Vec::with_capacity(App::ALL.len());
     let mut failures = Vec::new();
     for app in App::ALL {
-        let report = run_matrix(app, configs);
+        let report = run_matrix_jobs(app, configs, None);
         for (label, f) in report.failures() {
             failures.push((app.name().to_owned(), label.to_owned(), f.clone()));
         }
@@ -137,9 +140,9 @@ pub fn parse_figure(s: &str) -> Result<u8, String> {
 }
 
 /// The machine-variant columns of one paper figure, in bar order.
-/// This is the single source of truth for the figure presets — the figure
-/// functions, the bench harness and the parallel-determinism tests all
-/// sweep exactly these matrices.
+/// This is the single source of truth for the figure presets — [`figure`],
+/// the bench harness and the parallel-determinism tests all sweep exactly
+/// these matrices.
 ///
 /// # Panics
 ///
@@ -200,35 +203,6 @@ pub fn figure(number: u8, base: &ExperimentConfig) -> FigureReport {
         n => panic!("no figure {n}: the paper's sweep figures are {FIGURES:?}"),
     };
     figure_from_matrix(title, &figure_configs(number, base))
-}
-
-/// Figure 2: effect of caching shared data (no-cache baseline vs coherent
-/// caches, both under SC).
-pub fn figure2(base: &ExperimentConfig) -> FigureReport {
-    figure(2, base)
-}
-
-/// Figure 3: effect of relaxing the consistency model (SC vs RC).
-pub fn figure3(base: &ExperimentConfig) -> FigureReport {
-    figure(3, base)
-}
-
-/// Figure 4: effect of prefetching, without and with, under SC and RC.
-/// Bars: SC, SC+pf, RC, RC+pf — normalized to SC.
-pub fn figure4(base: &ExperimentConfig) -> FigureReport {
-    figure(4, base)
-}
-
-/// Figure 5: effect of multiple contexts under SC: 1 context, then 2 and 4
-/// contexts at 16-cycle and at 4-cycle switch overhead.
-pub fn figure5(base: &ExperimentConfig) -> FigureReport {
-    figure(5, base)
-}
-
-/// Figure 6: combining the schemes (4-cycle switch): SC with 1/2/4
-/// contexts, RC with 1/2/4 contexts, RC+prefetch with 1/2/4 contexts.
-pub fn figure6(base: &ExperimentConfig) -> FigureReport {
-    figure(6, base)
 }
 
 /// The concluding claim (§7): the best technique combination per
@@ -316,7 +290,7 @@ mod tests {
 
     #[test]
     fn figure3_shapes_hold_at_test_scale() {
-        let report = figure3(&ExperimentConfig::base_test());
+        let report = figure(3, &ExperimentConfig::base_test());
         assert!(report.is_complete(), "failures: {:?}", report.failures);
         let f = report.figure;
         assert_eq!(f.groups.len(), 3);
@@ -347,7 +321,7 @@ mod tests {
 
     #[test]
     fn figure2_caching_wins_everywhere() {
-        let report = figure2(&ExperimentConfig::base_test());
+        let report = figure(2, &ExperimentConfig::base_test());
         assert!(report.is_complete(), "failures: {:?}", report.failures);
         for g in &report.figure.groups {
             assert!(

@@ -7,7 +7,7 @@
 //! that results come back keyed by cell index (never by completion order)
 //! and that a panicking cell stays isolated. [`par_indexed_map_while`] is
 //! the one pool every set of cells runs on (figure matrices, supervised
-//! sweeps, sweep batches); runs themselves stay single-threaded, so
+//! sweeps, sweep-log studies); runs themselves stay single-threaded, so
 //! per-cell results are bit-identical to serial execution.
 //!
 //! Every pool sizes itself by one rule, [`worker_count`]: the requested

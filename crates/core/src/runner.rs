@@ -1,11 +1,11 @@
 //! Wiring and running one experiment.
 //!
-//! [`run`] wires one configuration and runs it to completion. [`run_matrix`]
-//! runs a whole column of configurations *resiliently*: each experiment is
-//! isolated (panics are caught, structured [`RunError`]s recorded), the
-//! sweep continues past failures, and the caller gets a [`MatrixReport`]
-//! with a per-configuration outcome instead of losing the healthy runs to
-//! one poisoned cell.
+//! [`run`] wires one configuration and runs it to completion.
+//! [`run_matrix_jobs`] runs a whole column of configurations
+//! *resiliently*: each experiment is isolated (panics are caught,
+//! structured [`RunError`]s recorded), the sweep continues past failures,
+//! and the caller gets a [`MatrixReport`] with a per-configuration outcome
+//! instead of losing the healthy runs to one poisoned cell.
 
 use dashlat_analyze::AnalysisReport;
 use dashlat_cpu::machine::{Machine, RunError, RunResult};
@@ -170,17 +170,6 @@ impl MatrixReport {
             .filter_map(|c| c.outcome.as_ref().err().map(|e| (c.label.as_str(), e)))
             .collect()
     }
-
-    /// True when every configuration produced an experiment.
-    pub fn is_fully_ok(&self) -> bool {
-        self.cells.iter().all(|c| c.outcome.is_ok())
-    }
-
-    /// Consumes the report into the experiments, erroring with the first
-    /// failure if any cell failed (the strict pre-resilience contract).
-    pub fn into_experiments(self) -> Result<Vec<Experiment>, RunFailure> {
-        self.cells.into_iter().map(|c| c.outcome).collect()
-    }
 }
 
 /// Runs `app` on the machine described by `config`.
@@ -234,7 +223,8 @@ pub fn run_isolated(app: App, config: &ExperimentConfig) -> Result<Experiment, R
 }
 
 /// Runs `f`, turning a panic into its message. The one panic capture
-/// every cell runner shares ([`run_isolated`] and sweep batches).
+/// every cell runner shares ([`run_isolated`] and
+/// [`SweepLog::measure`](crate::sweeplog::SweepLog::measure)).
 pub(crate) fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
@@ -252,35 +242,15 @@ pub(crate) fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 /// poisoned configuration cannot take down the healthy ones.
 ///
 /// Cells execute on the sweep worker pool, sized by [`matrix_jobs`] from
-/// the process-wide `--jobs` default. Each cell is an independent
+/// `jobs` (`None` = the process-wide `--jobs` default; `Some(1)` forces
+/// the serial path on the caller's thread). Each cell is an independent
 /// single-threaded simulation, so the report is bit-identical to serial
 /// execution and the cells stay in input order regardless of completion
 /// order.
-pub fn run_matrix(app: App, configs: &[ExperimentConfig]) -> MatrixReport {
-    run_matrix_jobs(app, configs, None)
-}
-
-/// [`run_matrix`] with an explicit worker count (`None` = the process-wide
-/// default). `jobs = Some(1)` forces the serial path on the caller's
-/// thread; larger values are subject to the [`matrix_jobs`] policy.
 pub fn run_matrix_jobs(
     app: App,
     configs: &[ExperimentConfig],
     jobs: Option<usize>,
-) -> MatrixReport {
-    run_matrix_jobs_memo(app, configs, jobs, None)
-}
-
-/// [`run_matrix_jobs`] with an optional result memo: cells whose work
-/// fingerprint is already in `memo` are served from it instead of
-/// re-simulated (see [`crate::cellcache::CellMemo`]). The report is
-/// bit-identical with or without the memo — a hit is a clone of what the
-/// re-run would have produced.
-pub fn run_matrix_jobs_memo(
-    app: App,
-    configs: &[ExperimentConfig],
-    jobs: Option<usize>,
-    memo: Option<&crate::cellcache::CellMemo>,
 ) -> MatrixReport {
     let jobs = matrix_jobs(configs, jobs);
     // Longest-expected-first dispatch: the pool's cursor hands out items
@@ -297,10 +267,7 @@ pub fn run_matrix_jobs_memo(
         Some(jobs),
         &order,
         || true,
-        |_, &i| match memo {
-            Some(m) => m.run(app, &configs[i]),
-            None => run_isolated(app, &configs[i]),
-        },
+        |_, &i| run_isolated(app, &configs[i]),
     );
     let mut done: Vec<(usize, Option<Result<Experiment, RunFailure>>)> =
         order.into_iter().zip(by_order).collect();
@@ -406,9 +373,9 @@ mod tests {
             ExperimentConfig::base_test(),
             ExperimentConfig::base_test().with_rc(),
         ];
-        let report = run_matrix(App::Lu, &configs);
-        assert!(report.is_fully_ok());
-        let es = report.into_experiments().expect("runs");
+        let report = run_matrix_jobs(App::Lu, &configs, None);
+        assert!(report.failures().is_empty());
+        let es = report.successes();
         assert_eq!(es.len(), 2);
         assert_eq!(es[0].config.consistency, Consistency::Sc);
         assert_eq!(es[1].config.consistency, Consistency::Rc);
@@ -440,8 +407,8 @@ mod tests {
             poisoned,
             ExperimentConfig::base_test().with_rc(),
         ];
-        let report = run_matrix(App::Lu, &configs);
-        assert!(!report.is_fully_ok());
+        let report = run_matrix_jobs(App::Lu, &configs, None);
+        assert!(!report.failures().is_empty());
         assert_eq!(report.cells.len(), 3);
         assert_eq!(report.successes().len(), 2);
         let failures = report.failures();

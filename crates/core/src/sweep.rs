@@ -132,8 +132,7 @@ fn fnv_field(h: u64, bytes: &[u8]) -> u64 {
 /// `sweep`/`point` labels. Two cells in different sweeps — or different
 /// jobs of the long-running `dashlat serve` service — that would simulate
 /// exactly the same machine share a fingerprint, which is what lets the
-/// service's content-addressed result cache (and the bench harness's
-/// in-process [`crate::cellcache::CellMemo`]) serve repeated cells without
+/// service's content-addressed result cache serve repeated cells without
 /// re-simulating them. Cells are deterministic functions of this identity,
 /// so equal fingerprints imply equal results.
 pub fn work_fingerprint(app: App, config: &ExperimentConfig) -> u64 {
@@ -187,7 +186,7 @@ pub struct SweepControl {
 }
 
 impl SweepControl {
-    /// A control that never interrupts (what [`run_supervised`] uses).
+    /// A control that never interrupts (the [`SweepOptions`] default).
     pub fn new() -> Self {
         Self::default()
     }
@@ -433,6 +432,9 @@ pub struct SweepOptions {
     /// Where to write repro bundles for permanent failures (`None` =
     /// don't write bundles).
     pub bundle_dir: Option<PathBuf>,
+    /// Cancellation and deadline, checked at cell boundaries (the default
+    /// never interrupts).
+    pub control: SweepControl,
 }
 
 impl Default for SweepOptions {
@@ -443,6 +445,7 @@ impl Default for SweepOptions {
             backoff_base_ms: 50,
             backoff_cap_ms: 2000,
             bundle_dir: None,
+            control: SweepControl::new(),
         }
     }
 }
@@ -678,11 +681,21 @@ fn load_committed(path: &Path, plan: &SweepPlan) -> Result<Vec<Option<CellRecord
 /// fingerprint) replays its committed cells; without it, an existing
 /// journal is an error so two supervisors can't silently interleave.
 ///
+/// `opts.control` is checked at cell boundaries (before each cell starts,
+/// and before each retry sleep), so a cancelled or deadline-expired run
+/// stops promptly while every *finished* cell stays committed in the
+/// journal. An interrupted run publishes **no** SweepLog — the journal is
+/// the checkpoint, and re-running with `resume` completes the plan with a
+/// log byte-identical to an uninterrupted run. The report's
+/// [`skipped`](SweepReport::skipped) /
+/// [`interrupted`](SweepReport::interrupted) fields say what remains.
+///
 /// # Errors
 ///
 /// Fails only for supervision problems ([`SweepError`]): journal I/O,
 /// plan/journal mismatch, corrupt records. Cell failures never fail the
 /// sweep; they are recorded in the report (and the published log).
+#[allow(clippy::too_many_lines)]
 pub fn run_supervised<F>(
     plan: &SweepPlan,
     journal_path: &Path,
@@ -694,44 +707,7 @@ pub fn run_supervised<F>(
 where
     F: Fn(usize, &SweepCell, u32) -> Result<u64, CellFailure> + Sync,
 {
-    run_supervised_controlled(
-        plan,
-        journal_path,
-        out_path,
-        resume,
-        opts,
-        &SweepControl::new(),
-        runner,
-    )
-}
-
-/// [`run_supervised`] with cooperative interruption: `control` is checked
-/// at cell boundaries (before each cell starts, and before each retry
-/// sleep), so a cancelled or deadline-expired run stops promptly while
-/// every *finished* cell stays committed in the journal.
-///
-/// An interrupted run publishes **no** SweepLog — the journal is the
-/// checkpoint, and re-running with `resume` completes the plan with a log
-/// byte-identical to an uninterrupted run. The report's
-/// [`skipped`](SweepReport::skipped) / [`interrupted`](SweepReport::interrupted)
-/// fields say what remains.
-///
-/// # Errors
-///
-/// Same contract as [`run_supervised`].
-#[allow(clippy::too_many_lines)]
-pub fn run_supervised_controlled<F>(
-    plan: &SweepPlan,
-    journal_path: &Path,
-    out_path: &Path,
-    resume: bool,
-    opts: &SweepOptions,
-    control: &SweepControl,
-    runner: F,
-) -> Result<SweepReport, SweepError>
-where
-    F: Fn(usize, &SweepCell, u32) -> Result<u64, CellFailure> + Sync,
-{
+    let control = &opts.control;
     let (committed, journal) = if resume && journal_path.exists() {
         let committed = load_committed(journal_path, plan)?;
         // The torn tail (if any) is dropped by rewriting the file to
@@ -1051,6 +1027,7 @@ mod tests {
             backoff_base_ms: 0,
             backoff_cap_ms: 0,
             bundle_dir: None,
+            control: SweepControl::new(),
         }
     }
 
@@ -1517,15 +1494,17 @@ mod tests {
         // Cancel after the third cell completes (serial execution, so
         // cells 0..=2 commit and 3..=5 are skipped).
         let token = Arc::new(AtomicBool::new(false));
-        let control = SweepControl::new().with_cancel(Arc::clone(&token));
+        let cancelling = SweepOptions {
+            control: SweepControl::new().with_cancel(Arc::clone(&token)),
+            ..fast_opts()
+        };
         let out_path = dir.join("cancelled.json");
-        let report = run_supervised_controlled(
+        let report = run_supervised(
             &plan,
             &dir.join("cancelled.journal"),
             &out_path,
             false,
-            &opts,
-            &control,
+            &cancelling,
             |index, cell, attempt| {
                 if index == 2 {
                     token.store(true, Ordering::SeqCst);
@@ -1572,14 +1551,16 @@ mod tests {
     fn deadline_in_the_past_skips_every_cell() {
         let dir = tmpdir("deadline");
         let plan = tiny_plan();
-        let control = SweepControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let report = run_supervised_controlled(
+        let opts = SweepOptions {
+            control: SweepControl::new().with_deadline(Instant::now() - Duration::from_millis(1)),
+            ..fast_opts()
+        };
+        let report = run_supervised(
             &plan,
             &dir.join("sweep.journal"),
             &dir.join("out.json"),
             false,
-            &fast_opts(),
-            &control,
+            &opts,
             |_, _, _| panic!("no cell may start past the deadline"),
         )
         .expect("run");

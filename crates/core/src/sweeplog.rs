@@ -12,68 +12,20 @@
 use std::io;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Mutex;
 
 use crate::apps::App;
 use crate::config::ExperimentConfig;
-use crate::runner::{catch_panic, run};
+use crate::runner::{catch_panic, run_isolated};
 
-type CellFn<'a> = Box<dyn FnOnce() -> Result<u64, String> + Send + 'a>;
-
-/// A batch of independent sweep cells, built up first and then executed
-/// together on the worker pool by [`SweepLog::measure_batch`].
-///
-/// The sweep binaries used to interleave measuring and printing one cell
-/// at a time; batching separates the two so the measurements — each an
-/// independent single-threaded simulation — can run in parallel while the
-/// log still records (and the binary still prints) results in input order.
-#[derive(Default)]
-pub struct SweepBatch<'a> {
-    cells: Vec<(String, String, CellFn<'a>)>,
-}
-
-impl<'a> SweepBatch<'a> {
-    /// Empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queues one cell: `f` will run under panic isolation when the batch
-    /// is measured, recorded under `sweep`/`point`.
-    pub fn add(
-        &mut self,
-        sweep: impl Into<String>,
-        point: impl Into<String>,
-        f: impl FnOnce() -> Result<u64, String> + Send + 'a,
-    ) {
-        self.cells.push((sweep.into(), point.into(), Box::new(f)));
-    }
-
-    /// Queues a standard-runner cell: `app` under `cfg` (cloned).
-    pub fn add_run(
-        &mut self,
-        sweep: impl Into<String>,
-        point: impl Into<String>,
-        app: App,
-        cfg: &ExperimentConfig,
-    ) {
-        let cfg = cfg.clone();
-        self.add(sweep, point, move || {
-            run(app, &cfg)
-                .map(|e| e.result.elapsed.as_u64())
-                .map_err(|e| e.to_string())
-        });
-    }
-
-    /// Number of queued cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no cell is queued.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
+/// The elapsed pclocks of one (application, configuration) sweep point,
+/// run through [`run_isolated`]: a panic, a structured run error or — when
+/// the configuration requests analysis, as `--verify-labels` does — a
+/// detected race fails the point with that failure's message.
+pub fn run_point(point: &(App, ExperimentConfig)) -> Result<u64, String> {
+    let (app, config) = point;
+    run_isolated(*app, config)
+        .map(|e| e.result.elapsed.as_u64())
+        .map_err(|f| f.to_string())
 }
 
 /// One sweep point: which sweep it belongs to, which setting it measured,
@@ -92,7 +44,7 @@ pub struct SweepPoint {
 /// a *partial* JSON record instead of aborting the whole binary.
 ///
 /// The sweep binaries (`ablations`, `scaling`) route every measurement
-/// through [`SweepLog::measure_batch`]: failures (structured
+/// through [`SweepLog::measure`]: failures (structured
 /// [`RunError`](dashlat_cpu::machine::RunError)s and panics alike) are
 /// recorded and warned about, the sweep continues, and
 /// [`SweepLog::finish`] emits the machine-readable JSON record with a
@@ -125,50 +77,38 @@ impl SweepLog {
         });
     }
 
-    /// Runs every cell of `batch` on the sweep worker pool
+    /// Measures every labelled point of one study: runs `f` on each
+    /// point's value on the sweep worker pool
     /// ([`crate::pool::par_indexed_map_while`], `jobs = None` → the
     /// process-wide `--jobs` default, clamped like every pool) with panic
-    /// isolation, and records each outcome **in input order** regardless
-    /// of completion order; failures are also warned to stderr. Returns
-    /// the elapsed cycles per cell (`None` for a failure), also in input
-    /// order.
-    pub fn measure_batch(
+    /// isolation, and records each outcome under `sweep` **in input
+    /// order** regardless of completion order; failures are also warned to
+    /// stderr. Returns the elapsed cycles per point (`None` for a
+    /// failure), also in input order. Points that are an (application,
+    /// configuration) pair measure with [`run_point`].
+    pub fn measure<P: Sync>(
         &mut self,
-        batch: SweepBatch<'_>,
+        sweep: &str,
+        points: &[(String, P)],
         jobs: Option<usize>,
+        f: impl Fn(&P) -> Result<u64, String> + Sync,
     ) -> Vec<Option<u64>> {
-        let cells: Vec<(String, String, Mutex<Option<CellFn<'_>>>)> = batch
-            .cells
-            .into_iter()
-            .map(|(s, p, f)| (s, p, Mutex::new(Some(f))))
-            .collect();
         let outcomes = crate::pool::par_indexed_map_while(
             jobs,
-            &cells,
+            points,
             || true,
-            |_, (_, _, cell)| {
-                let f = cell
-                    .lock()
-                    .expect("cell lock poisoned")
-                    .take()
-                    .expect("each cell runs exactly once");
-                catch_panic(f).unwrap_or_else(|msg| Err(format!("panic: {msg}")))
-            },
+            |_, (_, p)| catch_panic(|| f(p)).unwrap_or_else(|msg| Err(format!("panic: {msg}"))),
         );
-        cells
-            .into_iter()
+        points
+            .iter()
             .zip(outcomes)
-            .map(|((sweep, point, _), outcome)| {
+            .map(|((point, _), outcome)| {
                 let outcome = outcome.expect("an uncancelled pool runs every cell");
                 if let Err(e) = &outcome {
                     eprintln!("warning: {sweep} / {point} failed: {e}");
                 }
                 let elapsed = outcome.as_ref().ok().copied();
-                self.points.push(SweepPoint {
-                    sweep,
-                    point,
-                    outcome,
-                });
+                self.record(sweep, point.clone(), outcome);
                 elapsed
             })
             .collect()
@@ -248,12 +188,14 @@ mod tests {
 
     #[test]
     fn sweep_log_survives_failures_and_emits_partial_json() {
-        let mut batch = SweepBatch::new();
-        batch.add("s", "ok", || Ok(42));
-        batch.add("s", "boom", || panic!("poisoned config"));
-        batch.add("s", "err", || Err("deadlock".into()));
+        let points = ["ok", "boom", "err"].map(|p| (p.to_owned(), p));
         let mut log = SweepLog::new();
-        assert_eq!(log.measure_batch(batch, Some(1)), [Some(42), None, None]);
+        let elapsed = log.measure("s", &points, Some(1), |&p| match p {
+            "ok" => Ok(42),
+            "boom" => panic!("poisoned config"),
+            _ => Err("deadlock".into()),
+        });
+        assert_eq!(elapsed, [Some(42), None, None]);
         assert_eq!(log.failed(), 2);
         let json = log.to_json();
         assert!(json.contains("\"complete\": false"));
@@ -272,18 +214,15 @@ mod tests {
 
     #[test]
     fn batch_records_in_input_order_and_isolates_panics() {
-        let mut batch = SweepBatch::new();
-        for i in 0u64..20 {
-            batch.add("batch", format!("i={i}"), move || {
-                if i == 7 {
-                    panic!("cell 7 poisoned");
-                }
-                Ok(i * 10)
-            });
-        }
-        assert_eq!(batch.len(), 20);
+        let points: Vec<(String, u64)> = (0u64..20).map(|i| (format!("i={i}"), i)).collect();
+        assert_eq!(points.len(), 20);
         let mut log = SweepLog::new();
-        let elapsed = log.measure_batch(batch, Some(4));
+        let elapsed = log.measure("batch", &points, Some(4), |&i| {
+            if i == 7 {
+                panic!("cell 7 poisoned");
+            }
+            Ok(i * 10)
+        });
         assert_eq!(elapsed.len(), 20);
         for (i, e) in elapsed.iter().enumerate() {
             if i == 7 {
@@ -304,12 +243,9 @@ mod tests {
     #[test]
     fn batch_serial_and_parallel_agree() {
         let run_with = |jobs: usize| {
-            let mut batch = SweepBatch::new();
-            for i in 0u64..12 {
-                batch.add("s", format!("i={i}"), move || Ok(i * i));
-            }
+            let points: Vec<(String, u64)> = (0u64..12).map(|i| (format!("i={i}"), i)).collect();
             let mut log = SweepLog::new();
-            let elapsed = log.measure_batch(batch, Some(jobs));
+            let elapsed = log.measure("s", &points, Some(jobs), |&i| Ok(i * i));
             (elapsed, log.to_json())
         };
         assert_eq!(run_with(1), run_with(8));
@@ -328,18 +264,15 @@ mod tests {
         let barrier = Barrier::new(cores);
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let mut batch = SweepBatch::new();
-        for i in 0..cells {
-            batch.add("inflight", format!("i={i}"), || {
-                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                barrier.wait();
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                Ok(0)
-            });
-        }
+        let points: Vec<(String, ())> = (0..cells).map(|i| (format!("i={i}"), ())).collect();
         let mut log = SweepLog::new();
-        log.measure_batch(batch, Some(cells));
+        log.measure("inflight", &points, Some(cells), |()| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            barrier.wait();
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            Ok(0)
+        });
         assert_eq!(log.failed(), 0);
         assert_eq!(peak.load(Ordering::SeqCst), cores);
     }

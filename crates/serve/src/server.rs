@@ -22,7 +22,7 @@
 //!   failed, or cancelled): restored for status queries, never re-run.
 //! * `job.json` present, no `state.json` → **resumable**: re-enqueued.
 //!   A sweep with a journal resumes from its committed prefix; the
-//!   fingerprint check inside [`run_supervised_controlled`] refuses a
+//!   fingerprint check inside [`run_supervised`] refuses a
 //!   journal that doesn't match the spec.
 //! * `job.json` missing or unparseable → **corrupt**: surfaced as a
 //!   failed job, never executed.
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use dashlat::chaos::{run_chaos, ChaosOptions};
 use dashlat::sweep::{
-    run_cell_in_process, run_supervised_controlled, work_fingerprint, CellFailure, FailureClass,
-    SweepControl, SweepError, SweepOptions, SweepPlan,
+    run_cell_in_process, run_supervised, work_fingerprint, CellFailure, FailureClass, SweepControl,
+    SweepError, SweepOptions, SweepPlan,
 };
 use dashlat_sim::journal::{atomic_write, Journal};
 use dashlat_sim::json::quote;
@@ -487,6 +487,7 @@ impl Server {
                     jobs: spec.sweep_jobs,
                     max_retries: spec.max_retries,
                     bundle_dir: Some(dir.join("bundles")),
+                    control: control.clone(),
                     ..SweepOptions::default()
                 };
                 let journal = dir.join("sweep.journal");
@@ -502,13 +503,12 @@ impl Server {
                 // doomed children.
                 let crash_streak = AtomicU32::new(0);
                 let breaker_open = AtomicBool::new(false);
-                let report = run_supervised_controlled(
+                let report = run_supervised(
                     &plan,
                     &journal,
                     &dir.join("sweep.json"),
                     resume,
                     &opts,
-                    &control,
                     |_, cell, _| {
                         let fp = work_fingerprint(cell.app, &cell.config);
                         if let Some(elapsed) = cache.lookup(fp) {

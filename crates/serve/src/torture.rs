@@ -36,8 +36,7 @@ use std::time::{Duration, Instant};
 
 use dashlat::chaos::{self, Failure, Finding};
 use dashlat::sweep::{
-    run_cell_in_process, run_supervised_controlled, work_fingerprint, SweepControl, SweepOptions,
-    SweepPlan,
+    run_cell_in_process, run_supervised, work_fingerprint, SweepOptions, SweepPlan,
 };
 use dashlat_sim::json::Value;
 use dashlat_sim::{faultfs, FaultFsPlan, Xorshift};
@@ -288,13 +287,12 @@ fn build_reference(dir: &Path) -> io::Result<Reference> {
         jobs: Some(1),
         ..SweepOptions::default()
     };
-    run_supervised_controlled(
+    run_supervised(
         &plan,
         &dir.join("sweep.journal"),
         &out,
         false,
         &opts,
-        &SweepControl::new(),
         |_, cell, _| run_cell_in_process(cell),
     )
     .map_err(|e| io::Error::other(format!("reference sweep failed: {e}")))?;
