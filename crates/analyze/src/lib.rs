@@ -1,177 +1,61 @@
 #![deny(missing_docs)]
-//! `dashlat-analyze` — multi-pass static/dynamic analysis over simulated
-//! reference streams.
+//! `dashlat-analyze` — happens-before race detection over simulated or
+//! replayed executions, and whole-program static lint of workload
+//! programs.
 //!
 //! The paper's latency results are only meaningful for *properly labeled*
 //! programs: every pair of competing accesses must either be ordered by
 //! synchronization (locks, barriers) or be explicitly labeled as
-//! competing. This crate certifies that property over the event streams
-//! produced by the machine model (live runs via
-//! [`dashlat_cpu::machine::Machine::with_event_log`]) or reconstructed
-//! from trace files (fault-tolerant logical replay via
-//! [`dashlat_cpu::events::events_from_trace`]).
+//! competing. This crate certifies that property two ways.
 //!
-//! Passes:
+//! * **Dynamically**, over the event streams produced by the machine
+//!   model (live runs via
+//!   [`dashlat_cpu::machine::Machine::with_event_log`]) or reconstructed
+//!   from trace files (fault-tolerant logical replay via
+//!   [`dashlat_cpu::events::events_from_trace`]). One pass runs: [hb],
+//!   FastTrack-style vector-clock happens-before race detection. A run
+//!   is properly labeled when it has no race and its replay forced no
+//!   sync transition (no replay note). Entry points: [`analyze`] over an
+//!   [`EventLog`] and [`analyze_trace`] over a parsed [`Trace`].
+//! * **Statically**, in the [`lint`] module: it analyzes extracted
+//!   programs (not executions) — lock-order deadlock detection, barrier
+//!   divergence, properly-labeled inference and prefetch placement — with
+//!   zero simulation cycles. See [`lint::lint_workload`].
 //!
-//! * [hb] — FastTrack-style vector-clock happens-before race detection;
-//!   the pass that grants or denies the properly-labeled verdict.
-//! * [lockset] — Eraser-style lockset intersection (lint-grade).
-//! * [barrier] — barrier-divergence check (same arrival sequence on every
-//!   participating process).
-//! * [prefetch] — prefetch-semantics audit (non-binding prefetches must
-//!   never be the sole ordering edge; flag useless/late/wrong-mode ones).
-//! * [syncbal] — acquire/release pairing and barrier arithmetic lint.
-//!
-//! Entry points: [`analyze`] over an [`EventLog`], [`analyze_trace`] over
-//! a parsed [`Trace`], and [`parse_passes`] for CLI `--analyze` strings.
-//!
-//! The [`lint`] module is the *static* counterpart: it analyzes extracted
-//! programs (not executions) — lock-order deadlock detection, barrier
-//! divergence, properly-labeled inference and prefetch placement — with
-//! zero simulation cycles. See [`lint::lint_workload`].
+//! Trace replay and program extraction run through the same logical
+//! scheduler ([`dashlat_cpu::extract`]), so both stacks see the same
+//! schedule and the same forced-transition notes.
 
-pub mod barrier;
 pub mod hb;
 pub mod lint;
-pub mod lockset;
-pub mod prefetch;
 pub mod report;
-pub mod syncbal;
 
 use dashlat_cpu::events::{events_from_trace, EventLog};
 use dashlat_cpu::trace::Trace;
 
-pub use report::{
-    AnalysisReport, BarrierSummary, HbSummary, LocksetSummary, LocksetWarning, OpTimeline,
-    PrefetchSummary, Race, Site, SyncBalanceSummary, SyncIssue, SyncPoint,
-};
+pub use report::{AnalysisReport, HbSummary, OpTimeline, Race, Site, SyncPoint};
 
-/// One analysis pass selectable from the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassKind {
-    /// Vector-clock happens-before race detection (the certifying pass).
-    HappensBefore,
-    /// Eraser-style lockset lint.
-    Lockset,
-    /// Barrier-divergence check.
-    Barrier,
-    /// Prefetch-semantics audit.
-    Prefetch,
-    /// Acquire/release pairing and barrier arithmetic lint.
-    SyncBalance,
-}
-
-impl PassKind {
-    /// Every pass, in report order.
-    pub const ALL: [PassKind; 5] = [
-        PassKind::HappensBefore,
-        PassKind::Lockset,
-        PassKind::Barrier,
-        PassKind::Prefetch,
-        PassKind::SyncBalance,
-    ];
-
-    /// The canonical CLI name of the pass.
-    pub fn name(self) -> &'static str {
-        match self {
-            PassKind::HappensBefore => "hb",
-            PassKind::Lockset => "lockset",
-            PassKind::Barrier => "barrier",
-            PassKind::Prefetch => "prefetch",
-            PassKind::SyncBalance => "syncbalance",
-        }
-    }
-}
-
-impl std::fmt::Display for PassKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for PassKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "hb" | "happens-before" | "happensbefore" | "race" | "races" => {
-                Ok(PassKind::HappensBefore)
-            }
-            "lockset" | "eraser" => Ok(PassKind::Lockset),
-            "barrier" | "barriers" => Ok(PassKind::Barrier),
-            "prefetch" | "prefetches" => Ok(PassKind::Prefetch),
-            "syncbalance" | "sync-balance" | "syncbal" => Ok(PassKind::SyncBalance),
-            other => Err(format!(
-                "unknown analysis pass '{other}' (expected hb, lockset, barrier, prefetch, syncbalance or all)"
-            )),
-        }
-    }
-}
-
-/// Parses a comma-separated pass list (`"hb,lockset"`), with `"all"`
-/// (or the empty string) selecting every pass.
-///
-/// # Errors
-///
-/// Returns a message naming the first unrecognized pass.
-pub fn parse_passes(s: &str) -> Result<Vec<PassKind>, String> {
-    let s = s.trim();
-    if s.is_empty() || s.eq_ignore_ascii_case("all") {
-        return Ok(PassKind::ALL.to_vec());
-    }
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let pass: PassKind = part.parse()?;
-        if !out.contains(&pass) {
-            out.push(pass);
-        }
-    }
-    Ok(out)
-}
-
-/// Runs the selected passes over an event log.
+/// Runs the happens-before pass over an event log.
 ///
 /// `subject` names the analyzed run in the rendered report (a workload
 /// name or trace path).
-pub fn analyze(subject: &str, log: &EventLog, passes: &[PassKind]) -> AnalysisReport {
-    let mut report = AnalysisReport {
+pub fn analyze(subject: &str, log: &EventLog) -> AnalysisReport {
+    AnalysisReport {
         subject: subject.to_string(),
         nprocs: log.nprocs,
         events: log.len(),
-        passes: passes.to_vec(),
-        hb: None,
-        lockset: None,
-        barrier: None,
-        prefetch: None,
-        sync_balance: None,
+        hb: hb::run(log),
         replay_notes: log
             .notes
             .iter()
             .map(std::string::ToString::to_string)
             .collect(),
-    };
-    for &pass in passes {
-        match pass {
-            PassKind::HappensBefore => report.hb = Some(hb::run(log)),
-            PassKind::Lockset => report.lockset = Some(lockset::run(log)),
-            PassKind::Barrier => report.barrier = Some(barrier::run(log)),
-            PassKind::Prefetch => report.prefetch = Some(prefetch::run(log)),
-            PassKind::SyncBalance => report.sync_balance = Some(syncbal::run(log)),
-        }
     }
-    // Non-binding prefetches carry no ordering semantics; a race whose
-    // only intervening "edge" was a prefetch is the exact pattern the
-    // prefetch pass exists to surface. Needs both passes.
-    if let (Some(hb), Some(pf)) = (&report.hb, &mut report.prefetch) {
-        pf.sole_ordering_edges = hb.races.iter().filter(|r| r.prefetch_between).count() as u64;
-    }
-    report
 }
 
-/// Replays a trace into an event log and runs the selected passes.
-pub fn analyze_trace(subject: &str, trace: &Trace, passes: &[PassKind]) -> AnalysisReport {
-    let log = events_from_trace(trace);
-    analyze(subject, &log, passes)
+/// Replays a trace into an event log and analyzes it.
+pub fn analyze_trace(subject: &str, trace: &Trace) -> AnalysisReport {
+    analyze(subject, &events_from_trace(trace))
 }
 
 #[cfg(test)]
@@ -210,36 +94,17 @@ mod tests {
     }
 
     #[test]
-    fn parse_all_and_lists() {
-        assert_eq!(parse_passes("all").unwrap(), PassKind::ALL.to_vec());
-        assert_eq!(parse_passes("").unwrap(), PassKind::ALL.to_vec());
-        assert_eq!(
-            parse_passes("hb,lockset,hb").unwrap(),
-            vec![PassKind::HappensBefore, PassKind::Lockset]
-        );
-        assert!(parse_passes("hb,bogus").is_err());
-    }
-
-    #[test]
     fn clean_trace_certifies() {
-        let report = analyze_trace("test", &two_proc_trace(false), &PassKind::ALL);
-        assert_eq!(report.properly_labeled(), Some(true), "{}", report.render());
+        let report = analyze_trace("test", &two_proc_trace(false));
+        assert!(report.properly_labeled(), "{}", report.render());
         assert!(!report.race_detected());
     }
 
     #[test]
     fn dropped_release_breaks_certification() {
-        let report = analyze_trace("test", &two_proc_trace(true), &PassKind::ALL);
-        assert_eq!(report.properly_labeled(), Some(false));
+        let report = analyze_trace("test", &two_proc_trace(true));
+        assert!(!report.properly_labeled());
         assert!(report.race_detected(), "{}", report.render());
         assert!(!report.replay_notes.is_empty());
-    }
-
-    #[test]
-    fn no_hb_pass_means_no_verdict() {
-        let report = analyze_trace("test", &two_proc_trace(false), &[PassKind::Lockset]);
-        assert_eq!(report.properly_labeled(), None);
-        let rendered = report.render();
-        assert!(rendered.contains("no certification"), "{rendered}");
     }
 }

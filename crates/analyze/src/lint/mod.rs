@@ -1,11 +1,13 @@
 //! `dashlat lint` — whole-program static analysis of workload programs,
 //! with **zero simulation cycles**.
 //!
-//! Where the passes in the crate root analyze *event streams* from a
-//! simulated or replayed execution, this module analyzes the *program
-//! itself*: the per-process op streams obtained by
+//! Where the happens-before pass in the crate root analyzes *event
+//! streams* from a simulated or replayed execution, this module analyzes
+//! the *program itself*: the per-process op streams obtained by
 //! [`dashlat_cpu::extract::extract_program`] (or any serialized
-//! [`Trace`]). Four passes run over the sync-skeleton CFG:
+//! [`Trace`]). Extraction runs the logical scheduler trace replay uses,
+//! so its notes are the replay's notes. Four passes run over the
+//! sync-skeleton CFG:
 //!
 //! 1. [`deadlock`] — lock-order cycles (Goodlock-filtered),
 //!    acquire/release imbalance, never-released locks with possible
@@ -15,7 +17,8 @@
 //! 3. [`labeling`] — static properly-labeled inference over the
 //!    must-happens-before closure; under-labeling is fatal (SC-under-RC
 //!    unsound), over-labeling is costed advice.
-//! 4. [`prefetch`] — dead / late / duplicate prefetch placement.
+//! 4. [`prefetch`] — dead / late / duplicate / wrong-mode prefetch
+//!    placement, with exact totals beside a capped list of witnesses.
 //!
 //! Entry points: [`lint_workload`] for live workloads and
 //! [`lint_trace`] for serialized programs or fixture mutations.
@@ -26,18 +29,18 @@ pub mod prefetch;
 pub mod report;
 pub mod skeleton;
 
-use dashlat_cpu::extract::{extract_program, ExtractError, ExtractOptions};
+use dashlat_cpu::extract::{extract_program, ExtractError};
 use dashlat_cpu::ops::Workload;
 use dashlat_cpu::trace::Trace;
 use dashlat_mem::latency::LatencyTable;
 
 pub use report::{
     BarrierFindings, CompetingPair, DeadlockFindings, LabelingFindings, LintReport, LockCycle,
-    OverLabel, PrefetchLints, Severity, UnreleasedLock,
+    OverLabel, PrefetchLints, Severity, UnreleasedLock, Witnesses,
 };
 pub use skeleton::{BarrierDivergence, Skeleton};
 
-/// Thresholds and caps for the lint passes.
+/// Thresholds for the lint passes.
 #[derive(Debug, Clone)]
 pub struct LintOptions {
     /// Miss latency a read-shared prefetch must cover (defaults to the
@@ -46,8 +49,6 @@ pub struct LintOptions {
     /// Miss latency a read-exclusive prefetch or write must cover
     /// (defaults to the DASH remote ownership acquisition).
     pub write_miss_cycles: u64,
-    /// Extraction op budget.
-    pub max_total_ops: usize,
 }
 
 impl LintOptions {
@@ -56,7 +57,6 @@ impl LintOptions {
         LintOptions {
             read_miss_cycles: lat.read_fill_remote.as_u64(),
             write_miss_cycles: lat.write_owned_remote.as_u64(),
-            max_total_ops: ExtractOptions::default().max_total_ops,
         }
     }
 }
@@ -111,12 +111,7 @@ pub fn lint_workload<W: Workload + ?Sized>(
     workload: &W,
     opts: &LintOptions,
 ) -> Result<LintReport, ExtractError> {
-    let ext = extract_program(
-        workload,
-        ExtractOptions {
-            max_total_ops: opts.max_total_ops,
-        },
-    )?;
+    let ext = extract_program(workload)?;
     let notes = ext.notes.iter().map(ToString::to_string).collect();
     Ok(lint_trace(
         subject,

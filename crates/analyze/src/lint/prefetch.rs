@@ -15,6 +15,13 @@
 //!   for the remainder.
 //! * **duplicate** — the line was already prefetched in this sync
 //!   interval with no intervening demand access to it.
+//! * **wrong-mode** — a shared-mode prefetch whose first demand access
+//!   to the line in its sync interval is a write or RMW: the write still
+//!   pays the ownership transition a read-exclusive prefetch would have
+//!   hidden.
+//!
+//! Each category counts every finding exactly and keeps the first 64 as
+//! witnesses ([`super::report::Witnesses`]).
 
 use std::collections::HashMap;
 
@@ -24,9 +31,6 @@ use dashlat_mem::addr::LineAddr;
 
 use super::report::PrefetchLints;
 use super::LintOptions;
-
-/// Witness sites kept per category.
-const SITE_CAP: usize = 64;
 
 /// Runs the prefetch pass directly over the extracted streams.
 pub fn run(trace: &Trace, opts: &LintOptions) -> PrefetchLints {
@@ -41,7 +45,7 @@ pub fn run(trace: &Trace, opts: &LintOptions) -> PrefetchLints {
                 Op::Prefetch { addr, exclusive } => {
                     out.total += 1;
                     let line = addr.line();
-                    if open.contains_key(&line) && out.duplicate.len() < SITE_CAP {
+                    if open.contains_key(&line) {
                         out.duplicate.push((pid, i, line));
                     }
                     open.insert(line, (i, exclusive, 0));
@@ -51,13 +55,17 @@ pub fn run(trace: &Trace, opts: &LintOptions) -> PrefetchLints {
                 Op::Read(a) | Op::Write(a) | Op::Rmw(a) => {
                     let line = a.line();
                     if let Some((at, exclusive, dist)) = open.remove(&line) {
-                        let needed = if exclusive || !matches!(op, Op::Read(_)) {
+                        let write = !matches!(op, Op::Read(_));
+                        let needed = if exclusive || write {
                             opts.write_miss_cycles
                         } else {
                             opts.read_miss_cycles
                         };
-                        if dist < needed && out.late.len() < SITE_CAP {
+                        if dist < needed {
                             out.late.push(((pid, at, line), dist, needed));
+                        }
+                        if write && !exclusive {
+                            out.wrong_mode.push((pid, at, line));
                         }
                     }
                     bump(&mut open, 1);
@@ -69,9 +77,7 @@ pub fn run(trace: &Trace, opts: &LintOptions) -> PrefetchLints {
                         open.drain().map(|(l, (at, _, _))| (at, l)).collect();
                     stale.sort_unstable();
                     for (at, l) in stale {
-                        if out.dead.len() < SITE_CAP {
-                            out.dead.push((pid, at, l));
-                        }
+                        out.dead.push((pid, at, l));
                     }
                 }
             }
@@ -89,11 +95,17 @@ fn bump(open: &mut HashMap<LineAddr, (usize, bool, u64)>, cycles: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::lint_trace;
     use dashlat_cpu::ops::{LockId, SyncConfig};
     use dashlat_mem::addr::Addr;
 
-    fn lints(stream: Vec<Op>) -> PrefetchLints {
-        let trace = Trace {
+    const OPTS: LintOptions = LintOptions {
+        read_miss_cycles: 90,
+        write_miss_cycles: 82,
+    };
+
+    fn trace(stream: Vec<Op>) -> Trace {
+        Trace {
             streams: vec![stream],
             sync: SyncConfig {
                 lock_addrs: vec![Addr(0x1000)],
@@ -101,15 +113,11 @@ mod tests {
                 labeled_ranges: Vec::new(),
             },
             page_homes: None,
-        };
-        run(
-            &trace,
-            &LintOptions {
-                read_miss_cycles: 90,
-                write_miss_cycles: 82,
-                ..LintOptions::default()
-            },
-        )
+        }
+    }
+
+    fn lints(stream: Vec<Op>) -> PrefetchLints {
+        run(&trace(stream), &OPTS)
     }
 
     fn pf(a: u64) -> Op {
@@ -129,6 +137,7 @@ mod tests {
         ]);
         assert_eq!(f.total, 1);
         assert!(f.dead.is_empty() && f.late.is_empty() && f.duplicate.is_empty());
+        assert!(f.wrong_mode.is_empty());
     }
 
     #[test]
@@ -139,8 +148,8 @@ mod tests {
             Op::Read(Addr(0x40)),
             Op::Done,
         ]);
-        assert_eq!(f.late.len(), 1);
-        let ((_, at, _), dist, needed) = f.late[0];
+        assert_eq!(f.late.total(), 1);
+        let ((_, at, _), dist, needed) = f.late.sites()[0];
         assert_eq!(at, 0);
         assert_eq!(dist, 11); // 1 issue cycle + 10 compute
         assert_eq!(needed, 90);
@@ -156,7 +165,7 @@ mod tests {
             Op::Release(LockId(0)),
             Op::Done,
         ]);
-        assert_eq!(f.dead.len(), 1, "{f:?}");
+        assert_eq!(f.dead.total(), 1, "{f:?}");
     }
 
     #[test]
@@ -171,7 +180,7 @@ mod tests {
             Op::Read(Addr(0x40)),
             Op::Done,
         ]);
-        assert_eq!(f.duplicate.len(), 1);
+        assert_eq!(f.duplicate.total(), 1);
         assert_eq!(f.total, 3);
     }
 
@@ -188,6 +197,57 @@ mod tests {
         ]);
         // 86 cycles covered >= 82 write-miss threshold: not late.
         assert!(f.late.is_empty(), "{f:?}");
+        // Read-exclusive is the right mode for a write.
+        assert!(f.wrong_mode.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn shared_prefetch_then_write_or_rmw_is_wrong_mode() {
+        for demand in [Op::Write(Addr(0x48)), Op::Rmw(Addr(0x40))] {
+            let f = lints(vec![pf(0x40), Op::Compute(200), demand, Op::Done]);
+            assert_eq!(f.wrong_mode.total(), 1, "{demand:?}: {f:?}");
+            assert_eq!(
+                f.wrong_mode.sites(),
+                vec![(ProcId(0), 0, Addr(0x40).line())]
+            );
+            assert!(f.late.is_empty() && f.dead.is_empty(), "{f:?}");
+        }
+        // Only the *first* demand access decides: a read consumes the
+        // prefetch, so a later write is not charged to it.
+        let f = lints(vec![
+            pf(0x40),
+            Op::Compute(200),
+            Op::Read(Addr(0x40)),
+            Op::Write(Addr(0x40)),
+            Op::Done,
+        ]);
+        assert!(f.wrong_mode.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn totals_are_exact_beyond_the_witness_cap() {
+        // 100 prefetches of distinct lines, none demanded: all dead.
+        let mut stream: Vec<Op> = (0..100).map(|i| pf(0x40 + i * 0x100)).collect();
+        stream.push(Op::Done);
+        let r = lint_trace("cap", &trace(stream), Vec::new(), false, &OPTS);
+        let f = &r.prefetch;
+        assert_eq!(f.total, 100);
+        assert_eq!(f.dead.total(), 100);
+        assert_eq!(f.dead.sites().len(), 64);
+        assert_eq!(f.dead.sites()[0], (ProcId(0), 0, Addr(0x40).line()));
+        assert_eq!(f.dead.sites()[63].1, 63);
+        assert!(
+            r.render()
+                .contains("prefetch: 100 issued, 100 dead, 0 late, 0 duplicate, 0 wrong-mode"),
+            "{}",
+            r.render()
+        );
+        let v = dashlat_sim::json::Value::parse(&r.to_json()).expect("valid json");
+        let dead = v
+            .get("prefetch")
+            .and_then(|p| p.get("dead"))
+            .and_then(dashlat_sim::json::Value::as_u64);
+        assert_eq!(dead, Some(100));
     }
 
     #[test]

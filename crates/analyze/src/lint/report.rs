@@ -210,6 +210,51 @@ impl LabelingFindings {
     }
 }
 
+/// Witness sites kept per finding category.
+const SITE_CAP: usize = 64;
+
+/// One finding category: its exact count, and its first findings as
+/// witnesses (at most 64).
+#[derive(Debug, Clone)]
+pub struct Witnesses<T> {
+    total: usize,
+    sites: Vec<T>,
+}
+
+impl<T> Default for Witnesses<T> {
+    fn default() -> Self {
+        Witnesses {
+            total: 0,
+            sites: Vec::new(),
+        }
+    }
+}
+
+impl<T> Witnesses<T> {
+    /// Counts one finding, keeping it as a witness while under the cap.
+    pub(crate) fn push(&mut self, site: T) {
+        self.total += 1;
+        if self.sites.len() < SITE_CAP {
+            self.sites.push(site);
+        }
+    }
+
+    /// Findings in the category, including those beyond the witness cap.
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// The first findings, in discovery order.
+    pub fn sites(&self) -> &[T] {
+        &self.sites
+    }
+
+    /// True when the category has no finding.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+}
+
 /// One prefetch finding site: `(pid, op index, line)`.
 pub type PrefetchSite = (ProcId, usize, LineAddr);
 
@@ -217,13 +262,17 @@ pub type PrefetchSite = (ProcId, usize, LineAddr);
 #[derive(Debug, Clone, Default)]
 pub struct PrefetchLints {
     /// Prefetches with no matching demand access before the next sync.
-    pub dead: Vec<PrefetchSite>,
+    pub dead: Witnesses<PrefetchSite>,
     /// Prefetches whose static distance to the first demand access is
     /// below the configured miss latency: `(site, distance, needed)`.
-    pub late: Vec<(PrefetchSite, u64, u64)>,
+    pub late: Witnesses<(PrefetchSite, u64, u64)>,
     /// Prefetches re-fetching a line already prefetched with no
     /// intervening demand access or sync.
-    pub duplicate: Vec<PrefetchSite>,
+    pub duplicate: Witnesses<PrefetchSite>,
+    /// Shared-mode prefetches whose first demand access to the line in
+    /// their sync interval is a write or RMW: the write still pays for
+    /// ownership.
+    pub wrong_mode: Witnesses<PrefetchSite>,
     /// Total prefetches examined.
     pub total: usize,
 }
@@ -334,29 +383,37 @@ impl LintReport {
         let pf = &self.prefetch;
         let _ = writeln!(
             s,
-            "  prefetch: {} issued, {} dead, {} late, {} duplicate",
+            "  prefetch: {} issued, {} dead, {} late, {} duplicate, {} wrong-mode",
             pf.total,
-            pf.dead.len(),
-            pf.late.len(),
-            pf.duplicate.len()
+            pf.dead.total(),
+            pf.late.total(),
+            pf.duplicate.total(),
+            pf.wrong_mode.total()
         );
-        for &(pid, i, line) in pf.dead.iter().take(4) {
+        for &(pid, i, line) in pf.dead.sites().iter().take(4) {
             let _ = writeln!(
                 s,
                 "  INFO dead prefetch: {pid} op #{i} line {:#x} never demanded before next sync",
                 line.base().0
             );
         }
-        for &((pid, i, _), dist, need) in pf.late.iter().take(4) {
+        for &((pid, i, _), dist, need) in pf.late.sites().iter().take(4) {
             let _ = writeln!(
                 s,
                 "  INFO late prefetch: {pid} op #{i} covers only {dist} of {need} miss cycles",
             );
         }
-        for &(pid, i, line) in pf.duplicate.iter().take(4) {
+        for &(pid, i, line) in pf.duplicate.sites().iter().take(4) {
             let _ = writeln!(
                 s,
                 "  INFO duplicate prefetch: {pid} op #{i} re-fetches line {:#x}",
+                line.base().0
+            );
+        }
+        for &(pid, i, line) in pf.wrong_mode.sites().iter().take(4) {
+            let _ = writeln!(
+                s,
+                "  INFO wrong-mode prefetch: {pid} op #{i} prefetches line {:#x} shared, then writes it",
                 line.base().0
             );
         }
@@ -395,7 +452,7 @@ impl LintReport {
              \"barriers\":{{\"episodes\":{},\"diverged\":{}}},\
              \"labeling\":{{\"properly_labeled\":{},\"under_labeled_addrs\":[{}],\"over_labeled\":[{}],\
              \"pairs_checked\":{},\"addrs_checked\":{}}},\
-             \"prefetch\":{{\"total\":{},\"dead\":{},\"late\":{},\"duplicate\":{}}}}}",
+             \"prefetch\":{{\"total\":{},\"dead\":{},\"late\":{},\"duplicate\":{},\"wrong_mode\":{}}}}}",
             quote(&self.subject),
             self.nprocs,
             self.total_ops,
@@ -413,9 +470,10 @@ impl LintReport {
             self.labeling.pairs_checked,
             self.labeling.addrs_checked,
             self.prefetch.total,
-            self.prefetch.dead.len(),
-            self.prefetch.late.len(),
-            self.prefetch.duplicate.len(),
+            self.prefetch.dead.total(),
+            self.prefetch.late.total(),
+            self.prefetch.duplicate.total(),
+            self.prefetch.wrong_mode.total(),
         )
     }
 }

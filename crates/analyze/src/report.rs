@@ -1,11 +1,9 @@
-//! Report types shared by all analysis passes, and the rendered summary.
+//! Report types of the dynamic analysis, and the rendered summary.
 
 use dashlat_cpu::events::EventLog;
 use dashlat_cpu::ops::{BarrierId, LockId, ProcId};
 use dashlat_mem::addr::{Addr, LineAddr};
 use dashlat_sim::Cycle;
-
-use crate::PassKind;
 
 /// The last synchronization operation a process performed before an
 /// access — the edge that *should* have ordered the access but did not.
@@ -128,190 +126,6 @@ pub struct HbSummary {
     pub labeled_accesses: u64,
 }
 
-/// One lockset (Eraser) warning: a shared location with an empty candidate
-/// lockset. Lint-grade — barrier-phased sharing produces false positives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocksetWarning {
-    /// The location.
-    pub addr: Addr,
-    /// Its cache line.
-    pub line: LineAddr,
-    /// Processes that accessed it.
-    pub pids: Vec<ProcId>,
-}
-
-impl std::fmt::Display for LocksetWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pids: Vec<String> = self
-            .pids
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        write!(
-            f,
-            "no common lock protects {:#x} ({}) accessed by {}",
-            self.addr.0,
-            self.line,
-            pids.join(",")
-        )
-    }
-}
-
-/// Outcome of the lockset pass.
-#[derive(Debug, Clone, Default)]
-pub struct LocksetSummary {
-    /// Locations flagged (capped; see `warnings_total`).
-    pub warnings: Vec<LocksetWarning>,
-    /// Total flagged locations.
-    pub warnings_total: u64,
-    /// Locations exempted by labels.
-    pub labeled_locations: u64,
-}
-
-/// Outcome of the barrier-divergence pass.
-#[derive(Debug, Clone, Default)]
-pub struct BarrierSummary {
-    /// True when any two processes saw different barrier sequences.
-    pub divergent: bool,
-    /// Human-readable divergence details.
-    pub details: Vec<String>,
-    /// Barrier arrivals observed in total.
-    pub arrivals: u64,
-    /// Barrier episodes force-released by the replayer (0 for clean runs).
-    pub forced: u64,
-}
-
-/// Outcome of the prefetch-semantics pass.
-#[derive(Debug, Clone, Default)]
-pub struct PrefetchSummary {
-    /// Prefetches issued.
-    pub issued: u64,
-    /// Prefetches followed by a same-process demand access to the line.
-    pub covered: u64,
-    /// Prefetches never followed by a demand access (wasted bandwidth).
-    pub useless: u64,
-    /// Covered prefetches whose demand access came too soon to hide
-    /// latency.
-    pub late: u64,
-    /// Shared prefetches whose first demand access was a write (would need
-    /// a second, exclusive, transaction).
-    pub wrong_mode: u64,
-    /// Racy lines where a prefetch was the only "edge" between the
-    /// conflicting accesses (prefetches are non-binding and order
-    /// nothing). Filled from the happens-before pass when both ran.
-    pub sole_ordering_edges: u64,
-}
-
-impl PrefetchSummary {
-    /// Fraction of issued prefetches that were consumed by a demand
-    /// access (the paper's coverage notion).
-    pub fn coverage(&self) -> f64 {
-        if self.issued == 0 {
-            return 0.0;
-        }
-        self.covered as f64 / self.issued as f64
-    }
-}
-
-/// One sync-balance finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncIssue {
-    /// A process finished (or the run ended) still holding a lock.
-    UnreleasedLock {
-        /// The lock.
-        lock: LockId,
-        /// The holder.
-        pid: ProcId,
-    },
-    /// A process released a lock it did not hold.
-    ReleaseWithoutHold {
-        /// The lock.
-        lock: LockId,
-        /// The releasing process.
-        pid: ProcId,
-        /// The actual holder at that point.
-        holder: Option<ProcId>,
-    },
-    /// A lock was granted while the event stream shows another holder —
-    /// the signature of a dropped Release reconstructed by forced replay.
-    GrantWhileHeld {
-        /// The lock.
-        lock: LockId,
-        /// The process granted the lock.
-        pid: ProcId,
-        /// The process still shown as holding it.
-        holder: ProcId,
-    },
-    /// A barrier's total arrivals were not a multiple of the process
-    /// count: some process missed an episode.
-    UnbalancedBarrier {
-        /// The barrier.
-        barrier: BarrierId,
-        /// Arrivals observed.
-        arrivals: u64,
-        /// Process count.
-        nprocs: usize,
-    },
-}
-
-impl SyncIssue {
-    /// True for findings that break properly-labeled certification (as
-    /// opposed to stylistic lint).
-    pub fn is_critical(&self) -> bool {
-        // A lock still held when the program ends cannot invalidate any
-        // ordering edge an access relied on — it is lint. Everything
-        // else breaks Acquire/Release/Barrier pairing mid-run, which
-        // the happens-before edges depend on.
-        !matches!(self, SyncIssue::UnreleasedLock { .. })
-    }
-}
-
-impl std::fmt::Display for SyncIssue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SyncIssue::UnreleasedLock { lock, pid } => {
-                write!(f, "{pid} never released lock {}", lock.0)
-            }
-            SyncIssue::ReleaseWithoutHold { lock, pid, holder } => match holder {
-                Some(h) => write!(f, "{pid} released lock {} held by {h}", lock.0),
-                None => write!(f, "{pid} released lock {} that nobody held", lock.0),
-            },
-            SyncIssue::GrantWhileHeld { lock, pid, holder } => write!(
-                f,
-                "lock {} granted to {pid} while {holder} still held it (missing Release?)",
-                lock.0
-            ),
-            SyncIssue::UnbalancedBarrier {
-                barrier,
-                arrivals,
-                nprocs,
-            } => write!(
-                f,
-                "barrier {} saw {arrivals} arrivals, not a multiple of {nprocs} processes",
-                barrier.0
-            ),
-        }
-    }
-}
-
-/// Outcome of the sync-balance pass.
-#[derive(Debug, Clone, Default)]
-pub struct SyncBalanceSummary {
-    /// All findings.
-    pub issues: Vec<SyncIssue>,
-    /// Acquire events observed.
-    pub acquires: u64,
-    /// Release events observed.
-    pub releases: u64,
-}
-
-impl SyncBalanceSummary {
-    /// True when any finding breaks certification.
-    pub fn has_critical(&self) -> bool {
-        self.issues.iter().any(SyncIssue::is_critical)
-    }
-}
-
 /// A per-processor operation timeline rendered from an [`EventLog`] —
 /// the shared trace-display machinery for race reports and the memory-model
 /// verifier's counterexample rendering (`dashlat-verify`).
@@ -403,43 +217,25 @@ pub struct AnalysisReport {
     pub nprocs: usize,
     /// Events analyzed.
     pub events: usize,
-    /// Passes that ran.
-    pub passes: Vec<PassKind>,
-    /// Happens-before results, when the pass ran.
-    pub hb: Option<HbSummary>,
-    /// Lockset results, when the pass ran.
-    pub lockset: Option<LocksetSummary>,
-    /// Barrier-divergence results, when the pass ran.
-    pub barrier: Option<BarrierSummary>,
-    /// Prefetch-semantics results, when the pass ran.
-    pub prefetch: Option<PrefetchSummary>,
-    /// Sync-balance results, when the pass ran.
-    pub sync_balance: Option<SyncBalanceSummary>,
-    /// Replay diagnostics (forced grants/barriers — empty for live runs
-    /// and clean traces).
+    /// Happens-before results.
+    pub hb: HbSummary,
+    /// Replay diagnostics (forced grants/barriers and bad releases —
+    /// empty for live runs and clean traces).
     pub replay_notes: Vec<String>,
 }
 
 impl AnalysisReport {
     /// True when the happens-before pass found at least one race.
     pub fn race_detected(&self) -> bool {
-        self.hb.as_ref().is_some_and(|h| h.races_total > 0)
+        self.hb.races_total > 0
     }
 
-    /// Properly-labeled verdict: `Some(true)` when the happens-before pass
-    /// ran and every ordinary conflicting access was ordered (and no
-    /// structural sync damage was found), `Some(false)` when it ran and
-    /// found violations, `None` when it did not run.
-    pub fn properly_labeled(&self) -> Option<bool> {
-        let hb = self.hb.as_ref()?;
-        let clean = hb.races_total == 0
-            && !self.barrier.as_ref().is_some_and(|b| b.divergent)
-            && !self
-                .sync_balance
-                .as_ref()
-                .is_some_and(SyncBalanceSummary::has_critical)
-            && self.replay_notes.is_empty();
-        Some(clean)
+    /// Properly-labeled verdict: every ordinary conflicting access was
+    /// ordered (no happens-before race), and the run's sync skeleton
+    /// scheduled without a forced transition or bad release (no replay
+    /// note).
+    pub fn properly_labeled(&self) -> bool {
+        !self.race_detected() && self.replay_notes.is_empty()
     }
 
     /// Renders the full human-readable report.
@@ -451,98 +247,34 @@ impl AnalysisReport {
             "analysis of {} ({} processes, {} events)",
             self.subject, self.nprocs, self.events
         );
-        if let Some(hb) = &self.hb {
-            let _ = writeln!(
-                out,
-                "  happens-before: {} ordinary accesses checked, {} labeled accesses exempt, {} race(s)",
-                hb.checked_accesses, hb.labeled_accesses, hb.races_total
-            );
-            for r in &hb.races {
-                let _ = writeln!(out, "    {r}");
-            }
-            if hb.races_total as usize > hb.races.len() {
-                let _ = writeln!(
-                    out,
-                    "    ... {} further race(s) suppressed",
-                    hb.races_total as usize - hb.races.len()
-                );
-            }
+        let hb = &self.hb;
+        let _ = writeln!(
+            out,
+            "  happens-before: {} ordinary accesses checked, {} labeled accesses exempt, {} race(s)",
+            hb.checked_accesses, hb.labeled_accesses, hb.races_total
+        );
+        for r in &hb.races {
+            let _ = writeln!(out, "    {r}");
         }
-        if let Some(ls) = &self.lockset {
+        if hb.races_total as usize > hb.races.len() {
             let _ = writeln!(
                 out,
-                "  lockset (lint): {} location(s) with empty candidate set, {} labeled exempt",
-                ls.warnings_total, ls.labeled_locations
+                "    ... {} further race(s) suppressed",
+                hb.races_total as usize - hb.races.len()
             );
-            for w in &ls.warnings {
-                let _ = writeln!(out, "    {w}");
-            }
-            if ls.warnings_total as usize > ls.warnings.len() {
-                let _ = writeln!(
-                    out,
-                    "    ... {} further warning(s) suppressed",
-                    ls.warnings_total as usize - ls.warnings.len()
-                );
-            }
-        }
-        if let Some(b) = &self.barrier {
-            let _ = writeln!(
-                out,
-                "  barriers: {} arrivals, divergence: {}{}",
-                b.arrivals,
-                if b.divergent { "YES" } else { "none" },
-                if b.forced > 0 {
-                    format!(", {} forced episode(s)", b.forced)
-                } else {
-                    String::new()
-                }
-            );
-            for d in &b.details {
-                let _ = writeln!(out, "    {d}");
-            }
-        }
-        if let Some(p) = &self.prefetch {
-            let _ = writeln!(
-                out,
-                "  prefetches: {} issued, {} covered ({:.0}%), {} useless, {} late, {} wrong-mode, {} sole-ordering-edge",
-                p.issued,
-                p.covered,
-                p.coverage() * 100.0,
-                p.useless,
-                p.late,
-                p.wrong_mode,
-                p.sole_ordering_edges
-            );
-        }
-        if let Some(s) = &self.sync_balance {
-            let _ = writeln!(
-                out,
-                "  sync balance: {} acquires, {} releases, {} issue(s)",
-                s.acquires,
-                s.releases,
-                s.issues.len()
-            );
-            for i in &s.issues {
-                let _ = writeln!(out, "    {i}");
-            }
         }
         for n in &self.replay_notes {
             let _ = writeln!(out, "  replay note: {n}");
         }
-        match self.properly_labeled() {
-            Some(true) => {
-                let _ = writeln!(out, "  verdict: PROPERLY LABELED");
+        let _ = writeln!(
+            out,
+            "  verdict: {}",
+            if self.properly_labeled() {
+                "PROPERLY LABELED"
+            } else {
+                "NOT properly labeled"
             }
-            Some(false) => {
-                let _ = writeln!(out, "  verdict: NOT properly labeled");
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "  verdict: no certification (happens-before pass not run)"
-                );
-            }
-        }
+        );
         out
     }
 }

@@ -7,7 +7,7 @@
 //! accesses). The vendored proptest shim derives inputs from a
 //! deterministic per-case RNG, so every run reproduces exactly.
 
-use dashlat_analyze::{analyze, analyze_trace, PassKind};
+use dashlat_analyze::{analyze, analyze_trace};
 use dashlat_cpu::events::{events_from_trace, EventKind};
 use dashlat_cpu::ops::{LockId, Op, SyncConfig};
 use dashlat_cpu::trace::Trace;
@@ -88,10 +88,10 @@ proptest! {
         plans in proptest::collection::vec(proc_plan(), 2..5),
     ) {
         let t = trace_of(build_streams(&plans, 0));
-        let a = analyze_trace("prop", &t, &PassKind::ALL);
-        prop_assert_eq!(a.properly_labeled(), Some(true), "{}", a.render());
+        let a = analyze_trace("prop", &t);
+        prop_assert!(a.properly_labeled(), "{}", a.render());
         prop_assert!(a.replay_notes.is_empty());
-        let b = analyze_trace("prop", &t, &PassKind::ALL);
+        let b = analyze_trace("prop", &t);
         prop_assert_eq!(a.render(), b.render());
     }
 
@@ -107,13 +107,13 @@ proptest! {
         let mut streams = vec![vec![Op::Acquire(LockId(0)), Op::Write(SHARED), Op::Done]];
         streams.extend(build_streams(&plans, 1));
         let t = trace_of(streams);
-        let a = analyze_trace("prop", &t, &PassKind::ALL);
+        let a = analyze_trace("prop", &t);
         prop_assert!(a.race_detected(), "{}", a.render());
-        prop_assert_eq!(a.properly_labeled(), Some(false));
+        prop_assert!(!a.properly_labeled());
         prop_assert!(!a.replay_notes.is_empty());
-        let hb = a.hb.as_ref().expect("hb ran");
+        let hb = &a.hb;
         prop_assert!(hb.races.iter().any(|r| r.addr == SHARED));
-        let b = analyze_trace("prop", &t, &PassKind::ALL);
+        let b = analyze_trace("prop", &t);
         prop_assert_eq!(a.render(), b.render());
     }
 
@@ -140,13 +140,13 @@ proptest! {
         let edge_was_load_bearing = log.events[last_victim_acq + 1..]
             .iter()
             .any(|e| matches!(e.kind, EventKind::Acquire(_)));
-        let a = analyze("prop", &log, &PassKind::ALL);
+        let a = analyze("prop", &log);
         prop_assert_eq!(
             a.race_detected(),
             edge_was_load_bearing,
             "oracle disagrees:\n{}",
             a.render()
         );
-        prop_assert_eq!(a.properly_labeled(), Some(!edge_was_load_bearing), "{}", a.render());
+        prop_assert_eq!(a.properly_labeled(), !edge_was_load_bearing, "{}", a.render());
     }
 }

@@ -8,7 +8,7 @@
 //! the original bug never emitted — and lint the mutated trace.
 
 use dashlat_analyze::lint::{lint_trace, lint_workload, LintOptions};
-use dashlat_cpu::extract::{extract_program, ExtractOptions};
+use dashlat_cpu::extract::extract_program;
 use dashlat_cpu::ops::{LockId, Op, ProcId, Topology};
 use dashlat_cpu::trace::Trace;
 use dashlat_mem::addr::Addr;
@@ -21,7 +21,7 @@ fn extract_lu() -> Trace {
     let topo = Topology::new(NPROCS, 1);
     let mut space = AddressSpaceBuilder::new(NPROCS);
     let w = Lu::new(LuParams::test_scale(), topo, &mut space, false);
-    let ext = extract_program(&w, ExtractOptions::default()).expect("lu extracts");
+    let ext = extract_program(&w).expect("lu extracts");
     assert!(ext.is_clean(), "clean LU must extract cleanly");
     ext.trace
 }

@@ -13,8 +13,8 @@
 //! release, no nested acquires in conflicting order) produce no
 //! deadlock findings.
 
+use dashlat_analyze::analyze;
 use dashlat_analyze::lint::{lint_trace, LintOptions};
-use dashlat_analyze::{analyze, PassKind};
 use dashlat_cpu::events::events_from_trace;
 use dashlat_cpu::ops::{BarrierId, LockId, Op, SyncConfig};
 use dashlat_cpu::trace::Trace;
@@ -115,16 +115,14 @@ proptest! {
         let lint = lint_trace("prop", &trace, Vec::new(), false, &LintOptions::default());
 
         let log = events_from_trace(&trace);
-        let dynamic = analyze("prop", &log, &[PassKind::HappensBefore]);
-        if let Some(hb) = &dynamic.hb {
-            for race in &hb.races {
-                prop_assert!(
-                    lint.labeling.under_labeled_addrs.contains(&race.addr),
-                    "dynamic race at {:#x} missed statically\n{}",
-                    race.addr.0,
-                    lint.render()
-                );
-            }
+        let dynamic = analyze("prop", &log);
+        for race in &dynamic.hb.races {
+            prop_assert!(
+                lint.labeling.under_labeled_addrs.contains(&race.addr),
+                "dynamic race at {:#x} missed statically\n{}",
+                race.addr.0,
+                lint.render()
+            );
         }
     }
 
@@ -152,8 +150,8 @@ proptest! {
         let lint = lint_trace("prop", &trace, Vec::new(), false, &LintOptions::default());
         if lint.labeling.properly_labeled() {
             let log = events_from_trace(&trace);
-            let dynamic = analyze("prop", &log, &[PassKind::HappensBefore]);
-            let races = dynamic.hb.as_ref().map_or(0, |h| h.races.len());
+            let dynamic = analyze("prop", &log);
+            let races = dynamic.hb.races.len();
             prop_assert!(races == 0, "statically certified but dynamically racy");
         }
     }

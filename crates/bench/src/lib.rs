@@ -17,8 +17,9 @@
 //!
 //! The figure and table binaries take exactly `dashlat figure`'s machine
 //! flags — read by the same parser,
-//! [`ExperimentConfig::with_machine_flags`] — plus `--csv` and
-//! `--verify-labels` ([`BenchArgs`]); anything else exits with code 1.
+//! [`ExperimentConfig::with_machine_flags`] — plus `--csv`
+//! ([`BenchArgs`]); anything else exits with code 1. The machine flag
+//! `--analyze` certifies every cell with the happens-before analysis.
 //! They run the paper-scale data sets by default; pass `--test-scale`
 //! for the reduced data sets used in CI. Sweep cells are independent
 //! simulations and execute on a worker pool sized by `--jobs N`
@@ -42,7 +43,6 @@ use dashlat::args::Args;
 use dashlat::config::ExperimentConfig;
 use dashlat::experiments::{figure_configs, parse_figure, FigureReport};
 use dashlat::runner::{matrix_jobs, run_matrix_jobs, MatrixReport};
-use dashlat_analyze::PassKind;
 
 /// One timed run of a small, fixed simulation (16-node uniform-random
 /// traffic, deterministic seed), returning host events per second.
@@ -135,9 +135,6 @@ pub struct BenchArgs {
     pub config: ExperimentConfig,
     /// `--csv`: print figures as CSV instead of tables and charts.
     pub csv: bool,
-    /// `--verify-labels`: run the full `dashlat-analyze` pass set over
-    /// every cell; a detected race fails the cell with exit code 6.
-    pub verify_labels: bool,
 }
 
 impl BenchArgs {
@@ -148,17 +145,9 @@ impl BenchArgs {
     ///
     /// A message naming the malformed or repeated flag.
     pub fn read(args: &mut Args) -> Result<Self, String> {
-        let config = ExperimentConfig::base().with_machine_flags(args)?;
-        let csv = args.switch("--csv")?;
-        let verify_labels = args.switch("--verify-labels")?;
         Ok(Self {
-            config: if verify_labels {
-                config.with_analysis(PassKind::ALL.to_vec())
-            } else {
-                config
-            },
-            csv,
-            verify_labels,
+            config: ExperimentConfig::base().with_machine_flags(args)?,
+            csv: args.switch("--csv")?,
         })
     }
 }
@@ -224,7 +213,7 @@ pub fn emit_figure(report: &FigureReport, args: &BenchArgs) -> ExitCode {
         println!("{}", report.figure.render());
         println!("{}", report.figure.render_chart());
     }
-    if report.is_complete() && args.verify_labels {
+    if report.is_complete() && args.config.analyze {
         println!("label verification: every cell certified properly labeled");
     }
     let racy = report
@@ -260,11 +249,10 @@ mod tests {
     fn bench_args_are_the_machine_flags_plus_csv_and_labels() {
         let b = read("").unwrap();
         assert_eq!(b.config, ExperimentConfig::base());
-        assert!(!b.csv && !b.verify_labels);
-        let b = read("--test-scale --processors 4 --csv --verify-labels").unwrap();
+        assert!(!b.csv && !b.config.analyze);
+        let b = read("--test-scale --processors 4 --csv --analyze").unwrap();
         assert_eq!(b.config.processors, 4);
-        assert_eq!(b.config.analyze, PassKind::ALL.to_vec());
-        assert!(b.csv && b.verify_labels);
+        assert!(b.csv && b.config.analyze);
         assert!(read("--bogus").is_err_and(|e| e.contains("--bogus")));
         assert!(read("--csv --csv").is_err_and(|e| e.contains("--csv")));
         assert_eq!(figure_list("2, 3").unwrap(), [2, 3]);
@@ -301,12 +289,7 @@ mod tests {
             subject: String::new(),
             nprocs: 0,
             events: 0,
-            passes: vec![],
-            hb: None,
-            lockset: None,
-            barrier: None,
-            prefetch: None,
-            sync_balance: None,
+            hb: dashlat_analyze::HbSummary::default(),
             replay_notes: vec![],
         }));
         let invariant = RunError::InvariantViolation {

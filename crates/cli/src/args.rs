@@ -10,7 +10,6 @@ use dashlat::chaos::ChaosOptions;
 use dashlat::config::{AppScale, ExperimentConfig};
 use dashlat::experiments::parse_figure;
 use dashlat::sweep::SweepOptions;
-use dashlat_analyze::{parse_passes, PassKind};
 use dashlat_cpu::config::Consistency;
 use dashlat_serve::{JobKind, JobSpec, ServeConfig, TortureOptions};
 use dashlat_verify::SuiteOptions;
@@ -64,16 +63,14 @@ pub enum Command {
         /// Machine variant to replay under.
         config: Box<ExperimentConfig>,
     },
-    /// Run analysis passes (race detection, properly-labeled
-    /// certification) over workload runs or a recorded trace.
+    /// Certify workload runs or a recorded trace as properly labeled
+    /// (happens-before race detection).
     Analyze {
         /// Applications to certify (all three when empty and no trace
         /// input was given).
         apps: Vec<App>,
         /// Recorded trace to analyze instead of live runs.
         input: Option<String>,
-        /// Passes to run.
-        passes: Vec<PassKind>,
         /// Machine variant for live runs.
         config: Box<ExperimentConfig>,
     },
@@ -215,8 +212,8 @@ USAGE:
   dashlat summary [machine flags]
   dashlat trace record --app <app> --out <file> [machine flags]
   dashlat trace replay --in <file> [machine flags]
-  dashlat analyze [--app <app>]... [--in <file>] [--passes <list>]
-                  [--paper-scale] [machine flags]
+  dashlat analyze [--app <app>]... [--in <file>] [--paper-scale]
+                  [machine flags]
   dashlat lint [--app <app>]... [--all] [--in <file>] [--json]
                [--strict] [--paper-scale] [machine flags]
   dashlat sweep <2|3|4|5|6> [machine flags] [--journal <file>] [--out <file>]
@@ -273,16 +270,18 @@ MACHINE FLAGS:
   --mutate-ww               arm the seeded W->W reordering bug
                             (verify-mutations builds only; for testing
                             the chaos fuzzer against a known-real bug)
-  --analyze <passes>        record an event log and run analysis passes
-                            after the run: all, or a comma list of
-                            hb,lockset,barrier,prefetch,syncbalance
+  --analyze                 record an event log and certify the run
+                            properly labeled (happens-before race
+                            detection) after it
 
 ANALYZE:
   `dashlat analyze` certifies runs as properly labeled (every competing
-  access ordered by synchronization or explicitly labeled). Defaults:
-  all three applications, 16 processors, release consistency, reduced
-  data sets (--paper-scale restores Table 2 sizes), every pass.
-  --in <file> analyzes a recorded trace by logical replay instead.
+  access ordered by synchronization or explicitly labeled): no
+  happens-before race, and no replay note (a forced lock grant or
+  barrier release, or a bad release). Defaults: all three
+  applications, 16 processors, release consistency, reduced data sets
+  (--paper-scale restores Table 2 sizes). --in <file> analyzes a
+  recorded trace by logical replay instead. A race exits 6.
 
 LINT:
   `dashlat lint` statically analyzes workload programs without
@@ -294,12 +293,13 @@ LINT:
   happens-before closure; under-labeling is a statically possible race
   and fails the lint, over-labeling is reported with its estimated
   forfeited write-latency hiding in stall cycles), and prefetch lints
-  (dead, late, duplicate — advisory). Defaults match `analyze`: all
-  three applications, release consistency, reduced data sets. --all
-  adds the litmus corpus; --in <file> lints a recorded trace instead;
-  --json prints one machine-readable report per subject; --strict also
-  fails incomplete analyses (truncated extraction or an unconverged
-  closure). Critical findings exit 11.
+  (dead, late, duplicate, wrong-mode — advisory, with exact totals).
+  Defaults match `analyze`: all three applications, release
+  consistency, reduced data sets. --all adds the litmus corpus; --in
+  <file> lints a recorded trace instead; --json prints one
+  machine-readable report per subject; --strict also fails incomplete
+  analyses (truncated extraction or an unconverged closure). Critical
+  findings exit 11.
 
 SWEEP / CHAOS / REPRO:
   `dashlat sweep N` runs figure N's matrix under a crash-safe supervisor:
@@ -486,9 +486,7 @@ pub fn parse(argv: Vec<String>) -> Result<Command, ArgError> {
                         "--in and --app are mutually exclusive (a trace fixes the subject)".into(),
                     );
                 }
-                let passes = a.value_with("--passes", parse_passes)?;
                 Command::Analyze {
-                    passes: passes.unwrap_or_else(|| PassKind::ALL.to_vec()),
                     apps,
                     input,
                     config,
@@ -816,12 +814,10 @@ mod tests {
             Command::Analyze {
                 apps,
                 input,
-                passes,
                 config,
             } => {
                 assert!(apps.is_empty());
                 assert!(input.is_none());
-                assert_eq!(passes, PassKind::ALL.to_vec());
                 assert_eq!(config.processors, 16);
                 assert_eq!(config.consistency, Consistency::Rc);
                 assert_eq!(config.scale, AppScale::Test);
@@ -838,8 +834,6 @@ mod tests {
             "mp3d",
             "--app",
             "lu",
-            "--passes",
-            "hb,lockset",
             "--consistency",
             "sc",
             "--paper-scale",
@@ -847,14 +841,8 @@ mod tests {
         ]))
         .expect("parses");
         match cmd {
-            Command::Analyze {
-                apps,
-                passes,
-                config,
-                ..
-            } => {
+            Command::Analyze { apps, config, .. } => {
                 assert_eq!(apps, vec![App::Mp3d, App::Lu]);
-                assert_eq!(passes, vec![PassKind::HappensBefore, PassKind::Lockset]);
                 assert_eq!(config.consistency, Consistency::Sc);
                 assert_eq!(config.scale, AppScale::Paper);
                 assert!(config.prefetching);
@@ -871,7 +859,6 @@ mod tests {
             Command::Analyze { ref input, .. } if input.as_deref() == Some("/tmp/t.trace")
         ));
         assert!(parse(v(&["analyze", "--in", "/tmp/t.trace", "--app", "lu"])).is_err());
-        assert!(parse(v(&["analyze", "--passes", "bogus"])).is_err());
     }
 
     #[test]
@@ -939,17 +926,17 @@ mod tests {
 
     #[test]
     fn analyze_machine_flag() {
-        let cmd = parse(v(&["run", "--app", "lu", "--analyze", "all"])).expect("parses");
+        let cmd = parse(v(&["run", "--app", "lu", "--analyze"])).expect("parses");
         match cmd {
             Command::Run { config, .. } => {
-                assert_eq!(config.analyze, PassKind::ALL.to_vec());
+                assert!(config.analyze);
             }
             other => panic!("unexpected {other:?}"),
         }
-        let cmd = parse(v(&["figure", "2", "--analyze", "hb", "--test-scale"])).expect("parses");
+        let cmd = parse(v(&["figure", "2", "--analyze", "--test-scale"])).expect("parses");
         match cmd {
             Command::Figure { config, .. } => {
-                assert_eq!(config.analyze, vec![PassKind::HappensBefore]);
+                assert!(config.analyze);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1256,8 +1243,7 @@ mod tests {
             ExperimentConfig::base_test()
                 .with_faults(FaultPlan::heavy(u64::MAX))
                 .with_invariant_checks(false),
-            ExperimentConfig::base_test()
-                .with_analysis(vec![PassKind::HappensBefore, PassKind::Lockset]),
+            ExperimentConfig::base_test().with_analysis(),
             no_contention,
         ];
         for cfg in variants {
@@ -1561,7 +1547,7 @@ mod tests {
         --check-invariants    | -       |
         --no-check-invariants | -       |
         --enforce-wb-fifo     | -       |
-        --analyze             | hb      | bogus
+        --analyze             | -       |
     ";
 
     /// Every command line that takes machine flags, minimal and valid.
@@ -1594,7 +1580,6 @@ mod tests {
         trace replay            | --in                    | t              |
         analyze                 | --app                   | lu             | spice | *
         analyze                 | --in                    | t              |
-        analyze                 | --passes                | hb,lockset     | bogus
         analyze                 | --paper-scale           | -              |
         lint                    | --app                   | lu             | spice | *
         lint                    | --all                   | -              |
@@ -1694,7 +1679,6 @@ mod tests {
         sweep 3 --csv                                     | --csv
         cell --app lu --retries 2                         | --retries
         analyze --all                                     | --all
-        lint --passes hb                                  | --passes
         chaos --resume                                    | --resume
         chaos --data-dir d                                | --data-dir
         chaos --calibration-budget-ms 5                   | --calibration-budget-ms
@@ -1784,7 +1768,7 @@ mod tests {
     #[test]
     fn golden_parse_table() {
         let rows = golden_rows();
-        assert_eq!(rows.len(), 1178);
+        assert_eq!(rows.len(), 1143);
         let off: Vec<String> = rows
             .iter()
             .filter_map(|(argv, want)| {

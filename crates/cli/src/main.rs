@@ -557,14 +557,13 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
         Command::Analyze {
             apps,
             input,
-            passes,
             config,
         } => {
             let mut racy = 0usize;
             if let Some(path) = input {
                 let text = std::fs::read_to_string(&path)?;
                 let trace = Trace::from_text(&text)?;
-                let report = dashlat_analyze::analyze_trace(&path, &trace, &passes);
+                let report = dashlat_analyze::analyze_trace(&path, &trace);
                 println!("{}", report.render());
                 racy += usize::from(report.race_detected());
             } else {
@@ -573,10 +572,10 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                 } else {
                     apps
                 };
-                let cfg = (*config).with_analysis(passes);
+                let cfg = (*config).with_analysis();
                 for app in apps {
                     let e = run(app, &cfg)?;
-                    let report = e.analysis.expect("analysis passes were configured");
+                    let report = e.analysis.expect("analysis was configured");
                     println!("{}", report.render());
                     racy += usize::from(report.race_detected());
                 }
@@ -905,12 +904,7 @@ mod tests {
             subject: String::new(),
             nprocs: 0,
             events: 0,
-            passes: vec![],
-            hb: None,
-            lockset: None,
-            barrier: None,
-            prefetch: None,
-            sync_balance: None,
+            hb: dashlat_analyze::HbSummary::default(),
             replay_notes: vec![],
         }));
         let invariant = RunFailure::Error(RunError::InvariantViolation {
@@ -956,12 +950,7 @@ mod tests {
             subject: String::new(),
             nprocs: 0,
             events: 0,
-            passes: vec![],
-            hb: None,
-            lockset: None,
-            barrier: None,
-            prefetch: None,
-            sync_balance: None,
+            hb: dashlat_analyze::HbSummary::default(),
             replay_notes: vec![],
         }));
         assert_eq!(as_exit(Box::new(race)), ExitCode::from(6));

@@ -59,20 +59,3 @@ fn clean_trace_certifies_and_exits_zero() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("PROPERLY LABELED"), "{stdout}");
 }
-
-#[test]
-fn pass_selection_is_respected() {
-    let path = write_trace("passes", CLEAN_TRACE);
-    let out = dashlat(&[
-        "analyze",
-        "--in",
-        path.to_str().unwrap(),
-        "--passes",
-        "lockset,syncbalance",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // No HB pass means no certification verdict either way.
-    assert!(!stdout.contains("PROPERLY LABELED"), "{stdout}");
-    assert!(stdout.contains("lockset"), "{stdout}");
-}

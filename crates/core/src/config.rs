@@ -5,7 +5,6 @@
 //! prefetching, contexts) and at what scale the application runs. The
 //! paper's figures are all matrices of such variants.
 
-use dashlat_analyze::PassKind;
 use dashlat_cpu::config::{Consistency, ProcConfig};
 use dashlat_cpu::ops::Topology;
 use dashlat_mem::contention::NetworkModel;
@@ -74,11 +73,10 @@ pub struct ExperimentConfig {
     /// convergence tests can hunt a known-real bug.
     #[cfg(feature = "verify-mutations")]
     pub mutate_ww: bool,
-    /// Analysis passes to run over the event stream after the run
-    /// completes (empty = record nothing, analyze nothing). A non-empty
-    /// list makes the machine keep an event log, which costs memory
+    /// Record an event log during the run and certify it with the
+    /// happens-before analysis afterwards. The log costs memory
     /// proportional to the reference count.
-    pub analyze: Vec<PassKind>,
+    pub analyze: bool,
 }
 
 impl ExperimentConfig {
@@ -103,7 +101,7 @@ impl ExperimentConfig {
             enforce_wb_fifo: false,
             #[cfg(feature = "verify-mutations")]
             mutate_ww: false,
-            analyze: Vec::new(),
+            analyze: false,
         }
     }
 
@@ -203,10 +201,10 @@ impl ExperimentConfig {
         self
     }
 
-    /// Returns a copy that records an event log during the run and feeds
-    /// it to the given analysis passes afterwards.
-    pub fn with_analysis(mut self, passes: Vec<PassKind>) -> Self {
-        self.analyze = passes;
+    /// Returns a copy that records an event log during the run and
+    /// certifies it with the happens-before analysis afterwards.
+    pub fn with_analysis(mut self) -> Self {
+        self.analyze = true;
         self
     }
 
@@ -315,10 +313,8 @@ impl ExperimentConfig {
         if self.mutate_ww {
             flag("--mutate-ww");
         }
-        if !self.analyze.is_empty() {
-            let list: Vec<&str> = self.analyze.iter().copied().map(PassKind::name).collect();
+        if self.analyze {
             flag("--analyze");
-            flag(&list.join(","));
         }
         args
     }
@@ -389,9 +385,7 @@ impl ExperimentConfig {
             #[cfg(not(feature = "verify-mutations"))]
             return Err("--mutate-ww requires a build with the verify-mutations feature".into());
         }
-        if let Some(passes) = args.value_with("--analyze", dashlat_analyze::parse_passes)? {
-            self.analyze = passes;
-        }
+        self.analyze |= args.switch("--analyze")?;
         Ok(self)
     }
 

@@ -58,14 +58,11 @@ impl std::fmt::Display for RunFailure {
         match self {
             RunFailure::Error(e) => write!(f, "{e}"),
             RunFailure::Panic(msg) => write!(f, "panic: {msg}"),
-            RunFailure::RaceDetected(report) => {
-                let races = report.hb.as_ref().map_or(0, |h| h.races_total);
-                write!(
-                    f,
-                    "race detected: {} ({} processes) is not properly labeled, {races} race(s)",
-                    report.subject, report.nprocs
-                )
-            }
+            RunFailure::RaceDetected(report) => write!(
+                f,
+                "race detected: {} ({} processes) is not properly labeled, {} race(s)",
+                report.subject, report.nprocs, report.hb.races_total
+            ),
         }
     }
 }
@@ -188,13 +185,14 @@ pub fn run(app: App, config: &ExperimentConfig) -> Result<Experiment, RunError> 
     let mem = MemorySystem::new(config.mem_config(), space.build());
     let mut machine = Machine::new(config.proc_config(), topo, mem, workload)
         .with_max_cycles(Cycle(50_000_000_000));
-    if !config.analyze.is_empty() {
+    if config.analyze {
         machine = machine.with_event_log();
     }
     let result = machine.run()?;
-    let analysis = result.events.as_ref().map(|log| {
-        dashlat_analyze::analyze(&format!("{app}/{}", config.label()), log, &config.analyze)
-    });
+    let analysis = result
+        .events
+        .as_ref()
+        .map(|log| dashlat_analyze::analyze(&format!("{app}/{}", config.label()), log));
     Ok(Experiment {
         app,
         config: config.clone(),
@@ -350,11 +348,10 @@ mod tests {
 
     #[test]
     fn analysis_certifies_clean_run() {
-        let cfg =
-            ExperimentConfig::base_test().with_analysis(dashlat_analyze::PassKind::ALL.to_vec());
+        let cfg = ExperimentConfig::base_test().with_analysis();
         let e = run(App::Mp3d, &cfg).expect("runs");
         let report = e.analysis.expect("analysis requested");
-        assert_eq!(report.properly_labeled(), Some(true), "{}", report.render());
+        assert!(report.properly_labeled(), "{}", report.render());
         assert!(report.replay_notes.is_empty());
         // Live logs come straight from the machine, never from replay.
         assert!(e.result.events.is_some());

@@ -19,7 +19,7 @@ use crate::runner::{catch_panic, run_isolated};
 
 /// The elapsed pclocks of one (application, configuration) sweep point,
 /// run through [`run_isolated`]: a panic, a structured run error or — when
-/// the configuration requests analysis, as `--verify-labels` does — a
+/// the configuration requests analysis, as `--analyze` does — a
 /// detected race fails the point with that failure's message.
 pub fn run_point(point: &(App, ExperimentConfig)) -> Result<u64, String> {
     let (app, config) = point;

@@ -1,5 +1,5 @@
-//! Analysis events: the stream the race detector and its sibling passes
-//! consume.
+//! Analysis events: the stream the happens-before race detector
+//! consumes.
 //!
 //! Two producers emit the same event vocabulary:
 //!
@@ -8,21 +8,21 @@
 //!   recorded at its *commit point* (writes when they enter the write
 //!   buffer, acquires when the lock is actually granted), so the event
 //!   order is exactly the order the memory system observed;
-//! * [`events_from_trace`], a fault-tolerant logical replayer that turns a
-//!   serialized [`Trace`] into the same stream without simulating timing.
-//!   It is deliberately forgiving: a trace with a *dropped Release* (the
-//!   labeling bug the analyzer exists to find) would deadlock a strict
-//!   replayer, so stuck locks are force-granted and diverged barriers
-//!   force-released — with the crucial property that forced transitions
-//!   contribute **no happens-before edge**, letting the detector report the
-//!   race instead of hanging.
-
-use std::collections::VecDeque;
+//! * [`events_from_trace`], which replays a serialized [`Trace`] without
+//!   simulating timing, through the logical scheduler that also extracts
+//!   workload programs ([`crate::extract`]). It is deliberately
+//!   forgiving: a trace with a *dropped Release* (the labeling bug the
+//!   analyzer exists to find) would deadlock a strict replayer, so stuck
+//!   locks are force-granted and diverged barriers force-released — with
+//!   the crucial property that forced transitions contribute **no
+//!   happens-before edge**, letting the detector report the race instead
+//!   of hanging.
 
 use dashlat_mem::addr::Addr;
 use dashlat_sim::Cycle;
 
-use crate::ops::{BarrierId, LockId, Op, ProcId, SyncConfig};
+use crate::extract::{schedule, Mode};
+use crate::ops::{BarrierId, LockId, ProcId, SyncConfig};
 use crate::trace::Trace;
 
 /// What happened, from the analysis passes' point of view.
@@ -46,7 +46,7 @@ pub enum EventKind {
     Release(LockId),
     /// Process arrived at a barrier.
     BarrierArrive(BarrierId),
-    /// A stuck barrier episode was force-released by the replayer without
+    /// A stuck barrier episode was force-released by the scheduler without
     /// completing: analysis passes must discard the pending episode and
     /// create **no** ordering edges from it.
     BarrierForced(BarrierId),
@@ -69,12 +69,13 @@ pub struct AnalysisEvent {
     pub kind: EventKind,
 }
 
-/// Diagnostics the fault-tolerant replayer records when a trace does not
-/// replay cleanly. A well-formed trace produces none.
+/// Diagnostics the logical scheduler records when a program does not
+/// schedule cleanly, in trace replay and in program extraction alike. A
+/// well-synchronized program produces none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayNote {
     /// A process was stuck acquiring a lock nobody was going to release;
-    /// the replayer granted it anyway (with no ordering edge).
+    /// the scheduler granted it anyway (with no ordering edge).
     ForcedGrant {
         /// The lock involved.
         lock: LockId,
@@ -167,398 +168,26 @@ impl EventLog {
     }
 }
 
-/// Per-process replay cursor.
-struct ReplayProc {
-    ops: VecDeque<Op>,
-    /// Index of the *next* op within the original stream.
-    next_index: u64,
-    blocked: Option<Blocked>,
-    finished: bool,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Blocked {
-    OnLock(LockId),
-    OnBarrier(BarrierId),
-}
-
 /// Replays a [`Trace`] logically (no timing model) into an [`EventLog`].
 ///
-/// Scheduling is deterministic round-robin, one operation per runnable
-/// process per round; event `cycle` stamps are a global sequence number.
-/// Lock grants are FIFO. When no process can make progress the replayer
-/// resolves the stall instead of hanging:
-///
-/// 1. the barrier with the most arrivals is force-released
-///    ([`EventKind::BarrierForced`], [`ReplayNote::ForcedBarrier`]) — its
-///    episode produces no ordering edges; otherwise
-/// 2. the lowest-numbered process stuck on a lock is force-granted it
-///    ([`ReplayNote::ForcedGrant`]); the grant joins whatever clock the
-///    lock last published, which for a dropped Release is *stale* — so the
-///    detector still sees the missing edge.
-///
-/// Releases of unheld locks are recorded ([`ReplayNote::BadRelease`]) and
-/// otherwise ignored. A clean trace replays with an empty `notes` list.
+/// The trace's streams run through the same logical scheduler that
+/// extracts workload programs ([`crate::extract`]): deterministic
+/// round-robin, FIFO lock grants, and forced resolution of stalls that
+/// adds no ordering edge. Event `cycle` stamps are a global sequence
+/// number. A clean trace replays with an empty `notes` list; a stream
+/// that ends without `Done` finishes without a `Done` event.
 pub fn events_from_trace(trace: &Trace) -> EventLog {
     let nprocs = trace.streams.len();
-    let mut log = EventLog::new(nprocs, trace.sync.clone());
-    let mut procs: Vec<ReplayProc> = trace
-        .streams
-        .iter()
-        .map(|s| ReplayProc {
-            ops: s.iter().copied().collect(),
-            next_index: 0,
-            blocked: None,
-            finished: s.is_empty(),
-        })
-        .collect();
-    let mut holder: Vec<Option<ProcId>> = vec![None; trace.sync.lock_addrs.len().max(64)];
-    let mut waiters: Vec<VecDeque<ProcId>> = vec![VecDeque::new(); holder.len()];
-    let mut arrived: Vec<Vec<ProcId>> = vec![Vec::new(); trace.sync.barrier_addrs.len().max(64)];
-    let mut seq: u64 = 0;
-
-    // Grows the per-lock/per-barrier tables on demand (traces may use ids
-    // beyond their declared addresses).
-    fn ensure<T: Default + Clone>(v: &mut Vec<T>, i: usize) {
-        if i >= v.len() {
-            v.resize(i + 1, T::default());
-        }
-    }
-
-    loop {
-        let mut progressed = false;
-        for p in 0..nprocs {
-            if procs[p].finished || procs[p].blocked.is_some() {
-                continue;
-            }
-            let Some(op) = procs[p].ops.front().copied() else {
-                procs[p].finished = true;
-                continue;
-            };
-            let op_index = procs[p].next_index;
-            let pid = ProcId(p);
-            let emit = |log: &mut EventLog, seq: &mut u64, kind: EventKind| {
-                log.events.push(AnalysisEvent {
-                    pid,
-                    op_index,
-                    cycle: Cycle(*seq),
-                    kind,
-                });
-                *seq += 1;
-            };
-            match op {
-                Op::Compute(_) => {}
-                Op::Read(a) => emit(&mut log, &mut seq, EventKind::Read(a)),
-                Op::Write(a) => emit(&mut log, &mut seq, EventKind::Write(a)),
-                // An RMW reads and writes the location atomically; for
-                // happens-before purposes the write side dominates.
-                Op::Rmw(a) => emit(&mut log, &mut seq, EventKind::Write(a)),
-                Op::Prefetch { addr, exclusive } => {
-                    emit(&mut log, &mut seq, EventKind::Prefetch { addr, exclusive });
-                }
-                Op::Acquire(l) => {
-                    ensure(&mut holder, l.0);
-                    ensure(&mut waiters, l.0);
-                    if holder[l.0].is_none() && waiters[l.0].is_empty() {
-                        holder[l.0] = Some(pid);
-                        emit(&mut log, &mut seq, EventKind::Acquire(l));
-                    } else {
-                        // Block; the grant (and its event) happens at the
-                        // matching Release, FIFO.
-                        waiters[l.0].push_back(pid);
-                        procs[p].blocked = Some(Blocked::OnLock(l));
-                        // The op itself is consumed when the grant fires.
-                        progressed = true;
-                        continue;
-                    }
-                }
-                Op::Release(l) => {
-                    ensure(&mut holder, l.0);
-                    ensure(&mut waiters, l.0);
-                    emit(&mut log, &mut seq, EventKind::Release(l));
-                    if holder[l.0] == Some(pid) {
-                        holder[l.0] = None;
-                        if let Some(next) = waiters[l.0].pop_front() {
-                            holder[l.0] = Some(next);
-                            let grant_index = procs[next.0].next_index;
-                            log.events.push(AnalysisEvent {
-                                pid: next,
-                                op_index: grant_index,
-                                cycle: Cycle(seq),
-                                kind: EventKind::Acquire(l),
-                            });
-                            seq += 1;
-                            procs[next.0].blocked = None;
-                            procs[next.0].ops.pop_front();
-                            procs[next.0].next_index += 1;
-                        }
-                    } else {
-                        log.notes.push(ReplayNote::BadRelease {
-                            lock: l,
-                            pid,
-                            holder: holder[l.0],
-                        });
-                    }
-                }
-                Op::Barrier(b) => {
-                    ensure(&mut arrived, b.0);
-                    arrived[b.0].push(pid);
-                    emit(&mut log, &mut seq, EventKind::BarrierArrive(b));
-                    procs[p].ops.pop_front();
-                    procs[p].next_index += 1;
-                    progressed = true;
-                    if arrived[b.0].len() == nprocs {
-                        for q in arrived[b.0].drain(..) {
-                            procs[q.0].blocked = None;
-                        }
-                    } else {
-                        procs[p].blocked = Some(Blocked::OnBarrier(b));
-                    }
-                    continue;
-                }
-                Op::Done => {
-                    emit(&mut log, &mut seq, EventKind::Done);
-                    procs[p].finished = true;
-                }
-            }
-            procs[p].ops.pop_front();
-            procs[p].next_index += 1;
-            progressed = true;
-        }
-        if procs.iter().all(|pr| pr.finished) {
-            break;
-        }
-        if progressed {
-            continue;
-        }
-        // Global stall: every unfinished process is blocked. Resolve
-        // deterministically, never adding a happens-before edge.
-        let best_barrier = arrived
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .max_by_key(|(i, v)| (v.len(), usize::MAX - i));
-        if let Some((b, _)) = best_barrier {
-            let b = BarrierId(b);
-            let stuck: Vec<ProcId> = arrived[b.0].drain(..).collect();
-            log.notes.push(ReplayNote::ForcedBarrier {
-                barrier: b,
-                arrived: stuck.len(),
-                expected: nprocs,
-            });
-            log.events.push(AnalysisEvent {
-                pid: stuck[0],
-                op_index: procs[stuck[0].0].next_index,
-                cycle: Cycle(seq),
-                kind: EventKind::BarrierForced(b),
-            });
-            seq += 1;
-            for q in stuck {
-                if procs[q.0].blocked == Some(Blocked::OnBarrier(b)) {
-                    procs[q.0].blocked = None;
-                }
-            }
-            continue;
-        }
-        let stuck_on_lock = (0..nprocs).find_map(|p| match procs[p].blocked {
-            Some(Blocked::OnLock(l)) if !procs[p].finished => Some((p, l)),
-            _ => None,
-        });
-        if let Some((p, l)) = stuck_on_lock {
-            let pid = ProcId(p);
-            log.notes.push(ReplayNote::ForcedGrant {
-                lock: l,
-                pid,
-                holder: holder[l.0],
-            });
-            holder[l.0] = Some(pid);
-            waiters[l.0].retain(|&w| w != pid);
-            log.events.push(AnalysisEvent {
-                pid,
-                op_index: procs[p].next_index,
-                cycle: Cycle(seq),
-                kind: EventKind::Acquire(l),
-            });
-            seq += 1;
-            procs[p].blocked = None;
-            procs[p].ops.pop_front();
-            procs[p].next_index += 1;
-            continue;
-        }
-        // Nothing left to force (cannot happen for non-empty streams, but
-        // never hang).
-        break;
-    }
-    log
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::SyncConfig;
-
-    fn trace(streams: Vec<Vec<Op>>) -> Trace {
-        Trace {
-            streams,
-            sync: SyncConfig {
-                lock_addrs: vec![Addr(0x1000), Addr(0x1010)],
-                barrier_addrs: vec![Addr(0x2000)],
-                labeled_ranges: Vec::new(),
-            },
-            page_homes: None,
-        }
-    }
-
-    fn kinds(log: &EventLog, pid: usize) -> Vec<EventKind> {
-        log.events
-            .iter()
-            .filter(|e| e.pid.0 == pid)
-            .map(|e| e.kind)
-            .collect()
-    }
-
-    #[test]
-    fn clean_trace_replays_without_notes() {
-        let t = trace(vec![
-            vec![
-                Op::Acquire(LockId(0)),
-                Op::Write(Addr(0x40)),
-                Op::Release(LockId(0)),
-                Op::Done,
-            ],
-            vec![
-                Op::Acquire(LockId(0)),
-                Op::Read(Addr(0x40)),
-                Op::Release(LockId(0)),
-                Op::Done,
-            ],
-        ]);
-        let log = events_from_trace(&t);
-        assert!(log.notes.is_empty(), "unexpected notes: {:?}", log.notes);
-        assert_eq!(
-            kinds(&log, 0),
-            vec![
-                EventKind::Acquire(LockId(0)),
-                EventKind::Write(Addr(0x40)),
-                EventKind::Release(LockId(0)),
-                EventKind::Done,
-            ]
-        );
-        // Monotone stamps.
-        for w in log.events.windows(2) {
-            assert!(w[0].cycle < w[1].cycle);
-        }
-    }
-
-    #[test]
-    fn contended_lock_grants_fifo_at_release() {
-        let t = trace(vec![
-            vec![
-                Op::Acquire(LockId(0)),
-                Op::Compute(5),
-                Op::Release(LockId(0)),
-                Op::Done,
-            ],
-            vec![Op::Acquire(LockId(0)), Op::Release(LockId(0)), Op::Done],
-        ]);
-        let log = events_from_trace(&t);
-        assert!(log.notes.is_empty());
-        // P1's grant must come after P0's release in the stream.
-        let rel0 = log
-            .events
-            .iter()
-            .position(|e| e.pid.0 == 0 && e.kind == EventKind::Release(LockId(0)))
-            .unwrap();
-        let acq1 = log
-            .events
-            .iter()
-            .position(|e| e.pid.0 == 1 && e.kind == EventKind::Acquire(LockId(0)))
-            .unwrap();
-        assert!(acq1 > rel0);
-    }
-
-    #[test]
-    fn dropped_release_forces_grant_with_note() {
-        // P0 never releases; P1 would deadlock under strict replay.
-        let t = trace(vec![
-            vec![Op::Acquire(LockId(0)), Op::Write(Addr(0x40)), Op::Done],
-            vec![
-                Op::Acquire(LockId(0)),
-                Op::Write(Addr(0x40)),
-                Op::Release(LockId(0)),
-                Op::Done,
-            ],
-        ]);
-        let log = events_from_trace(&t);
-        assert!(log.notes.iter().any(|n| matches!(
-            n,
-            ReplayNote::ForcedGrant {
-                lock: LockId(0),
-                pid: ProcId(1),
-                ..
-            }
-        )));
-        // P1 still completed its whole stream.
-        assert_eq!(kinds(&log, 1).last(), Some(&EventKind::Done));
-    }
-
-    #[test]
-    fn diverged_barrier_is_forced() {
-        let t = trace(vec![
-            vec![Op::Barrier(BarrierId(0)), Op::Read(Addr(0x40)), Op::Done],
-            vec![Op::Done], // never arrives
-        ]);
-        let log = events_from_trace(&t);
-        assert!(log.notes.iter().any(|n| matches!(
-            n,
-            ReplayNote::ForcedBarrier {
-                barrier: BarrierId(0),
-                arrived: 1,
-                expected: 2,
-            }
-        )));
-        assert!(log
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::BarrierForced(BarrierId(0))));
-        assert_eq!(kinds(&log, 0).last(), Some(&EventKind::Done));
-    }
-
-    #[test]
-    fn bad_release_is_noted_not_fatal() {
-        let t = trace(vec![vec![Op::Release(LockId(1)), Op::Done]]);
-        let log = events_from_trace(&t);
-        assert!(log.notes.iter().any(|n| matches!(
-            n,
-            ReplayNote::BadRelease {
-                lock: LockId(1),
-                pid: ProcId(0),
-                holder: None,
-            }
-        )));
-    }
-
-    #[test]
-    fn replay_is_deterministic() {
-        let t = trace(vec![
-            vec![
-                Op::Acquire(LockId(0)),
-                Op::Write(Addr(0x40)),
-                Op::Release(LockId(0)),
-                Op::Barrier(BarrierId(0)),
-                Op::Done,
-            ],
-            vec![
-                Op::Acquire(LockId(0)),
-                Op::Read(Addr(0x40)),
-                Op::Release(LockId(0)),
-                Op::Barrier(BarrierId(0)),
-                Op::Done,
-            ],
-        ]);
-        let a = events_from_trace(&t);
-        let b = events_from_trace(&t);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.notes, b.notes);
+    let mut next = vec![0usize; nprocs];
+    let run = schedule(nprocs, &trace.sync, Mode::Replay, |pid| {
+        let op = trace.streams[pid.0].get(next[pid.0]).copied();
+        next[pid.0] += 1;
+        op
+    });
+    EventLog {
+        nprocs,
+        sync: trace.sync.clone(),
+        events: run.events,
+        notes: run.notes,
     }
 }

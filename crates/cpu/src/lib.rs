@@ -14,12 +14,14 @@
 //! * [`breakdown`] — the execution-time decomposition the paper's figures
 //!   are built from.
 //! * [`machine`] — the event-driven executor tying it all together.
-//! * [`events`] — the analysis-event stream the `dashlat-analyze` passes
-//!   consume, produced live by the machine (`with_event_log`) or by
-//!   fault-tolerant logical replay of a serialized trace.
-//! * [`extract`] — static program extraction: drive a forked workload
-//!   under a sync-respecting logical scheduler (no timing) to obtain its
-//!   per-process op streams for whole-program lint passes.
+//! * [`events`] — the analysis-event stream the `dashlat-analyze`
+//!   happens-before pass consumes, produced live by the machine
+//!   (`with_event_log`) or by fault-tolerant logical replay of a
+//!   serialized trace.
+//! * [`extract`] — the sync-respecting logical scheduler (no timing)
+//!   behind both trace replay and static program extraction, which drives
+//!   a forked workload to obtain its per-process op streams for the
+//!   whole-program lint passes.
 //!
 //! # Example
 //!
@@ -73,7 +75,7 @@ pub mod trace;
 pub use breakdown::{ScaledBreakdown, TimeBreakdown};
 pub use config::{Consistency, ProcConfig};
 pub use events::{events_from_trace, AnalysisEvent, EventKind, EventLog, ReplayNote};
-pub use extract::{extract_program, ExtractError, ExtractNote, ExtractOptions, Extraction};
+pub use extract::{extract_program, ExtractError, Extraction};
 pub use machine::{BlockedOn, BlockedOp, Machine, RunError, RunResult, StuckProcess};
 pub use ops::{BarrierId, LabeledRange, LockId, Op, ProcId, SyncConfig, Topology, Workload};
 pub use sync::SyncState;
