@@ -365,8 +365,8 @@ SERVE / SUBMIT / STATUS:
   /jobs /jobs/<id> /jobs/<id>/log /jobs/<id>/events[?after=N&wait=S]
   (long poll: blocks until new journal records or the wait expires);
   POST /jobs /jobs/<id>/cancel /shutdown. `dashlat submit` POSTs a job (machine flags travel
-  verbatim and are validated on both ends); with --wait it polls to a
-  terminal state and exits with the job's own exit code. `dashlat
+  verbatim and are validated on both ends); with --wait it follows the
+  job to its end and exits with the job's own exit code. `dashlat
   status` prints one job's state or the whole list plus daemon health.
   Both find the daemon through --addr or the `addr` file in its
   --data-dir.

@@ -776,51 +776,49 @@ fn resolve_addr(addr: Option<String>, data_dir: &Path) -> Result<String, WorstFa
     }
 }
 
-/// Polls one job to a terminal state (`submit --wait`) and converts its
-/// outcome into this process's exit status: the remote job's own exit
-/// code when it has one, 10 when the job ended opaquely.
+/// Follows one job to its end (`submit --wait`), printing a status line
+/// whenever its status changes, and converts its outcome into this
+/// process's exit status: the remote job's own exit code when it has
+/// one, 10 when the job ended opaquely.
 fn wait_for_job(addr: &str, id: u64) -> Result<(), Box<dyn std::error::Error>> {
-    let mut last_status = String::new();
-    loop {
-        let resp = dashlat_serve::request(addr, "GET", &format!("/jobs/{id}"), None)
-            .map_err(|e| service_error(format!("lost the daemon at {addr}: {e}")))?;
-        let job = dashlat_sim::json::Value::parse(&resp.body)
-            .map_err(|e| service_error(format!("bad status document: {e}")))?;
-        let status = job
-            .get("status")
-            .and_then(dashlat_sim::json::Value::as_str)
+    use dashlat_sim::json::Value;
+    let status_of = |job: &Value| {
+        job.get("status")
+            .and_then(Value::as_str)
             .unwrap_or("?")
-            .to_owned();
+            .to_owned()
+    };
+    let mut last_status = String::new();
+    let job = dashlat_serve::client::follow_job(addr, id, None, |job| {
+        let status = status_of(job);
         if status != last_status {
-            println!("{}", describe_job(&job));
-            last_status.clone_from(&status);
+            println!("{}", describe_job(job));
+            last_status = status;
         }
-        match status.as_str() {
-            "complete" => return Ok(()),
-            "failed" | "cancelled" => {
-                let detail = job
-                    .get("detail")
-                    .and_then(dashlat_sim::json::Value::as_str)
-                    .unwrap_or("no detail")
-                    .to_owned();
-                let code = job
-                    .get("exit_code")
-                    .and_then(dashlat_sim::json::Value::as_u64)
-                    .map_or(EXIT_SERVICE, |c| u8::try_from(c).unwrap_or(EXIT_SERVICE));
-                return Err(WorstFailure::new(
-                    if code == 0 { EXIT_SERVICE } else { code },
-                    format!("job #{id} {status}: {detail}"),
-                )
-                .into());
-            }
-            "interrupted" => {
-                return Err(service_error(format!(
-                    "job #{id} was checkpointed by a daemon shutdown; it resumes when the \
-                     daemon restarts"
-                ))
-                .into());
-            }
-            _ => std::thread::sleep(Duration::from_millis(200)),
+    })
+    .map_err(|e| service_error(format!("lost the daemon at {addr}: {e}")))?;
+    let status = status_of(&job);
+    match status.as_str() {
+        "complete" => Ok(()),
+        "interrupted" => Err(service_error(format!(
+            "job #{id} was checkpointed by a daemon shutdown; it resumes when the daemon restarts"
+        ))
+        .into()),
+        _ => {
+            let detail = job
+                .get("detail")
+                .and_then(Value::as_str)
+                .unwrap_or("no detail")
+                .to_owned();
+            let code = job
+                .get("exit_code")
+                .and_then(Value::as_u64)
+                .map_or(EXIT_SERVICE, |c| u8::try_from(c).unwrap_or(EXIT_SERVICE));
+            Err(WorstFailure::new(
+                if code == 0 { EXIT_SERVICE } else { code },
+                format!("job #{id} {status}: {detail}"),
+            )
+            .into())
         }
     }
 }

@@ -11,6 +11,7 @@ use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use dashlat_serve::client;
+use dashlat_sim::json::Value;
 
 /// Machine flags shared by every sweep here: small enough that a full
 /// figure-3 sweep (6 cells) finishes in seconds, deterministic so every
@@ -70,23 +71,25 @@ fn job_status(addr: &str, id: u64) -> String {
         .unwrap_or_default()
 }
 
-fn wait_complete(addr: &str, id: u64) -> String {
+/// Waits for job `id` to end and returns its status document.
+fn wait_terminal(addr: &str, id: u64) -> Value {
     let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let body = job_status(addr, id);
-        if body.contains("\"status\":\"complete\"") {
-            return body;
-        }
-        assert!(
-            !body.contains("\"status\":\"failed\"") && !body.contains("\"status\":\"cancelled\""),
-            "job {id} ended badly: {body}"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "job {id} never completed: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    client::wait_terminal(addr, id, Some(deadline))
+        .unwrap_or_else(|e| panic!("job {id} never ended: {e}"))
+}
+
+fn wait_complete(addr: &str, id: u64) -> Value {
+    let job = wait_terminal(addr, id);
+    assert_eq!(status(&job), "complete", "job {id} ended badly: {job:?}");
+    job
+}
+
+fn status(job: &Value) -> &str {
+    job.get("status").and_then(Value::as_str).unwrap_or("?")
+}
+
+fn count(job: &Value, key: &str) -> Option<u64> {
+    job.get(key).and_then(Value::as_u64)
 }
 
 fn submit_args(data_dir: &Path, extra: &[&str]) -> Vec<String> {
@@ -190,11 +193,11 @@ fn crash_mid_job_restart_resumes_to_identical_bytes_with_cache() {
 
     // Job 1 simulated everything; job 2 simulated nothing: one cell
     // replayed from its journal, the other five served from the cache.
-    assert!(s1.contains("\"cache_hits\":0"), "{s1}");
-    assert!(s1.contains("\"executed\":6"), "{s1}");
-    assert!(s2.contains("\"replayed\":1"), "{s2}");
-    assert!(s2.contains("\"cache_hits\":5"), "{s2}");
-    assert!(s2.contains("\"executed\":5"), "{s2}");
+    assert_eq!(count(&s1, "cache_hits"), Some(0), "{s1:?}");
+    assert_eq!(count(&s1, "executed"), Some(6), "{s1:?}");
+    assert_eq!(count(&s2, "replayed"), Some(1), "{s2:?}");
+    assert_eq!(count(&s2, "cache_hits"), Some(5), "{s2:?}");
+    assert_eq!(count(&s2, "executed"), Some(5), "{s2:?}");
 
     // Byte-identical logs: resumed-under-crash == uninterrupted == the
     // plain CLI supervisor on the same machine flags.
@@ -257,11 +260,8 @@ fn crash_loop_breaker_fails_the_remaining_cells_fast() {
     sweep_submit.extend(MACHINE);
     let out = dashlat(&submit_args(&data, &sweep_submit));
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !job_status(&addr, 1).contains("\"status\":\"failed\"") {
-        assert!(Instant::now() < deadline, "job 1 never failed");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let job = wait_terminal(&addr, 1);
+    assert_eq!(status(&job), "failed", "{job:?}");
 
     // Cell 0 crashed twice (opening the breaker), then hit it.
     let journal = std::fs::read_to_string(data.join("jobs/1/sweep.journal")).expect("journal");

@@ -179,10 +179,25 @@ pub fn retry_backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32, salt: u64) -> u
 /// cancelled or deadline-expired run is exactly a crash-free checkpoint —
 /// resuming it later completes the plan with a byte-identical log. The
 /// default control never interrupts.
-#[derive(Debug, Clone, Default)]
+///
+/// The control also carries an optional commit hook, which lets a
+/// caller learn of each committed cell as it happens instead of
+/// re-reading the journal on a timer.
+#[derive(Clone, Default)]
 pub struct SweepControl {
     cancel: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
+    on_commit: Option<Arc<dyn Fn() + Send + Sync>>,
+}
+
+impl fmt::Debug for SweepControl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SweepControl")
+            .field("cancel", &self.cancel)
+            .field("deadline", &self.deadline)
+            .field("on_commit", &self.on_commit.is_some())
+            .finish()
+    }
 }
 
 impl SweepControl {
@@ -205,6 +220,17 @@ impl SweepControl {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
+        self
+    }
+
+    /// Returns a copy that calls `hook` once for every cell this run
+    /// commits, right after its journal append returns. Cells replayed
+    /// from the journal and cells whose append failed are not reported.
+    /// The hook runs on the sweep's worker threads, so it should be
+    /// quick.
+    #[must_use]
+    pub fn with_commit_hook(mut self, hook: impl Fn() + Send + Sync + 'static) -> Self {
+        self.on_commit = Some(Arc::new(hook));
         self
     }
 
@@ -799,6 +825,9 @@ where
                 // The cell ran but never committed; drop the record so
                 // resume re-runs it once the journal is writable again.
                 return None;
+            }
+            if let Some(hook) = &control.on_commit {
+                hook();
             }
             Some(rec)
         },
@@ -1544,6 +1573,79 @@ mod tests {
             std::fs::read(&out_path).unwrap(),
             std::fs::read(dir.join("full.json")).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The commit hook reports each committed cell exactly once: never a
+    /// replayed cell, never a cell whose journal append failed.
+    #[test]
+    fn commit_hook_fires_once_per_committed_cell() {
+        use dashlat_sim::faultfs::{self, FaultFsPlan};
+        let dir = tmpdir("commit-hook");
+        let plan = tiny_plan();
+        let journal = dir.join("sweep.journal");
+        let out = dir.join("out.json");
+        let runner = |index: usize, _cell: &SweepCell, _attempt: u32| Ok(900 + index as u64);
+        let commits = Arc::new(AtomicU32::new(0));
+        let hooked = |control: SweepControl| {
+            let commits = Arc::clone(&commits);
+            SweepOptions {
+                control: control.with_commit_hook(move || {
+                    commits.fetch_add(1, Ordering::SeqCst);
+                }),
+                ..fast_opts()
+            }
+        };
+        let take = || commits.swap(0, Ordering::SeqCst);
+
+        // Fresh run, cancelled after cell 1: cells 0 and 1 commit.
+        let token = Arc::new(AtomicBool::new(false));
+        let report = run_supervised(
+            &plan,
+            &journal,
+            &out,
+            false,
+            &hooked(SweepControl::new().with_cancel(Arc::clone(&token))),
+            |index, cell, attempt| {
+                if index == 1 {
+                    token.store(true, Ordering::SeqCst);
+                }
+                runner(index, cell, attempt)
+            },
+        )
+        .expect("cancelled run");
+        assert_eq!((report.executed, take()), (2, 2));
+
+        // Resume with every append to the journal failing: cells 0 and 1
+        // replay, cell 2 runs but never commits, and nothing is reported.
+        let faults = faultfs::arm(
+            FaultFsPlan::from_spec(&format!("eio=1,filter={}", journal.display())).unwrap(),
+        );
+        let err = run_supervised(
+            &plan,
+            &journal,
+            &out,
+            true,
+            &hooked(SweepControl::new()),
+            runner,
+        );
+        drop(faults);
+        assert!(matches!(err, Err(SweepError::Io(_))), "{err:?}");
+        assert_eq!(take(), 0);
+
+        // The disk recovers: the four remaining cells commit, each
+        // reported once.
+        let report = run_supervised(
+            &plan,
+            &journal,
+            &out,
+            true,
+            &hooked(SweepControl::new()),
+            runner,
+        )
+        .expect("resumed run");
+        assert_eq!((report.replayed, report.executed), (2, 4));
+        assert_eq!(take(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

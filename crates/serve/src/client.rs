@@ -1,14 +1,26 @@
 //! A tiny blocking HTTP client for the service API.
 //!
 //! Used by the `dashlat submit`/`status` CLI subcommands, the bench
-//! traffic driver, and the integration tests — the same few lines of
-//! socket code everywhere, matching the server's one-request-per-
-//! connection model.
+//! traffic driver, the torture harness, and the integration tests — the
+//! same few lines of socket code everywhere, matching the server's
+//! one-request-per-connection model. [`wait_terminal`] is the one way
+//! they wait for a job to end.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use dashlat_sim::json::Value;
+
+use crate::jobs::JobStatus;
+
+/// Connect/read/write timeout of one request.
+const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The `wait` a job wait asks of each long poll: the daemon's own
+/// ceiling.
+const LONG_POLL_SECS: u64 = 30;
 
 /// One parsed HTTP response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +61,16 @@ pub fn request(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<HttpResponse> {
-    let timeout = Duration::from_secs(30);
+    request_within(addr, method, path, body, TIMEOUT)
+}
+
+fn request_within(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    timeout: Duration,
+) -> io::Result<HttpResponse> {
     let sock_addr: std::net::SocketAddr = addr
         .parse()
         .map_err(|e| bad(&format!("bad server address {addr:?}: {e}")))?;
@@ -94,6 +115,90 @@ pub fn request(
         headers,
         body: body.to_owned(),
     })
+}
+
+/// Waits until job `id` stops running and returns its status document:
+/// complete, failed, cancelled, or interrupted by a daemon shutdown.
+/// Between status reads it long-polls `GET /jobs/<id>/events`, which the
+/// daemon answers on the job's next journal commit or on its end, so the
+/// wait never sleeps. `deadline` bounds the wait (`None`: no bound).
+///
+/// # Errors
+///
+/// Connection and protocol errors, a status read that is not `200` or
+/// not a status document, and `TimedOut` when the deadline passes with
+/// the job still queued or running.
+pub fn wait_terminal(addr: &str, id: u64, deadline: Option<Instant>) -> io::Result<Value> {
+    follow_job(addr, id, deadline, |_| {})
+}
+
+/// [`wait_terminal`], calling `on_status` with every status document it
+/// reads on the way, the last one included.
+///
+/// # Errors
+///
+/// As [`wait_terminal`].
+pub fn follow_job(
+    addr: &str,
+    id: u64,
+    deadline: Option<Instant>,
+    mut on_status: impl FnMut(&Value),
+) -> io::Result<Value> {
+    let mut after = 0usize;
+    loop {
+        let resp = request(addr, "GET", &format!("/jobs/{id}"), None)?;
+        if resp.status != 200 {
+            return Err(bad(&format!(
+                "GET /jobs/{id}: status {}: {}",
+                resp.status,
+                resp.body.trim()
+            )));
+        }
+        let doc =
+            Value::parse(&resp.body).map_err(|e| bad(&format!("bad status document: {e}")))?;
+        on_status(&doc);
+        let status: JobStatus = doc
+            .get("status")
+            .and_then(Value::as_str)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad(&format!("no job status in {}", resp.body.trim())))?;
+        if !matches!(status, JobStatus::Queued | JobStatus::Running) {
+            return Ok(doc);
+        }
+        let wait = match deadline {
+            None => LONG_POLL_SECS,
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("job #{id} still {} at the deadline", status.as_str()),
+                    ));
+                }
+                // Rounded up, so that every poll waits.
+                (left.as_secs() + u64::from(left.subsec_nanos() > 0)).min(LONG_POLL_SECS)
+            }
+        };
+        let events = request_within(
+            addr,
+            "GET",
+            &format!("/jobs/{id}/events?after={after}&wait={wait}"),
+            None,
+            TIMEOUT + Duration::from_secs(wait),
+        )?;
+        // A 404 is a poll that ended with no journal to return: the job
+        // has none (yet, or at all, as chaos and verify jobs).
+        if !matches!(events.status, 200 | 404) {
+            return Err(bad(&format!(
+                "GET /jobs/{id}/events: status {}: {}",
+                events.status,
+                events.body.trim()
+            )));
+        }
+        if let Some(next) = events.header("x-events-next").and_then(|n| n.parse().ok()) {
+            after = after.max(next);
+        }
+    }
 }
 
 /// Reads the daemon's bound address from the `addr` file it writes into

@@ -32,7 +32,7 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -55,8 +55,20 @@ use crate::signal;
 /// rather than pin a handler thread indefinitely.
 const MAX_EVENT_WAIT_SECS: u64 = 30;
 
-/// How often a long poll re-checks the journal and the client's pulse.
-const EVENT_POLL: Duration = Duration::from_millis(25);
+/// How often a pending long poll checks that its client is still
+/// connected. Only a vanished client is detected this way: every event a
+/// poll answers (a journal commit, a job state change, a stop) wakes it
+/// at once through the event generation, so no response waits for this.
+const CLIENT_PROBE: Duration = Duration::from_millis(250);
+
+/// How often the signal watcher looks for SIGTERM/SIGINT. A signal
+/// cannot interrupt the blocking `accept`, so this thread turns the
+/// handler's flag into [`Server::stop`]; it is off every request path.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
+
+/// Pause after a failed `accept` (EMFILE, ECONNABORTED), which would
+/// otherwise fail again at once with the connection still queued.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -129,7 +141,7 @@ pub enum AdmitError {
 }
 
 /// Everything the daemon tracks about one job.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct JobEntry {
     id: u64,
     spec: Option<JobSpec>,
@@ -174,6 +186,10 @@ struct State {
     running: usize,
     shutting_down: bool,
     next_id: u64,
+    /// Moves on every event a long poll can be waiting for: a journal
+    /// commit, a job state change, a cancel, a stop. Bumped under this
+    /// lock and followed by `wake.notify_all()`.
+    generation: u64,
 }
 
 impl State {
@@ -192,9 +208,14 @@ impl State {
 pub struct Server {
     cfg: ServeConfig,
     state: Mutex<State>,
+    /// Paired with `state`: workers wait here for jobs, long polls for a
+    /// new event generation, the signal watcher for a stop.
     wake: Condvar,
     cache: ResultCache,
     stop: AtomicBool,
+    /// The address `run` is accepting on, which `stop` connects to so
+    /// that the blocking `accept` returns.
+    listening: Mutex<Option<SocketAddr>>,
     /// Currently open client connections (the `max_connections` gauge).
     conns: AtomicUsize,
     /// Lifetime count of connections shed at the cap with 503.
@@ -233,6 +254,7 @@ impl Server {
             wake: Condvar::new(),
             cache,
             stop: AtomicBool::new(false),
+            listening: Mutex::new(None),
             conns: AtomicUsize::new(0),
             conns_shed: AtomicU64::new(0),
             persist_failures: AtomicU64::new(0),
@@ -242,13 +264,27 @@ impl Server {
     }
 
     /// Requests a graceful shutdown of this server instance (the
-    /// in-process equivalent of SIGTERM).
+    /// in-process equivalent of SIGTERM): wakes the workers and pending
+    /// long polls, and connects to the listener once so that the
+    /// blocking `accept` in [`Server::run`] returns.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.notify_event();
+        let listening = *self.listening.lock().expect("listening lock");
+        if let Some(addr) = listening {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || signal::shutdown_requested()
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Moves the event generation and wakes everything waiting on
+    /// `wake`.
+    fn notify_event(&self) {
+        self.state.lock().expect("state lock").generation += 1;
+        self.wake.notify_all();
     }
 
     fn job_dir(&self, id: u64) -> PathBuf {
@@ -268,8 +304,17 @@ impl Server {
     pub fn run(self: &Arc<Self>) -> io::Result<()> {
         let listener = TcpListener::bind(&self.cfg.addr)?;
         let local = listener.local_addr()?;
+        // Recorded before the first stop check in `serve`: a `stop` that
+        // races this startup is either seen by that check or finds the
+        // address and wakes the `accept`.
+        *self.listening.lock().expect("listening lock") = Some(wake_addr(local));
+        let served = self.serve(&listener, local);
+        *self.listening.lock().expect("listening lock") = None;
+        served
+    }
+
+    fn serve(self: &Arc<Self>, listener: &TcpListener, local: SocketAddr) -> io::Result<()> {
         atomic_write(&self.cfg.data_dir.join("addr"), &format!("{local}\n"))?;
-        listener.set_nonblocking(true)?;
         println!(
             "dashlat serve: listening on {local}, {} worker(s), queue depth {}, data dir {}",
             self.cfg.workers,
@@ -283,9 +328,16 @@ impl Server {
                 std::thread::spawn(move || server.worker_loop())
             })
             .collect();
+        let watcher = {
+            let server = Arc::clone(self);
+            std::thread::spawn(move || server.watch_signals())
+        };
 
         while !self.stop_requested() {
             match listener.accept() {
+                // `stop` wakes the accept with a connection of its own;
+                // whatever is accepted after the stop goes unanswered.
+                Ok(_) if self.stop_requested() => break,
                 Ok((stream, _peer)) => {
                     let server = Arc::clone(self);
                     let active = self.conns.fetch_add(1, Ordering::SeqCst) + 1;
@@ -302,14 +354,11 @@ impl Server {
                         });
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
                 Err(e) => {
                     // Transient accept failures (EMFILE, ECONNABORTED)
                     // must not kill the daemon.
                     eprintln!("accept error (continuing): {e}");
-                    std::thread::sleep(Duration::from_millis(100));
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                 }
             }
         }
@@ -331,8 +380,27 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
+        let _ = watcher.join();
         println!("dashlat serve: shutdown complete");
         Ok(())
+    }
+
+    /// Turns SIGTERM/SIGINT into [`Server::stop`]; returns once this
+    /// server is stopping, by signal or otherwise.
+    fn watch_signals(&self) {
+        let mut st = self.state.lock().expect("state lock");
+        while !self.stop_requested() {
+            if signal::shutdown_requested() {
+                drop(st);
+                self.stop();
+                return;
+            }
+            st = self
+                .wake
+                .wait_timeout(st, SIGNAL_POLL)
+                .expect("state lock")
+                .0;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -397,24 +465,21 @@ impl Server {
                 st.running += 1;
                 return Some(id);
             }
-            let (guard, _) = self
-                .wake
-                .wait_timeout(st, Duration::from_millis(200))
-                .expect("state lock");
-            st = guard;
+            st = self.wake.wait(st).expect("state lock");
         }
     }
 
-    fn worker_loop(&self) {
+    fn worker_loop(self: &Arc<Self>) {
         while let Some(id) = self.next_job() {
             self.run_job(id);
             self.state.lock().expect("state lock").running -= 1;
         }
     }
 
-    fn run_job(&self, id: u64) {
-        let Some((spec, cancel, hits)) = ({
+    fn run_job(self: &Arc<Self>, id: u64) {
+        let started = {
             let mut st = self.state.lock().expect("state lock");
+            st.generation += 1;
             st.job_mut(id).and_then(|e| {
                 if e.cancel.load(Ordering::SeqCst) {
                     e.status = JobStatus::Cancelled;
@@ -427,7 +492,9 @@ impl Server {
                         .map(|s| (s, Arc::clone(&e.cancel), Arc::clone(&e.cache_hits)))
                 }
             })
-        }) else {
+        };
+        self.wake.notify_all();
+        let Some((spec, cancel, hits)) = started else {
             self.persist_terminal(id);
             return;
         };
@@ -435,6 +502,7 @@ impl Server {
         let outcome = self.execute(&spec, &self.job_dir(id), &cancel, &hits);
         {
             let mut st = self.state.lock().expect("state lock");
+            st.generation += 1;
             if let Some(e) = st.job_mut(id) {
                 e.status = outcome.status;
                 e.exit_code = outcome.exit_code;
@@ -444,6 +512,7 @@ impl Server {
                 e.skipped = outcome.skipped;
             }
         }
+        self.wake.notify_all();
         println!(
             "job #{id}: {} — {}",
             outcome.status.as_str(),
@@ -459,7 +528,7 @@ impl Server {
     /// stop at cell boundaries, while chaos/verify check only between
     /// jobs (they run as single units).
     fn execute(
-        &self,
+        self: &Arc<Self>,
         spec: &JobSpec,
         dir: &Path,
         cancel: &Arc<AtomicBool>,
@@ -483,11 +552,15 @@ impl Server {
         match &spec.kind {
             JobKind::Sweep { figure } => {
                 let plan = SweepPlan::figure(*figure, &machine);
+                // Each commit wakes the long polls waiting on this job.
+                let server = Arc::clone(self);
                 let opts = SweepOptions {
                     jobs: spec.sweep_jobs,
                     max_retries: spec.max_retries,
                     bundle_dir: Some(dir.join("bundles")),
-                    control: control.clone(),
+                    control: control
+                        .clone()
+                        .with_commit_hook(move || server.notify_event()),
                     ..SweepOptions::default()
                 };
                 let journal = dir.join("sweep.journal");
@@ -824,9 +897,10 @@ impl Server {
                 }
             }
             ("POST", ["shutdown"]) => {
-                signal::request_shutdown();
+                // Answer first: the stop lets a daemon process exit.
+                let answered = json(stream, 200, "OK", "{\"shutting_down\":true}");
                 self.stop();
-                json(stream, 200, "OK", "{\"shutting_down\":true}")
+                answered
             }
             ("POST", ["jobs"]) => {
                 let spec = match JobSpec::from_json(&req.body) {
@@ -858,10 +932,10 @@ impl Server {
                 }
             }
             ("GET", ["jobs"]) => {
-                let rendered: Vec<String> = {
-                    let st = self.state.lock().expect("state lock");
-                    st.jobs.iter().map(|e| self.render_job(e)).collect()
-                };
+                // Rendering reads journals, so it happens off the lock
+                // that every commit and admission takes.
+                let jobs = self.state.lock().expect("state lock").jobs.clone();
+                let rendered: Vec<String> = jobs.iter().map(|e| self.render_job(e)).collect();
                 json(
                     stream,
                     200,
@@ -873,12 +947,9 @@ impl Server {
                 let Ok(id) = id.parse::<u64>() else {
                     return error(stream, 404, "Not Found", "no such job");
                 };
-                let rendered = {
-                    let st = self.state.lock().expect("state lock");
-                    st.job(id).map(|e| self.render_job(e))
-                };
-                match rendered {
-                    Some(body) => json(stream, 200, "OK", &body),
+                let job = self.state.lock().expect("state lock").job(id).cloned();
+                match job {
+                    Some(e) => json(stream, 200, "OK", &self.render_job(&e)),
                     None => error(stream, 404, "Not Found", "no such job"),
                 }
             }
@@ -917,8 +988,10 @@ impl Server {
                     }
                     let status = e.status;
                     st.queue.retain(|&q| q != id);
+                    st.generation += 1;
                     status
                 };
+                self.wake.notify_all();
                 if status == JobStatus::Cancelled {
                     self.persist_terminal(id);
                 }
@@ -936,9 +1009,11 @@ impl Server {
     /// `GET /jobs/<id>/events[?after=N&wait=S]`: the committed journal
     /// records so far as JSONL. With `wait`, this is a long poll — the
     /// response blocks until a record past `after` is committed, the job
-    /// goes terminal, the wait expires, or the client hangs up (in which
-    /// case nothing is written). `X-Events-Next` carries the offset to
-    /// pass as the next `after`.
+    /// goes terminal, the wait expires, the daemon stops, or the client
+    /// hangs up (in which case nothing is written). `X-Events-Next`
+    /// carries the offset to pass as the next `after`. The poll sleeps on
+    /// the event generation, so it answers on the commit or state change
+    /// itself, not on a timer.
     fn serve_events(&self, stream: &mut TcpStream, id: u64, req: &Request) -> io::Result<()> {
         let error = |stream: &mut TcpStream, msg: &str| {
             let body = format!("{{\"error\":{}}}", quote(msg));
@@ -956,11 +1031,14 @@ impl Server {
         let journal = self.job_dir(id).join("sweep.journal");
         let deadline = Instant::now() + Duration::from_secs(wait_secs);
         loop {
-            let lines = Journal::read_committed_lines(&journal);
-            let terminal = {
+            // The generation is read before the journal: an event after
+            // this point moves it, so the wait below cannot miss it.
+            let (seen, terminal) = {
                 let st = self.state.lock().expect("state lock");
-                st.job(id).is_none_or(|e| e.status.is_terminal())
+                let terminal = st.job(id).is_none_or(|e| e.status.is_terminal());
+                (st.generation, terminal)
             };
+            let lines = Journal::read_committed_lines(&journal);
             let expired =
                 wait_secs == 0 || Instant::now() >= deadline || self.stop_requested() || terminal;
             match &lines {
@@ -988,11 +1066,39 @@ impl Server {
                 }
                 _ => {}
             }
-            if client_gone(stream) {
+            if !self.await_event(stream, seen, deadline) {
                 return Ok(());
             }
-            std::thread::sleep(EVENT_POLL);
         }
+    }
+
+    /// Blocks until the event generation moves past `seen` or `deadline`
+    /// passes, probing the client every [`CLIENT_PROBE`]. Returns `false`
+    /// when the client has hung up.
+    fn await_event(&self, stream: &TcpStream, seen: u64, deadline: Instant) -> bool {
+        let mut next_probe = Instant::now() + CLIENT_PROBE;
+        let mut st = self.state.lock().expect("state lock");
+        while st.generation == seen {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            if now >= next_probe {
+                drop(st);
+                if client_gone(stream) {
+                    return false;
+                }
+                next_probe = Instant::now() + CLIENT_PROBE;
+                st = self.state.lock().expect("state lock");
+                continue;
+            }
+            st = self
+                .wake
+                .wait_timeout(st, next_probe.min(deadline) - now)
+                .expect("state lock")
+                .0;
+        }
+        true
     }
 
     /// Renders one job's status JSON. `cells_done` counts committed
@@ -1020,6 +1126,17 @@ impl Server {
                 .map_or_else(|| "null".to_owned(), |c| c.to_string())
         )
     }
+}
+
+/// Where `stop` connects to wake the listener bound at `local`: the
+/// bound address itself, or loopback when bound to every interface.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 /// After answering a request that was never fully read (shed, timed
@@ -1156,6 +1273,7 @@ fn read_terminal_state(
 mod tests {
     use super::*;
     use crate::client;
+    use dashlat_sim::json::Value;
 
     fn tmp_data_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("dashlat-serve-{tag}-{}", std::process::id()));
@@ -1189,6 +1307,29 @@ mod tests {
                 vec!["--test-scale".into(), "--processors".into(), "4".into()],
             )
         }
+    }
+
+    /// Waits up to `secs` for job `id` to end and returns its status
+    /// document, which must say `complete`.
+    fn wait_complete(addr: &str, id: u64, secs: u64) -> Value {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        let job = client::wait_terminal(addr, id, Some(deadline))
+            .unwrap_or_else(|e| panic!("job {id} did not end: {e}"));
+        assert_eq!(
+            job.get("status").and_then(Value::as_str),
+            Some("complete"),
+            "job {id}: {job:?}"
+        );
+        job
+    }
+
+    fn connections(addr: &str) -> u64 {
+        let health = client::request(addr, "GET", "/healthz", None).expect("healthz");
+        Value::parse(&health.body)
+            .expect("healthz JSON")
+            .get("connections")
+            .and_then(Value::as_u64)
+            .expect("connections field")
     }
 
     #[test]
@@ -1277,24 +1418,7 @@ mod tests {
         let sub = client::request(&addr, "POST", "/jobs", Some(&spec.to_json())).expect("submit");
         assert_eq!(sub.status, 202, "{sub:?}");
         assert!(sub.body.contains("\"id\":1"), "{}", sub.body);
-        let deadline = Instant::now() + Duration::from_secs(300);
-        loop {
-            let status = client::request(&addr, "GET", "/jobs/1", None).expect("status");
-            if status.body.contains("\"status\":\"complete\"") {
-                break;
-            }
-            assert!(
-                !status.body.contains("\"status\":\"failed\""),
-                "job failed: {}",
-                status.body
-            );
-            assert!(
-                Instant::now() < deadline,
-                "job never completed: {}",
-                status.body
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        wait_complete(&addr, 1, 300);
         let log = client::request(&addr, "GET", "/jobs/1", None).expect("status");
         assert!(log.body.contains("\"exit_code\":0"), "{}", log.body);
         let published = client::request(&addr, "GET", "/jobs/1/log", None).expect("log");
@@ -1307,23 +1431,11 @@ mod tests {
         // An identical job is served entirely from the cache.
         let sub2 = client::request(&addr, "POST", "/jobs", Some(&spec.to_json())).expect("submit");
         assert_eq!(sub2.status, 202, "{sub2:?}");
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let final_status = loop {
-            let status = client::request(&addr, "GET", "/jobs/2", None).expect("status");
-            if status.body.contains("\"status\":\"complete\"") {
-                break status;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "cached job never completed: {}",
-                status.body
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        };
-        assert!(
-            final_status.body.contains("\"cache_hits\":6"),
-            "every cell of the repeated job must come from cache: {}",
-            final_status.body
+        let final_status = wait_complete(&addr, 2, 60);
+        assert_eq!(
+            final_status.get("cache_hits").and_then(Value::as_u64),
+            Some(6),
+            "every cell of the repeated job must come from cache: {final_status:?}"
         );
         // Both logs published identical bytes: determinism + cache.
         let log1 = client::request(&addr, "GET", "/jobs/1/log", None)
@@ -1344,6 +1456,131 @@ mod tests {
 
         // Graceful stop: run() returns Ok.
         server.stop();
+        handle.join().expect("join").expect("run ok");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A stop issued before, during or right after `run` binds, or once
+    /// it is blocked in `accept`, always lets `run` return: the address
+    /// is recorded before the first stop check, so the wake-up
+    /// connection cannot be missed.
+    #[test]
+    fn stop_racing_startup_always_lets_run_return() {
+        for round in 0..20u32 {
+            let dir = tmp_data_dir(&format!("stop-race-{round}"));
+            let server = Arc::new(
+                Server::new(ServeConfig {
+                    data_dir: dir.clone(),
+                    workers: 1,
+                    ..ServeConfig::default()
+                })
+                .expect("server"),
+            );
+            let case = round % 4;
+            if case == 0 {
+                server.stop();
+            }
+            let (returned, run_returned) = std::sync::mpsc::channel();
+            let runner = Arc::clone(&server);
+            let handle = std::thread::spawn(move || {
+                let result = runner.run();
+                returned.send(()).expect("test alive");
+                result
+            });
+            if case == 1 {
+                // Race the bind, a little later each round.
+                for _ in 0..round * 50 {
+                    std::thread::yield_now();
+                }
+            }
+            if case >= 2 {
+                let addr = loop {
+                    match client::read_addr_file(&dir) {
+                        Ok(addr) => break addr,
+                        Err(_) => std::thread::yield_now(),
+                    }
+                };
+                if case == 3 {
+                    // Once a request is answered, the loop is back in
+                    // `accept` with nothing else to wake it.
+                    let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+                    assert_eq!(health.status, 200, "{health:?}");
+                }
+            }
+            if case != 0 {
+                server.stop();
+            }
+            assert!(
+                run_returned.recv_timeout(Duration::from_secs(10)).is_ok(),
+                "round {round}: run() still serving 10 s after stop()"
+            );
+            handle.join().expect("join").expect("run ok");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Each request is answered when it arrives: 20 sequential round
+    /// trips to an idle daemon finish in under 200 ms in all.
+    #[test]
+    fn sequential_requests_to_an_idle_daemon_are_answered_at_once() {
+        let dir = tmp_data_dir("idle-round-trips");
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let start = Instant::now();
+        for _ in 0..20 {
+            let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+            assert_eq!(health.status, 200, "{health:?}");
+        }
+        let took = start.elapsed();
+        server.stop();
+        handle.join().expect("join").expect("run ok");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            took < Duration::from_millis(200),
+            "20 sequential /healthz round trips took {took:?}"
+        );
+    }
+
+    /// A long poll pending when the daemon stops answers at once, not at
+    /// the end of its `wait`.
+    #[test]
+    fn pending_long_poll_returns_promptly_on_stop() {
+        let dir = tmp_data_dir("poll-stop");
+        let (server, handle, addr) = boot(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        // A chaos campaign runs for a while as one unit and writes
+        // no journal, so a poll on it waits for the job's end.
+        let body = r#"{"kind":"chaos","app":"lu","trials":4,"seed":1,"machine":["--test-scale"]}"#;
+        let sub = client::request(&addr, "POST", "/jobs", Some(body)).expect("submit");
+        assert_eq!(sub.status, 202, "{sub:?}");
+        let poll = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                client::request(&addr, "GET", "/jobs/1/events?wait=30", None)
+            })
+        };
+        // The poll holds a connection of its own beside the health check.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while connections(&addr) < 2 {
+            assert!(Instant::now() < deadline, "the long poll never connected");
+        }
+        assert!(!poll.is_finished(), "the chaos job ended before the stop");
+        let stopped = Instant::now();
+        server.stop();
+        let resp = poll.join().expect("poll thread").expect("poll answered");
+        let took = stopped.elapsed();
+        assert!(
+            took < Duration::from_secs(5),
+            "the pending poll answered {took:?} after stop()"
+        );
+        // Nothing was journaled, as for any chaos job.
+        assert_eq!(resp.status, 404, "{resp:?}");
         handle.join().expect("join").expect("run ok");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1384,8 +1621,9 @@ mod tests {
 
         // Occupy the only slot with an idle connection (it sends no
         // bytes; the 30s conn deadline keeps it open for the test).
+        // The blocking accept takes connections in arrival order, so the
+        // idle one holds the slot before the next request arrives.
         let idle = TcpStream::connect(&addr).expect("idle connect");
-        std::thread::sleep(Duration::from_millis(300));
         let shed = client::request(&addr, "GET", "/healthz", None).expect("shed request");
         assert_eq!(shed.status, 503, "{shed:?}");
         assert_eq!(shed.header("Retry-After"), Some("3"), "{shed:?}");
@@ -1440,15 +1678,7 @@ mod tests {
 
         // Drain to completion, then page past the end: terminal job, so
         // the poll returns immediately and empty.
-        let deadline = Instant::now() + Duration::from_secs(300);
-        loop {
-            let status = client::request(&addr, "GET", "/jobs/1", None).expect("status");
-            if status.body.contains("\"status\":\"complete\"") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "job never completed");
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        wait_complete(&addr, 1, 300);
         let all = client::request(&addr, "GET", "/jobs/1/events?after=0", None).expect("all");
         assert_eq!(all.status, 200);
         // Header record + 6 cells.
@@ -1471,7 +1701,6 @@ mod tests {
 
     #[test]
     fn failed_cache_writes_cost_a_resimulation_not_the_job() {
-        use dashlat_sim::json::Value;
         use dashlat_sim::{faultfs, FaultFsPlan};
         let dir = tmp_data_dir("cache-faults");
         let (server, handle, addr) = boot(ServeConfig {
@@ -1493,20 +1722,7 @@ mod tests {
             let sub =
                 client::request(&addr, "POST", "/jobs", Some(&spec.to_json())).expect("submit");
             assert_eq!(sub.status, 202, "{sub:?}");
-            let deadline = Instant::now() + Duration::from_secs(300);
-            let status = loop {
-                let status =
-                    client::request(&addr, "GET", &format!("/jobs/{id}"), None).expect("status");
-                if status.body.contains("\"status\":\"complete\"") {
-                    break Value::parse(&status.body).expect("status JSON");
-                }
-                assert!(
-                    Instant::now() < deadline && !status.body.contains("\"status\":\"failed\""),
-                    "job {id} did not complete: {}",
-                    status.body
-                );
-                std::thread::sleep(Duration::from_millis(50));
-            };
+            let status = wait_complete(&addr, id, 300);
             let log = client::request(&addr, "GET", &format!("/jobs/{id}/log"), None).expect("log");
             assert_eq!(log.status, 200, "{log:?}");
             (status, log.body)
@@ -1553,25 +1769,15 @@ mod tests {
         let spec = r#"{"kind":"verify","models":["sc"],"tests":["sb"]}"#;
         let sub = client::request(&addr, "POST", "/jobs", Some(spec)).expect("submit");
         assert_eq!(sub.status, 202, "{sub:?}");
-        let deadline = Instant::now() + Duration::from_secs(120);
-        let status = loop {
-            let body = client::request(&addr, "GET", "/jobs/1", None)
-                .expect("status")
-                .body;
-            if body.contains("\"status\":\"complete\"") {
-                break body;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "verify job did not complete: {body}"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        };
+        let status = wait_complete(&addr, 1, 120);
         assert!(
-            status.contains("the verify.txt report was not written"),
-            "{status}"
+            status
+                .get("detail")
+                .and_then(Value::as_str)
+                .is_some_and(|d| d.contains("the verify.txt report was not written")),
+            "{status:?}"
         );
-        assert!(!dir.join("jobs/1/verify.txt").exists(), "{status}");
+        assert!(!dir.join("jobs/1/verify.txt").exists(), "{status:?}");
         let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
         assert!(
             health.body.contains("\"persist_failures\":1,"),

@@ -1,33 +1,25 @@
 //! SIGTERM/SIGINT handling without a signal-handling dependency.
 //!
-//! The daemon's whole shutdown protocol is "set one flag": the accept
-//! loop polls [`shutdown_requested`] and, once it flips, stops admitting
-//! work, checkpoints in-flight sweeps at the next cell boundary, and
-//! exits 0. A signal handler that only stores to an atomic is
+//! The handler only sets one process-wide flag, which is
 //! async-signal-safe, so the raw `signal(2)` registration below (via the
 //! libc that `std` already links) is all the machinery needed — no
-//! `libc` crate, no signal-hook, no runtime.
+//! `libc` crate, no signal-hook, no runtime. The flag cannot wake the
+//! daemon's blocking `accept` (glibc's `signal(2)` sets `SA_RESTART`,
+//! and `std` retries `accept` on `EINTR`), so a watcher thread started
+//! by [`Server::run`](crate::server::Server::run) reads
+//! [`shutdown_requested`] and turns it into
+//! [`Server::stop`](crate::server::Server::stop): admission stops,
+//! in-flight sweeps checkpoint at the next cell boundary, and the daemon
+//! exits 0.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Process-wide shutdown flag, set by SIGTERM/SIGINT (and by
-/// `POST /shutdown`, which routes through [`request_shutdown`]).
+/// Process-wide shutdown flag, set by SIGTERM/SIGINT.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// True once a shutdown has been requested by signal or API.
+/// True once SIGTERM or SIGINT has arrived.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests a graceful shutdown, exactly as a SIGTERM would.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Resets the flag — for tests that start several servers in one
-/// process.
-pub fn reset_for_tests() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }
 
 /// The shape of a `signal(2)` handler.
@@ -60,20 +52,5 @@ pub fn install() {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flag_round_trip() {
-        reset_for_tests();
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-        reset_for_tests();
-        assert!(!shutdown_requested());
     }
 }

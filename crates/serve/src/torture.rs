@@ -417,19 +417,21 @@ fn job_status(addr: &str, id: u64) -> Option<JobStatus> {
 }
 
 /// Waits until every listed job is terminal (or the deadline passes).
+/// Mid-campaign the daemon may be down or restarting, so a wait that
+/// fails is retried after a pause until the deadline.
 fn await_terminal(addr: &str, ids: &[u64], deadline: Instant) -> bool {
-    loop {
-        let all_done = ids
-            .iter()
-            .all(|&id| job_status(addr, id).is_some_and(JobStatus::is_terminal));
-        if all_done {
-            return true;
+    ids.iter().all(|&id| loop {
+        let status = client::wait_terminal(addr, id, Some(deadline))
+            .ok()
+            .and_then(|job| job.get("status")?.as_str()?.parse().ok());
+        if status.is_some_and(JobStatus::is_terminal) {
+            break true;
         }
         if Instant::now() >= deadline {
-            return false;
+            break false;
         }
         std::thread::sleep(Duration::from_millis(50));
-    }
+    })
 }
 
 /// Runs one campaign under `schedule`, returning the first oracle
@@ -469,7 +471,11 @@ fn run_campaign(
     });
 
     // Phase 2: submit work. Only 202-acknowledged jobs enter the
-    // job-loss oracle; shed or refused submissions are fair game.
+    // job-loss oracle; shed or refused submissions are fair game. The
+    // submissions are 50 ms apart, so the worker is well into the first
+    // job before the next admission draws from the shared fault stream:
+    // which operation each draw lands on, and so what a seed finds,
+    // depends on that order.
     let spec = torture_spec().to_json();
     let mut acked: Vec<u64> = Vec::new();
     for _ in 0..3 {
@@ -483,7 +489,7 @@ fn run_campaign(
                 }
             }
         }
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(50));
     }
 
     // Phase 3: flood with adversarial clients while the jobs run.
