@@ -9,9 +9,8 @@
 //! competing. This crate certifies that property two ways.
 //!
 //! * **Dynamically**, over the event streams produced by the machine
-//!   model (live runs via
-//!   [`dashlat_cpu::machine::Machine::with_event_log`]) or reconstructed
-//!   from trace files (fault-tolerant logical replay via
+//!   model (live runs observed by an [`EventLog`], see
+//!   [`dashlat_cpu::observe`]) or reconstructed from trace files (fault-tolerant logical replay via
 //!   [`dashlat_cpu::events::events_from_trace`]). One pass runs: [hb],
 //!   FastTrack-style vector-clock happens-before race detection. A run
 //!   is properly labeled when it has no race and its replay forced no

@@ -10,6 +10,7 @@ use dashlat::apps::App;
 use dashlat::config::AppScale;
 use dashlat_bench::{base_config_from_args, print_preamble};
 use dashlat_cpu::machine::Machine;
+use dashlat_cpu::RunTimeline;
 use dashlat_mem::layout::AddressSpaceBuilder;
 use dashlat_mem::system::MemorySystem;
 use dashlat_sim::Cycle;
@@ -27,13 +28,11 @@ fn main() {
         let mut space = AddressSpaceBuilder::new(base.processors);
         let w = app.build(base.scale, topo, &mut space, base.prefetching);
         let mem = MemorySystem::new(base.mem_config(), space.build());
-        let mut pc = base.proc_config();
-        pc.timeline_bucket = Some(bucket);
-        let res = Machine::new(pc, topo, mem, w)
+        let timeline = RunTimeline::new(bucket);
+        let (res, tl) = Machine::observed(base.proc_config(), topo, mem, w, timeline)
             .with_max_cycles(Cycle(50_000_000_000))
-            .run()
+            .run_observed()
             .expect("runs complete");
-        let tl = res.timeline.expect("timeline was enabled");
         println!("{} (elapsed {}):", app.name(), res.elapsed);
         println!("  busy   {}", tl.busy.sparkline());
         println!("  misses {}", tl.misses.sparkline());

@@ -44,10 +44,13 @@ use std::time::{Duration, Instant};
 
 use dashlat_bench::{command_line, or_exit};
 use dashlat_serve::{chaosclient, client, ChaosMode, JobSpec, ServeConfig, Server};
+use dashlat_sim::json::Value;
 
 struct Sample {
     status: u16,
     micros: u128,
+    /// The admitted job's id (a 202 answer's body).
+    job: Option<u64>,
 }
 
 /// What the server is required to answer a given adversary with.
@@ -156,6 +159,9 @@ fn main() -> ExitCode {
                 .map(|resp| Sample {
                     status: resp.status,
                     micros: start.elapsed().as_micros(),
+                    job: Value::parse(&resp.body)
+                        .ok()
+                        .and_then(|v| v.get("id").and_then(Value::as_u64)),
                 })
                 .map_err(|e| e.to_string());
             let _ = tx.send(result);
@@ -173,12 +179,16 @@ fn main() -> ExitCode {
     let mut other = 0usize;
     let mut errors = 0usize;
     let mut latencies: Vec<u128> = Vec::new();
+    let mut admitted: Vec<u64> = Vec::new();
     for r in rx {
         match r {
             Ok(sample) => {
-                match sample.status {
-                    202 => accepted += 1,
-                    429 => shed += 1,
+                match (sample.status, sample.job) {
+                    (202, Some(id)) => {
+                        accepted += 1;
+                        admitted.push(id);
+                    }
+                    (429, _) => shed += 1,
                     _ => other += 1,
                 }
                 latencies.push(sample.micros);
@@ -215,19 +225,16 @@ fn main() -> ExitCode {
 
     // Let the daemon drain what it admitted, then stop it gracefully.
     let drain_deadline = Instant::now() + Duration::from_secs(600);
-    loop {
-        match client::request(&addr, "GET", "/healthz", None) {
-            Ok(h) if h.body.contains("\"queued\":0,\"running\":0") => break,
-            Ok(_) if Instant::now() < drain_deadline => {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Ok(_) => {
-                eprintln!("traffic: daemon did not drain in time");
+    for id in admitted {
+        match client::wait_terminal(&addr, id, Some(drain_deadline)) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
+                eprintln!("traffic: daemon did not drain in time: {e}");
                 errors += 1;
                 break;
             }
             Err(e) => {
-                eprintln!("traffic: lost the daemon while draining: {e}");
+                eprintln!("traffic: lost the daemon while draining job #{id}: {e}");
                 errors += 1;
                 break;
             }

@@ -626,7 +626,7 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
                     for t in dashlat_verify::litmus::corpus() {
                         let lay = dashlat_verify::workload::layout(&t, t.nprocs());
                         let offsets = vec![0; t.nprocs()];
-                        let w = dashlat_verify::workload::LitmusWorkload::new(&t, &lay, &offsets);
+                        let w = dashlat_verify::workload::compile(&t, &lay, &offsets);
                         let r = lint_workload(t.name, &w, &opts)?;
                         // Competing-by-design corpus entries fail the
                         // PL pass on purpose: the check here is that
@@ -880,15 +880,18 @@ fn figure_outcome(report: &FigureReport) -> Result<(), Box<dyn std::error::Error
 fn record_trace(app: App, config: &ExperimentConfig) -> Result<Trace, Box<dyn std::error::Error>> {
     let topo = config.topology();
     let mut space = AddressSpaceBuilder::new(config.processors);
-    let inner = app.build(config.scale, topo, &mut space, config.prefetching);
-    let mut recorder = TraceRecorder::new(inner);
+    let workload = app.build(config.scale, topo, &mut space, config.prefetching);
+    let recorder = TraceRecorder::new(&workload);
     let page_map = space.build();
     let homes: Vec<usize> = page_map.homes().iter().map(|n| n.0).collect();
     let mem = MemorySystem::new(config.mem_config(), page_map);
-    Machine::new(config.proc_config(), topo, mem, &mut recorder)
+    let (_, recorder) = Machine::observed(config.proc_config(), topo, mem, workload, recorder)
         .with_max_cycles(Cycle(50_000_000_000))
-        .run()?;
-    Ok(recorder.into_trace_with_pages(config.processors, homes))
+        .run_observed()?;
+    Ok(Trace {
+        page_homes: Some((config.processors, homes)),
+        ..recorder.into_trace()
+    })
 }
 
 #[cfg(test)]

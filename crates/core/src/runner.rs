@@ -9,6 +9,7 @@
 
 use dashlat_analyze::AnalysisReport;
 use dashlat_cpu::machine::{Machine, RunError, RunResult};
+use dashlat_cpu::EventLog;
 use dashlat_mem::layout::AddressSpaceBuilder;
 use dashlat_mem::system::MemorySystem;
 use dashlat_sim::Cycle;
@@ -183,16 +184,18 @@ pub fn run(app: App, config: &ExperimentConfig) -> Result<Experiment, RunError> 
     let workload = app.build(config.scale, topo, &mut space, config.prefetching);
     let shared_bytes = workload.shared_bytes();
     let mem = MemorySystem::new(config.mem_config(), space.build());
-    let mut machine = Machine::new(config.proc_config(), topo, mem, workload)
-        .with_max_cycles(Cycle(50_000_000_000));
-    if config.analyze {
-        machine = machine.with_event_log();
-    }
-    let result = machine.run()?;
-    let analysis = result
-        .events
-        .as_ref()
-        .map(|log| dashlat_analyze::analyze(&format!("{app}/{}", config.label()), log));
+    let budget = Cycle(50_000_000_000);
+    let (result, analysis) = if config.analyze {
+        let log = EventLog::new(workload.processes(), workload.sync_config());
+        let (result, log) = Machine::observed(config.proc_config(), topo, mem, workload, log)
+            .with_max_cycles(budget)
+            .run_observed()?;
+        let subject = format!("{app}/{}", config.label());
+        (result, Some(dashlat_analyze::analyze(&subject, &log)))
+    } else {
+        let machine = Machine::new(config.proc_config(), topo, mem, workload);
+        (machine.with_max_cycles(budget).run()?, None)
+    };
     Ok(Experiment {
         app,
         config: config.clone(),
@@ -353,15 +356,14 @@ mod tests {
         let report = e.analysis.expect("analysis requested");
         assert!(report.properly_labeled(), "{}", report.render());
         assert!(report.replay_notes.is_empty());
-        // Live logs come straight from the machine, never from replay.
-        assert!(e.result.events.is_some());
+        // The live log came straight from the machine, never from replay.
+        assert!(report.events > 0);
     }
 
     #[test]
     fn no_analysis_requested_means_no_log() {
         let e = run(App::Lu, &ExperimentConfig::base_test()).expect("runs");
         assert!(e.analysis.is_none());
-        assert!(e.result.events.is_none());
     }
 
     #[test]

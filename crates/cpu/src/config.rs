@@ -110,11 +110,6 @@ pub struct ProcConfig {
     /// Minimum spacing between successive write-buffer issues onto the bus
     /// (RC pipelines writes at this rate).
     pub write_issue_spacing: Cycle,
-    /// When set, the machine records busy cycles and long-latency misses
-    /// into fixed-width time buckets, returned as `RunResult::timeline` —
-    /// the utilization-over-time view (LU's poor-early / good-late cache
-    /// behaviour is directly visible there).
-    pub timeline_bucket: Option<Cycle>,
     /// Perfect-lookahead window for reads, in cycles. The paper's
     /// processors stall on every read; it notes that "processors that
     /// allow multiple outstanding reads and out-of-order execution" were an
@@ -172,7 +167,6 @@ impl ProcConfig {
             prefetch_issue_spacing: Cycle(4),
             write_issue_spacing: Cycle(4),
             read_lookahead: Cycle(0),
-            timeline_bucket: None,
             faults: None,
             check_invariants: cfg!(debug_assertions),
             enforce_wb_fifo: false,

@@ -3,8 +3,8 @@
 //!
 //! Two producers emit the same event vocabulary:
 //!
-//! * the live [`crate::machine::Machine`], when built with
-//!   `with_event_log()` — every shared access and sync operation is
+//! * the live [`crate::machine::Machine`], observed by an [`EventLog`]
+//!   (see [`crate::observe`]) — every shared access and sync operation is
 //!   recorded at its *commit point* (writes when they enter the write
 //!   buffer, acquires when the lock is actually granted), so the event
 //!   order is exactly the order the memory system observed;
@@ -22,6 +22,7 @@ use dashlat_mem::addr::Addr;
 use dashlat_sim::Cycle;
 
 use crate::extract::{schedule, Mode};
+use crate::observe::Observer;
 use crate::ops::{BarrierId, LockId, ProcId, SyncConfig};
 use crate::trace::Trace;
 
@@ -144,6 +145,9 @@ pub struct EventLog {
     pub events: Vec<AnalysisEvent>,
     /// Replay diagnostics (always empty for machine-produced logs).
     pub notes: Vec<ReplayNote>,
+    /// Per-process count of the events observed so far (the next
+    /// `op_index` of each process).
+    seq: Vec<u64>,
 }
 
 impl EventLog {
@@ -154,6 +158,7 @@ impl EventLog {
             sync,
             events: Vec::new(),
             notes: Vec::new(),
+            seq: vec![0; nprocs],
         }
     }
 
@@ -165,6 +170,21 @@ impl EventLog {
     /// True when no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+}
+
+/// Records each commit, numbering it as the n-th committed event of its
+/// process: the access-site identifier of machine-produced logs.
+impl Observer for EventLog {
+    fn commit(&mut self, t: Cycle, pid: ProcId, kind: EventKind) {
+        let op_index = self.seq[pid.0];
+        self.seq[pid.0] += 1;
+        self.events.push(AnalysisEvent {
+            pid,
+            op_index,
+            cycle: t,
+            kind,
+        });
     }
 }
 
@@ -185,9 +205,8 @@ pub fn events_from_trace(trace: &Trace) -> EventLog {
         op
     });
     EventLog {
-        nprocs,
-        sync: trace.sync.clone(),
         events: run.events,
         notes: run.notes,
+        ..EventLog::new(nprocs, trace.sync.clone())
     }
 }

@@ -14,10 +14,13 @@
 //! * [`breakdown`] — the execution-time decomposition the paper's figures
 //!   are built from.
 //! * [`machine`] — the event-driven executor tying it all together.
+//! * [`observe`] — the machine's one observation seam: the
+//!   [`observe::Observer`] hooks and the recorders behind them (event log,
+//!   timeline, trace recorder, access trace, decision trace).
 //! * [`events`] — the analysis-event stream the `dashlat-analyze`
-//!   happens-before pass consumes, produced live by the machine
-//!   (`with_event_log`) or by fault-tolerant logical replay of a
-//!   serialized trace.
+//!   happens-before pass consumes, observed live on the machine (an
+//!   [`events::EventLog`] is an observer) or produced by fault-tolerant
+//!   logical replay of a serialized trace.
 //! * [`extract`] — the sync-respecting logical scheduler (no timing)
 //!   behind both trace replay and static program extraction, which drives
 //!   a forked workload to obtain its per-process op streams for the
@@ -67,6 +70,7 @@ pub mod config;
 pub mod events;
 pub mod extract;
 pub mod machine;
+pub mod observe;
 pub mod ops;
 pub mod script;
 pub mod sync;
@@ -77,6 +81,7 @@ pub use config::{Consistency, ProcConfig};
 pub use events::{events_from_trace, AnalysisEvent, EventKind, EventLog, ReplayNote};
 pub use extract::{extract_program, ExtractError, Extraction};
 pub use machine::{BlockedOn, BlockedOp, Machine, RunError, RunResult, StuckProcess};
+pub use observe::{Decision, Observer, RunTimeline};
 pub use ops::{BarrierId, LabeledRange, LockId, Op, ProcId, SyncConfig, Topology, Workload};
 pub use sync::SyncState;
 pub use trace::{Trace, TraceRecorder};

@@ -49,7 +49,7 @@ use dashlat_mem::system::{
 };
 use dashlat_sim::fault::FaultInjector;
 use dashlat_sim::sched::{Footprint, SchedAlt, Scheduler};
-use dashlat_sim::stats::{Distribution, RunLengthTracker, TimeSeries};
+use dashlat_sim::stats::{Distribution, RunLengthTracker};
 use dashlat_sim::{Cycle, EventQueue, QueueHints};
 
 /// MSHR-table length beyond which completed entries are pruned (and the
@@ -134,7 +134,8 @@ impl MshrTable {
 
 use crate::breakdown::TimeBreakdown;
 use crate::config::ProcConfig;
-use crate::events::{AnalysisEvent, EventKind, EventLog};
+use crate::events::EventKind;
+use crate::observe::Observer;
 use crate::ops::{LockId, Op, ProcId, Topology, Workload};
 use crate::sync::{AcquireOutcome, BarrierOutcome, SyncState};
 
@@ -146,6 +147,19 @@ enum Reason {
     Sync,
     PrefetchFull,
     WriteBufFull,
+}
+
+impl Reason {
+    /// The breakdown field a single-context processor charges a stall for
+    /// this reason to.
+    fn stall_field(self, b: &mut TimeBreakdown) -> &mut Cycle {
+        match self {
+            Reason::Read => &mut b.read_stall,
+            Reason::Write | Reason::WriteBufFull => &mut b.write_stall,
+            Reason::Sync => &mut b.sync_stall,
+            Reason::PrefetchFull => &mut b.prefetch_overhead,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,33 +440,6 @@ pub struct RunResult {
     /// count) — the simulator's unit of work, used by the bench harness
     /// for its events/second throughput metric.
     pub sim_events: u64,
-    /// Utilization-over-time view, when
-    /// [`ProcConfig::timeline_bucket`](crate::config::ProcConfig::timeline_bucket)
-    /// was set.
-    pub timeline: Option<RunTimeline>,
-    /// Analysis-event stream, when the machine was built with
-    /// [`Machine::with_event_log`]. Events are recorded at each
-    /// operation's commit point, in global simulated-time order, ready for
-    /// the `dashlat-analyze` passes.
-    pub events: Option<EventLog>,
-    /// Memory-system access trace in coherence order, when the machine was
-    /// built with [`Machine::with_access_trace`]. The verifier layers
-    /// value semantics over the (timing-only) simulator from this.
-    pub accesses: Option<Vec<AccessRecord>>,
-    /// Scheduler decision trace — one `(chosen index, slate)` entry per
-    /// decision point — when the machine was built with
-    /// [`Machine::with_scheduler`]. The stateless model checker's
-    /// backtracking state.
-    pub decisions: Option<Vec<(usize, Vec<SchedAlt>)>>,
-}
-
-/// Machine-wide per-interval measurements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunTimeline {
-    /// Busy cycles executed per bucket (all processors summed).
-    pub busy: TimeSeries,
-    /// Long-latency misses (context blocks) started per bucket.
-    pub misses: TimeSeries,
 }
 
 impl RunResult {
@@ -463,8 +450,9 @@ impl RunResult {
 }
 
 /// The machine executor. Construct with [`Machine::new`] and call
-/// [`Machine::run`].
-pub struct Machine<W: Workload> {
+/// [`Machine::run`]; to record what the run does, construct with
+/// [`Machine::observed`] and call [`Machine::run_observed`].
+pub struct Machine<W: Workload, O: Observer = ()> {
     cfg: ProcConfig,
     topo: Topology,
     mem: MemorySystem,
@@ -481,21 +469,14 @@ pub struct Machine<W: Workload> {
     barrier_arrivals: u64,
     prefetches_issued: u64,
     context_switches: u64,
-    timeline: Option<RunTimeline>,
     /// First coherence-invariant violation observed (when checking is on).
     invariant_failure: Option<(Cycle, String)>,
-    /// Analysis-event capture (see [`Machine::with_event_log`]).
-    events: Option<EventLog>,
-    /// Per-process analysis-event sequence numbers (site identifiers).
-    event_seq: Vec<u64>,
     /// Same-cycle tie-break policy (see [`Machine::with_scheduler`]);
     /// `None` keeps the plain deterministic `pop()` path.
     sched: Option<Box<dyn Scheduler>>,
-    /// Decision trace recorded while a scheduler is attached.
-    decisions: Vec<(usize, Vec<SchedAlt>)>,
-    /// Whether the memory system records its access trace (see
-    /// [`Machine::with_access_trace`]).
-    record_accesses: bool,
+    /// What the run reports beyond its [`RunResult`] (see
+    /// [`crate::observe`]).
+    obs: O,
     /// Watchdog state: the timestamp of the last dispatched batch and the
     /// events dispatched at it (see [`Machine::check_progress`]).
     watch_last_t: Cycle,
@@ -503,18 +484,36 @@ pub struct Machine<W: Workload> {
 }
 
 impl<W: Workload> Machine<W> {
+    /// Builds a machine that observes nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Machine::observed`].
+    pub fn new(cfg: ProcConfig, topo: Topology, mem: MemorySystem, workload: W) -> Self {
+        Machine::observed(cfg, topo, mem, workload, ())
+    }
+}
+
+impl<W: Workload, O: Observer> Machine<W, O> {
     /// Default cycle budget: generous enough for paper-scale runs, small
     /// enough to catch livelock in tests.
     pub const DEFAULT_MAX_CYCLES: Cycle = Cycle(20_000_000_000);
 
-    /// Builds a machine.
+    /// Builds a machine that reports to `obs` as it runs; get the observer
+    /// back from [`Machine::run_observed`].
     ///
     /// # Panics
     ///
     /// Panics if the workload's process count does not match
     /// `topo.processes()`, or the memory system was built for a different
     /// node count.
-    pub fn new(cfg: ProcConfig, topo: Topology, mem: MemorySystem, workload: W) -> Self {
+    pub fn observed(
+        cfg: ProcConfig,
+        topo: Topology,
+        mem: MemorySystem,
+        workload: W,
+        obs: O,
+    ) -> Self {
         assert_eq!(
             workload.processes(),
             topo.processes(),
@@ -566,10 +565,6 @@ impl<W: Workload> Machine<W> {
                     .map(|f| FaultInjector::new(f, 0x1000 + p as u64)),
             })
             .collect();
-        let timeline = cfg.timeline_bucket.map(|w| RunTimeline {
-            busy: TimeSeries::new(w),
-            misses: TimeSeries::new(w),
-        });
         let ctxs = (0..topo.processes())
             .map(|_| Context {
                 state: CtxState::Ready,
@@ -603,13 +598,9 @@ impl<W: Workload> Machine<W> {
             barrier_arrivals: 0,
             prefetches_issued: 0,
             context_switches: 0,
-            timeline,
             invariant_failure: None,
-            events: None,
-            event_seq: Vec::new(),
             sched: None,
-            decisions: Vec::new(),
-            record_accesses: false,
+            obs,
             watch_last_t: Cycle::ZERO,
             watch_events_at_t: 0,
         }
@@ -621,30 +612,6 @@ impl<W: Workload> Machine<W> {
         self
     }
 
-    /// Records an analysis-event stream during the run (shared accesses,
-    /// sync operations, prefetches — each at its commit point). The log
-    /// comes back in [`RunResult::events`] for the `dashlat-analyze`
-    /// passes. Costs memory proportional to the reference count; leave off
-    /// for plain performance runs.
-    pub fn with_event_log(mut self) -> Self {
-        self.events = Some(EventLog::new(
-            self.topo.processes(),
-            self.workload.sync_config(),
-        ));
-        self.event_seq = vec![0; self.topo.processes()];
-        self
-    }
-
-    /// Records the memory system's access trace (coherence order) during
-    /// the run, returned as [`RunResult::accesses`]. The memory-model
-    /// verifier reads values off this trace; leave off for plain
-    /// performance runs.
-    pub fn with_access_trace(mut self) -> Self {
-        self.mem.record_accesses();
-        self.record_accesses = true;
-        self
-    }
-
     /// Attaches a same-cycle tie-break scheduler.
     ///
     /// Without one, the event queue's deterministic insertion-order
@@ -652,8 +619,8 @@ impl<W: Workload> Machine<W> {
     /// one, every time the machine is about to process an event it drains
     /// *all* events sharing the minimum timestamp, describes each as a
     /// [`SchedAlt`], and lets the scheduler pick which runs next; the rest
-    /// are re-enqueued in their original relative order. The decision
-    /// trace comes back as [`RunResult::decisions`].
+    /// are re-enqueued in their original relative order. Each decision
+    /// goes to the observer's [`Observer::decision`].
     ///
     /// [`dashlat_sim::sched::FifoScheduler`] reproduces the default order
     /// choice-for-choice; [`dashlat_sim::sched::ReplayScheduler`] is the
@@ -661,24 +628,6 @@ impl<W: Workload> Machine<W> {
     pub fn with_scheduler(mut self, sched: Box<dyn Scheduler>) -> Self {
         self.sched = Some(sched);
         self
-    }
-
-    /// Appends one analysis event (no-op unless event logging is on).
-    ///
-    /// `op_index` is the per-process event sequence number — for
-    /// machine-produced logs it identifies the access site as "the n-th
-    /// committed operation of this process".
-    fn emit(&mut self, t: Cycle, pid: usize, kind: EventKind) {
-        if let Some(log) = &mut self.events {
-            let op_index = self.event_seq[pid];
-            self.event_seq[pid] += 1;
-            log.events.push(AnalysisEvent {
-                pid: ProcId(pid),
-                op_index,
-                cycle: t,
-                kind,
-            });
-        }
     }
 
     /// Events the machine may process at a single timestamp before the
@@ -698,7 +647,17 @@ impl<W: Workload> Machine<W> {
     /// [`RunError::InvariantViolation`] if online checking (see
     /// [`ProcConfig::check_invariants`]) finds the coherence protocol in an
     /// inconsistent state.
-    pub fn run(mut self) -> Result<RunResult, RunError> {
+    pub fn run(self) -> Result<RunResult, RunError> {
+        self.run_observed().map(|(result, _)| result)
+    }
+
+    /// Runs the workload to completion, returning the observer with the
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`]; the observer is dropped with the machine.
+    pub fn run_observed(mut self) -> Result<(RunResult, O), RunError> {
         // Kick off: each processor starts its first context; the rest are
         // ready.
         for p in 0..self.topo.processors {
@@ -819,7 +778,7 @@ impl<W: Workload> Machine<W> {
             "scheduler chose alternative {choice} of a {}-wide slate",
             slate.len()
         );
-        self.decisions.push((choice, alts));
+        self.obs.decision(choice, &alts);
         let ev = slate.remove(choice);
         for rest in slate {
             self.queue.schedule(t, rest);
@@ -912,7 +871,7 @@ impl<W: Workload> Machine<W> {
             .collect()
     }
 
-    fn finish(mut self) -> RunResult {
+    fn finish(mut self) -> (RunResult, O) {
         let elapsed = self
             .ctxs
             .iter()
@@ -945,7 +904,7 @@ impl<W: Workload> Machine<W> {
                 mem.faults.merge(&inj.stats());
             }
         }
-        RunResult {
+        let result = RunResult {
             elapsed,
             breakdowns,
             aggregate,
@@ -958,14 +917,8 @@ impl<W: Workload> Machine<W> {
             prefetches_issued: self.prefetches_issued,
             context_switches: self.context_switches,
             sim_events: self.queue.scheduled(),
-            timeline: self.timeline,
-            events: self.events,
-            accesses: self.record_accesses.then(|| self.mem.take_access_trace()),
-            decisions: self
-                .sched
-                .is_some()
-                .then(|| std::mem::take(&mut self.decisions)),
-        }
+        };
+        (result, self.obs)
     }
 
     // ---- helpers ---------------------------------------------------------
@@ -979,8 +932,9 @@ impl<W: Workload> Machine<W> {
     }
 
     /// Every memory access goes through here so online invariant checking
-    /// covers the whole machine. Only the first failure is kept; the run
-    /// loop converts it into [`RunError::InvariantViolation`].
+    /// covers the whole machine and the observer sees every access in
+    /// coherence order. Only the first failure is kept; the run loop
+    /// converts it into [`RunError::InvariantViolation`].
     fn access_mem(
         &mut self,
         t: Cycle,
@@ -989,6 +943,14 @@ impl<W: Workload> Machine<W> {
         kind: AccessKind,
     ) -> AccessResult {
         let r = self.mem.access(t, node, addr, kind);
+        self.obs.access(AccessRecord {
+            at: t,
+            node,
+            addr,
+            kind,
+            class: r.class,
+            done_at: r.done_at,
+        });
         if self.cfg.check_invariants && self.invariant_failure.is_none() {
             if let Err(detail) = self.mem.check_line_invariants(addr.line()) {
                 self.invariant_failure = Some((t, detail));
@@ -1022,22 +984,38 @@ impl<W: Workload> Machine<W> {
             .is_some_and(dashlat_sim::FaultInjector::transient_buffer_full)
     }
 
-    /// Charges a short (non-switching) stall.
-    fn charge_short_stall(&mut self, p: usize, stall: Cycle, reason: Reason) {
-        let multi = self.cfg.contexts > 1;
-        let b = &mut self.procs[p].breakdown;
-        if multi {
-            match reason {
-                Reason::PrefetchFull => b.prefetch_overhead += stall,
-                _ => b.no_switch += stall,
-            }
+    /// The stall policy: a stall of at most
+    /// [`ProcConfig::no_switch_threshold`] cycles is charged in place and
+    /// `pid` steps again at `resume`; a longer one blocks the context
+    /// until `resume`, noting `miss` (a demand fetch's line and fill time)
+    /// in flight first.
+    fn stall(
+        &mut self,
+        t: Cycle,
+        pid: usize,
+        resume: Cycle,
+        reason: Reason,
+        on: BlockedOn,
+        miss: Option<(LineAddr, Cycle)>,
+    ) {
+        let stall = resume.saturating_sub(t);
+        let p = self.proc_of(pid);
+        if stall <= self.cfg.no_switch_threshold {
+            // A multiple-context processor calls a short stall "no switch"
+            // idle.
+            let b = &mut self.procs[p].breakdown;
+            let field = if self.cfg.contexts > 1 {
+                &mut b.no_switch
+            } else {
+                reason.stall_field(b)
+            };
+            *field += stall;
+            self.queue.schedule(resume, Event::Step(pid));
         } else {
-            match reason {
-                Reason::Read => b.read_stall += stall,
-                Reason::Write | Reason::WriteBufFull => b.write_stall += stall,
-                Reason::Sync => b.sync_stall += stall,
-                Reason::PrefetchFull => b.prefetch_overhead += stall,
+            if let Some((line, done)) = miss {
+                self.note_in_flight(p, line, done, false);
             }
+            self.block(t, pid, reason, Some(resume), on);
         }
     }
 
@@ -1062,9 +1040,7 @@ impl<W: Workload> Machine<W> {
         }
         let p = self.proc_of(pid);
         self.procs[p].run_lengths.miss();
-        if let Some(tl) = &mut self.timeline {
-            tl.misses.add(t, 1);
-        }
+        self.obs.block(t, ProcId(pid));
         self.reschedule(t, p, reason);
     }
 
@@ -1119,17 +1095,11 @@ impl<W: Workload> Machine<W> {
         if let Some((since, reason)) = self.procs[p].idle_since.take() {
             // The processor was idle: attribute the idle span and resume.
             let span = t.saturating_sub(since);
-            let multi = self.cfg.contexts > 1;
             let b = &mut self.procs[p].breakdown;
-            if multi {
+            if self.cfg.contexts > 1 {
                 b.all_idle += span;
             } else {
-                match reason {
-                    Reason::Read => b.read_stall += span,
-                    Reason::Write | Reason::WriteBufFull => b.write_stall += span,
-                    Reason::Sync => b.sync_stall += span,
-                    Reason::PrefetchFull => b.prefetch_overhead += span,
-                }
+                *reason.stall_field(b) += span;
             }
             self.start_context(t, p, pid);
         }
@@ -1147,7 +1117,11 @@ impl<W: Workload> Machine<W> {
         self.ctxs[pid].last_advance = t;
         let op = match self.ctxs[pid].pending_op.take() {
             Some(op) => op,
-            None => self.workload.next_op(ProcId(pid)),
+            None => {
+                let op = self.workload.next_op(ProcId(pid));
+                self.obs.op(ProcId(pid), op);
+                op
+            }
         };
         match op {
             Op::Compute(n) => self.do_compute(t, pid, n),
@@ -1171,9 +1145,7 @@ impl<W: Workload> Machine<W> {
         proc.breakdown.no_switch += Cycle(lock_fill);
         proc.breakdown.busy += Cycle(n);
         proc.run_lengths.busy(Cycle(n));
-        if let Some(tl) = &mut self.timeline {
-            tl.busy.add(t, n);
-        }
+        self.obs.compute(t, ProcId(pid), n);
         self.queue
             .schedule(t + Cycle(n + lock_pf + lock_fill), Event::Step(pid));
     }
@@ -1198,7 +1170,7 @@ impl<W: Workload> Machine<W> {
         self.shared_reads += 1;
         // Reads never re-execute (in-flight combining resumes past the
         // op), so issue is the commit point.
-        self.emit(t, pid, EventKind::Read(a));
+        self.obs.commit(t, ProcId(pid), EventKind::Read(a));
         let p = self.proc_of(pid);
         // Optimistic out-of-order bound (see ProcConfig::read_lookahead):
         // up to `lookahead` cycles of the miss overlap independent work,
@@ -1210,19 +1182,14 @@ impl<W: Workload> Machine<W> {
                 .saturating_sub(lookahead)
                 .max(t + Cycle(1))
                 .min(done.max(t));
-            let stall = resume.saturating_sub(t);
-            if stall <= self.cfg.no_switch_threshold {
-                self.charge_short_stall(p, stall, Reason::Read);
-                self.queue.schedule(resume, Event::Step(pid));
-            } else {
-                self.block(
-                    t,
-                    pid,
-                    Reason::Read,
-                    Some(resume),
-                    BlockedOn::on(BlockedOp::Read, a),
-                );
-            }
+            self.stall(
+                t,
+                pid,
+                resume,
+                Reason::Read,
+                BlockedOn::on(BlockedOp::Read, a),
+                None,
+            );
             return;
         }
         let node = self.node_of(pid);
@@ -1240,22 +1207,15 @@ impl<W: Workload> Machine<W> {
             .saturating_sub(lookahead)
             .max(t + Cycle(1))
             .min(r.done_at);
-        let eff_stall = resume.saturating_sub(t);
-        if eff_stall <= self.cfg.no_switch_threshold {
-            self.charge_short_stall(p, eff_stall, Reason::Read);
-            self.queue.schedule(resume, Event::Step(pid));
-        } else {
-            if !matches!(r.class, ServiceClass::SecondaryHit) {
-                self.note_in_flight(p, a.line(), r.done_at, false);
-            }
-            self.block(
-                t,
-                pid,
-                Reason::Read,
-                Some(resume),
-                BlockedOn::on(BlockedOp::Read, a),
-            );
-        }
+        let miss = (r.class != ServiceClass::SecondaryHit).then_some((a.line(), r.done_at));
+        self.stall(
+            t,
+            pid,
+            resume,
+            Reason::Read,
+            BlockedOn::on(BlockedOp::Read, a),
+            miss,
+        );
     }
 
     fn do_write(&mut self, t: Cycle, pid: usize, a: Addr) {
@@ -1316,22 +1276,17 @@ impl<W: Workload> Machine<W> {
         }
         // Fence satisfied: the RMW commits here as one exclusive access.
         self.shared_writes += 1;
-        self.emit(t, pid, EventKind::Write(a));
+        self.obs.commit(t, ProcId(pid), EventKind::Write(a));
         let node = self.node_of(pid);
         let r = self.access_mem(t, node, a, AccessKind::Write);
-        let stall = r.done_at.saturating_sub(t);
-        if stall <= self.cfg.no_switch_threshold {
-            self.charge_short_stall(p, stall, Reason::Write);
-            self.queue.schedule(r.done_at, Event::Step(pid));
-        } else {
-            self.block(
-                t,
-                pid,
-                Reason::Write,
-                Some(r.done_at),
-                BlockedOn::on(BlockedOp::Write, a),
-            );
-        }
+        self.stall(
+            t,
+            pid,
+            r.done_at,
+            Reason::Write,
+            BlockedOn::on(BlockedOp::Write, a),
+            None,
+        );
     }
 
     /// SC write: the processor stalls until the write completes. Shared by
@@ -1365,27 +1320,22 @@ impl<W: Workload> Machine<W> {
         // Past the in-flight re-issue: the write commits now. Releases
         // are sync accesses, not data writes, in the event vocabulary.
         match unlock {
-            Some(l) => self.emit(t, pid, EventKind::Release(l)),
-            None => self.emit(t, pid, EventKind::Write(a)),
+            Some(l) => self.obs.commit(t, ProcId(pid), EventKind::Release(l)),
+            None => self.obs.commit(t, ProcId(pid), EventKind::Write(a)),
         }
         let node = self.node_of(pid);
         let r = self.access_mem(t, node, a, AccessKind::Write);
         if let Some(lid) = unlock {
             self.queue.schedule(r.done_at, Event::Unlock(lid, pid));
         }
-        let stall = r.done_at.saturating_sub(t);
-        if stall <= self.cfg.no_switch_threshold {
-            self.charge_short_stall(p, stall, reason);
-            self.queue.schedule(r.done_at, Event::Step(pid));
-        } else {
-            self.block(
-                t,
-                pid,
-                reason,
-                Some(r.done_at),
-                BlockedOn::on(BlockedOp::Write, a),
-            );
-        }
+        self.stall(
+            t,
+            pid,
+            r.done_at,
+            reason,
+            BlockedOn::on(BlockedOp::Write, a),
+            None,
+        );
     }
 
     /// RC write: enqueue into the write buffer (stalling only when full).
@@ -1416,8 +1366,8 @@ impl<W: Workload> Machine<W> {
         // RC commit point (the release's clock snapshot must not include
         // program-order-later writes, so it is taken at issue).
         match unlock {
-            Some(l) => self.emit(t, pid, EventKind::Release(l)),
-            None => self.emit(t, pid, EventKind::Write(a)),
+            Some(l) => self.obs.commit(t, ProcId(pid), EventKind::Release(l)),
+            None => self.obs.commit(t, ProcId(pid), EventKind::Write(a)),
         }
         let pushed = self.procs[p].wbuf.try_push(PendingWrite {
             addr: a,
@@ -1541,7 +1491,8 @@ impl<W: Workload> Machine<W> {
         }
         // Past the buffer-full re-issue: the prefetch is committed to the
         // buffer now.
-        self.emit(t, pid, EventKind::Prefetch { addr, exclusive });
+        self.obs
+            .commit(t, ProcId(pid), EventKind::Prefetch { addr, exclusive });
         let overhead = self.cfg.prefetch_issue_overhead;
         self.procs[p].breakdown.prefetch_overhead += overhead;
         let pushed = self.procs[p].pbuf.try_push(PendingPrefetch {
@@ -1650,25 +1601,19 @@ impl<W: Workload> Machine<W> {
                 // acquires commit in `unlock` when the releaser hands the
                 // lock over — the woken context does not re-execute the
                 // acquire.)
-                self.emit(t, pid, EventKind::Acquire(l));
+                self.obs.commit(t, ProcId(pid), EventKind::Acquire(l));
                 // Test&set needs exclusive ownership of the lock line.
                 let addr = self.sync.lock_addr(l);
                 let node = self.node_of(pid);
                 let r = self.access_mem(t, node, addr, AccessKind::Write);
-                let stall = r.done_at.saturating_sub(t);
-                let p = self.proc_of(pid);
-                if stall <= self.cfg.no_switch_threshold {
-                    self.charge_short_stall(p, stall, Reason::Sync);
-                    self.queue.schedule(r.done_at, Event::Step(pid));
-                } else {
-                    self.block(
-                        t,
-                        pid,
-                        Reason::Sync,
-                        Some(r.done_at),
-                        BlockedOn::on(BlockedOp::Acquire, addr),
-                    );
-                }
+                self.stall(
+                    t,
+                    pid,
+                    r.done_at,
+                    Reason::Sync,
+                    BlockedOn::on(BlockedOp::Acquire, addr),
+                    None,
+                );
             }
             AcquireOutcome::Queued => {
                 // Ownership will be handed to us by the releaser; wait.
@@ -1702,7 +1647,7 @@ impl<W: Workload> Machine<W> {
     fn unlock(&mut self, t: Cycle, l: LockId, pid: usize) {
         if let Some(next) = self.sync.release(l, ProcId(pid)) {
             // Hand-off is the queued waiter's acquire commit point.
-            self.emit(t, next.0, EventKind::Acquire(l));
+            self.obs.commit(t, next, EventKind::Acquire(l));
             // The waiter re-fetches the lock line (it was invalidated by
             // the release) and acquires ownership.
             let addr = self.sync.lock_addr(l);
@@ -1715,7 +1660,7 @@ impl<W: Workload> Machine<W> {
     fn do_barrier(&mut self, t: Cycle, pid: usize, b: crate::ops::BarrierId) {
         self.barrier_arrivals += 1;
         // Arrival always commits (barriers never re-execute).
-        self.emit(t, pid, EventKind::BarrierArrive(b));
+        self.obs.commit(t, ProcId(pid), EventKind::BarrierArrive(b));
         let addr = self.sync.barrier_addr(b);
         let node = self.node_of(pid);
         // Arrival: atomic increment of the barrier count (needs ownership;
@@ -1736,20 +1681,14 @@ impl<W: Workload> Machine<W> {
                     self.queue.schedule(r.done_at, Event::BarrierWake(w.0, b.0));
                 }
                 // The last arriver proceeds once its increment completes.
-                let stall = r.done_at.saturating_sub(t);
-                let p = self.proc_of(pid);
-                if stall <= self.cfg.no_switch_threshold {
-                    self.charge_short_stall(p, stall, Reason::Sync);
-                    self.queue.schedule(r.done_at, Event::Step(pid));
-                } else {
-                    self.block(
-                        t,
-                        pid,
-                        Reason::Sync,
-                        Some(r.done_at),
-                        BlockedOn::on(BlockedOp::Barrier, addr),
-                    );
-                }
+                self.stall(
+                    t,
+                    pid,
+                    r.done_at,
+                    Reason::Sync,
+                    BlockedOn::on(BlockedOp::Barrier, addr),
+                    None,
+                );
             }
         }
     }
@@ -1765,7 +1704,7 @@ impl<W: Workload> Machine<W> {
     }
 
     fn do_done(&mut self, t: Cycle, pid: usize) {
-        self.emit(t, pid, EventKind::Done);
+        self.obs.commit(t, ProcId(pid), EventKind::Done);
         self.ctxs[pid].state = CtxState::Finished;
         self.ctxs[pid].finished_at = Some(t);
         let p = self.proc_of(pid);

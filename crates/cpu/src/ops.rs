@@ -223,30 +223,6 @@ pub trait Workload {
     }
 }
 
-impl<W: Workload + ?Sized> Workload for &mut W {
-    fn processes(&self) -> usize {
-        (**self).processes()
-    }
-    fn next_op(&mut self, pid: ProcId) -> Op {
-        (**self).next_op(pid)
-    }
-    fn peek_op(&self, pid: ProcId) -> Option<Op> {
-        (**self).peek_op(pid)
-    }
-    fn sync_config(&self) -> SyncConfig {
-        (**self).sync_config()
-    }
-    fn shared_bytes(&self) -> u64 {
-        (**self).shared_bytes()
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        (**self).fork()
-    }
-}
-
 impl<W: Workload + ?Sized> Workload for Box<W> {
     fn processes(&self) -> usize {
         (**self).processes()

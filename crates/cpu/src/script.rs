@@ -99,6 +99,11 @@ impl Workload for ScriptWorkload {
         }
     }
 
+    fn peek_op(&self, pid: ProcId) -> Option<Op> {
+        let next = self.scripts[pid.0].get(self.cursor[pid.0]);
+        Some(next.copied().unwrap_or(Op::Done))
+    }
+
     fn sync_config(&self) -> SyncConfig {
         self.sync.clone()
     }

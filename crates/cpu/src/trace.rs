@@ -1,9 +1,9 @@
 //! Reference-trace capture and replay.
 //!
-//! [`TraceRecorder`] wraps any [`Workload`] and records the operation
-//! stream each process actually issued during an execution-driven run;
-//! [`Trace`] serializes it to a compact line-based text format and loads it
-//! back as a [`ScriptWorkload`] for replay.
+//! [`TraceRecorder`], attached to a machine as its [`Observer`], records
+//! the operation stream each process actually issued during an
+//! execution-driven run; [`Trace`] serializes it to a compact line-based
+//! text format and loads it back as a [`ScriptWorkload`] for replay.
 //!
 //! **Fidelity caveat** (the reason the paper uses Tango-style
 //! execution-driven simulation rather than traces, §2.3): a recorded trace
@@ -14,11 +14,11 @@
 //! deterministic replay, debugging and external tooling — use the live
 //! workloads for comparative experiments.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use dashlat_mem::addr::Addr;
 
+use crate::observe::Observer;
 use crate::ops::{BarrierId, LabeledRange, LockId, Op, ProcId, SyncConfig, Workload};
 use crate::script::ScriptWorkload;
 
@@ -284,97 +284,62 @@ impl Trace {
     }
 }
 
-/// Wraps a workload and records everything it emits.
+/// Records the operation stream each process pulls from its workload.
 ///
 /// # Example
 ///
 /// ```
+/// use dashlat_cpu::observe::Observer;
 /// use dashlat_cpu::ops::{Op, ProcId, Workload};
 /// use dashlat_cpu::script::ScriptWorkload;
 /// use dashlat_cpu::trace::TraceRecorder;
 ///
-/// let inner = ScriptWorkload::new(vec![vec![Op::Compute(5)]]);
-/// let mut rec = TraceRecorder::new(inner);
-/// let _ = rec.next_op(ProcId(0)); // Compute(5)
-/// let _ = rec.next_op(ProcId(0)); // Done
+/// let mut w = ScriptWorkload::new(vec![vec![Op::Compute(5)]]);
+/// let mut rec = TraceRecorder::new(&w);
+/// rec.op(ProcId(0), w.next_op(ProcId(0))); // Compute(5)
+/// rec.op(ProcId(0), w.next_op(ProcId(0))); // Done
 /// let trace = rec.into_trace();
 /// assert_eq!(trace.streams[0], vec![Op::Compute(5), Op::Done]);
 /// ```
 #[derive(Debug)]
-pub struct TraceRecorder<W> {
-    inner: W,
+pub struct TraceRecorder {
     streams: Vec<Vec<Op>>,
     /// Avoid recording unbounded runs of trailing `Done`s.
     finished: Vec<bool>,
+    sync: SyncConfig,
 }
 
-impl<W: Workload> TraceRecorder<W> {
-    /// Starts recording `inner`.
-    pub fn new(inner: W) -> Self {
-        let n = inner.processes();
+impl TraceRecorder {
+    /// Starts recording a run of `workload`.
+    pub fn new(workload: &dyn Workload) -> Self {
+        let n = workload.processes();
         TraceRecorder {
-            inner,
             streams: vec![Vec::new(); n],
             finished: vec![false; n],
+            sync: workload.sync_config(),
         }
     }
 
-    /// Finishes recording and returns the trace.
+    /// Finishes recording and returns the trace (without a page map).
     pub fn into_trace(self) -> Trace {
-        let sync = self.inner.sync_config();
         Trace {
             streams: self.streams,
-            sync,
+            sync: self.sync,
             page_homes: None,
         }
     }
-
-    /// Finishes recording, attaching the recorded machine's page placement
-    /// so replays classify local/remote exactly as the original run did.
-    pub fn into_trace_with_pages(self, nodes: usize, homes: Vec<usize>) -> Trace {
-        let mut t = self.into_trace();
-        t.page_homes = Some((nodes, homes));
-        t
-    }
-
-    /// Access to the wrapped workload.
-    pub fn inner(&self) -> &W {
-        &self.inner
-    }
 }
 
-impl<W: Workload> Workload for TraceRecorder<W> {
-    fn processes(&self) -> usize {
-        self.inner.processes()
-    }
-
-    fn next_op(&mut self, pid: ProcId) -> Op {
-        let op = self.inner.next_op(pid);
+impl Observer for TraceRecorder {
+    fn op(&mut self, pid: ProcId, op: Op) {
         if !self.finished[pid.0] {
             self.streams[pid.0].push(op);
             if op == Op::Done {
                 self.finished[pid.0] = true;
             }
         }
-        op
-    }
-
-    fn sync_config(&self) -> SyncConfig {
-        self.inner.sync_config()
-    }
-
-    fn shared_bytes(&self) -> u64 {
-        self.inner.shared_bytes()
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
     }
 }
-
-/// Replayed queue wrapper kept for API symmetry (alias of the script
-/// workload's underlying storage type).
-pub type ReplayQueue = VecDeque<Op>;
 
 #[cfg(test)]
 mod tests {
@@ -436,10 +401,10 @@ mod tests {
     #[test]
     fn recorder_captures_everything_once() {
         use crate::script::ScriptWorkload;
-        let inner = ScriptWorkload::new(vec![vec![Op::Compute(1), Op::Compute(2)]]);
-        let mut rec = TraceRecorder::new(inner);
+        let mut inner = ScriptWorkload::new(vec![vec![Op::Compute(1), Op::Compute(2)]]);
+        let mut rec = TraceRecorder::new(&inner);
         for _ in 0..10 {
-            let _ = rec.next_op(ProcId(0));
+            rec.op(ProcId(0), inner.next_op(ProcId(0)));
         }
         let t = rec.into_trace();
         // Exactly one trailing Done recorded.

@@ -89,24 +89,15 @@ pub struct Directory {
 
 impl Directory {
     /// Creates an empty full-map directory (all lines `Uncached`).
-    /// Prefer [`Directory::with_kind`] when the node count matters.
+    /// Prefer [`Directory::with_kind_sized`] when the node count matters.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a directory of the given organisation for `nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a limited-pointer directory with zero pointers.
-    pub fn with_kind(kind: DirectoryKind, nodes: usize) -> Self {
-        Self::with_kind_sized(kind, nodes, 0)
-    }
-
-    /// Like [`Directory::with_kind`], but pre-sizes the dense line arena
-    /// for `lines` tracked lines (typically the machine layout's
-    /// shared-segment line count) so every lookup in the sweep's steady
-    /// state is a single indexed load.
+    /// Creates a directory of the given organisation for `nodes` nodes,
+    /// pre-sizing the dense line arena for `lines` tracked lines
+    /// (typically the machine layout's shared-segment line count) so every
+    /// lookup in the sweep's steady state is a single indexed load.
     ///
     /// # Panics
     ///

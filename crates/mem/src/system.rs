@@ -96,8 +96,7 @@ impl AccessResult {
     }
 }
 
-/// One serviced access, as recorded by the optional access trace
-/// ([`MemorySystem::record_accesses`]).
+/// One serviced access: an entry of a run's access trace.
 ///
 /// Directory and cache state mutate at *request-processing* time, i.e. in
 /// the order [`MemorySystem::access`] is called — so the position of a
@@ -254,9 +253,6 @@ pub struct MemorySystem {
     holders_scratch: Vec<(usize, LineState)>,
     /// Reusable scratch: dirty holders of the line under inspection.
     dirty_scratch: Vec<usize>,
-    /// When `Some`, every serviced access is appended here in coherence
-    /// order (see [`AccessRecord`]). Off (`None`) for normal sweeps.
-    access_trace: Option<Vec<AccessRecord>>,
 }
 
 impl std::fmt::Debug for MemorySystem {
@@ -311,23 +307,6 @@ impl MemorySystem {
             stats: MemStats::default(),
             holders_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
-            access_trace: None,
-        }
-    }
-
-    /// Turns on access-trace recording: every subsequent
-    /// [`MemorySystem::access`] appends an [`AccessRecord`] in coherence
-    /// order, retrievable with [`MemorySystem::take_access_trace`].
-    pub fn record_accesses(&mut self) {
-        self.access_trace = Some(Vec::new());
-    }
-
-    /// Takes the recorded access trace (empty if recording was never
-    /// enabled); recording continues into a fresh buffer if it was on.
-    pub fn take_access_trace(&mut self) -> Vec<AccessRecord> {
-        match &mut self.access_trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
         }
     }
 
@@ -337,8 +316,7 @@ impl MemorySystem {
     }
 
     /// A protocol-state fork of this system: identical caches, directory
-    /// and page map, but fresh contention/fault/statistics state and no
-    /// access trace.
+    /// and page map, but fresh contention/fault/statistics state.
     ///
     /// The exhaustive directory-protocol checker explores the reachable
     /// protocol state space breadth-first; each frontier state is expanded
@@ -364,7 +342,6 @@ impl MemorySystem {
             stats: MemStats::default(),
             holders_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
-            access_trace: None,
         }
     }
 
@@ -442,7 +419,7 @@ impl MemorySystem {
         kind: AccessKind,
     ) -> AccessResult {
         assert!(node.0 < self.cfg.nodes, "access from nonexistent {node}");
-        let res = if !self.cfg.caching {
+        if !self.cfg.caching {
             self.uncached_access(now, node, addr, kind)
         } else {
             match kind {
@@ -451,18 +428,7 @@ impl MemorySystem {
                 AccessKind::ReadPrefetch => self.prefetch(now, node, addr, false),
                 AccessKind::ReadExPrefetch => self.prefetch(now, node, addr, true),
             }
-        };
-        if let Some(trace) = &mut self.access_trace {
-            trace.push(AccessRecord {
-                at: now,
-                node,
-                addr,
-                kind,
-                class: res.class,
-                done_at: res.done_at,
-            });
         }
-        res
     }
 
     // ---- demand reads -------------------------------------------------

@@ -124,47 +124,22 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// Replays a recorded prefix of choices, then falls back to FIFO order,
-/// while recording the slate seen at every decision point. This is the
-/// workhorse of the stateless model checker: the explorer re-runs the
-/// program from scratch with ever-longer choice prefixes and inspects the
-/// recorded slates to find unexplored branches.
+/// Replays a recorded prefix of choices, then falls back to FIFO order.
+/// This is the workhorse of the stateless model checker: the explorer
+/// re-runs the program from scratch with ever-longer choice prefixes and
+/// inspects the slates the machine reported at every decision point (to
+/// its observer, not to this scheduler) to find unexplored branches.
 #[derive(Debug, Default, Clone)]
 pub struct ReplayScheduler {
     prefix: Vec<usize>,
     cursor: usize,
-    /// `(chosen index, slate)` for every decision point, in order.
-    trace: Vec<(usize, Vec<SchedAlt>)>,
 }
 
 impl ReplayScheduler {
     /// A scheduler that follows `prefix`, then FIFO.
     #[must_use]
     pub fn with_prefix(prefix: Vec<usize>) -> Self {
-        ReplayScheduler {
-            prefix,
-            cursor: 0,
-            trace: Vec::new(),
-        }
-    }
-
-    /// The recorded `(choice, slate)` sequence of the completed run.
-    #[must_use]
-    pub fn trace(&self) -> &[(usize, Vec<SchedAlt>)] {
-        &self.trace
-    }
-
-    /// Consumes the scheduler, returning the recorded decision trace.
-    #[must_use]
-    pub fn into_trace(self) -> Vec<(usize, Vec<SchedAlt>)> {
-        self.trace
-    }
-
-    /// True when the whole prefix was consumed (the run reached at least
-    /// as many decision points as the prefix prescribed).
-    #[must_use]
-    pub fn prefix_exhausted(&self) -> bool {
-        self.cursor >= self.prefix.len()
+        ReplayScheduler { prefix, cursor: 0 }
     }
 }
 
@@ -183,7 +158,6 @@ impl Scheduler for ReplayScheduler {
             None => 0,
         };
         self.cursor += 1;
-        self.trace.push((choice, alts.to_vec()));
         choice
     }
 }
@@ -225,16 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_follows_prefix_then_fifo_and_records() {
+    fn replay_follows_prefix_then_fifo() {
         let slate = vec![alt(0, Footprint::None), alt(1, Footprint::None)];
         let mut s = ReplayScheduler::with_prefix(vec![1]);
         assert_eq!(s.choose(Cycle(0), &slate), 1);
         assert_eq!(s.choose(Cycle(0), &slate), 0, "past prefix: FIFO");
-        assert!(s.prefix_exhausted());
-        let trace = s.into_trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].0, 1);
-        assert_eq!(trace[1].0, 0);
     }
 
     #[test]

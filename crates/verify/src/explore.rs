@@ -53,6 +53,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use dashlat_cpu::Decision;
 use dashlat_sim::vclock::VectorClock;
 use dashlat_sim::SchedAlt;
 
@@ -108,7 +109,7 @@ pub struct Exploration {
 /// What one machine run reports back to the explorer: the decision trace
 /// — `(choice taken, full slate)` at each decision point — plus the
 /// terminal outcome, or the machine error that ended the run.
-pub type RunRecord = (Vec<(usize, Vec<SchedAlt>)>, Result<Outcome, String>);
+pub type RunRecord = (Vec<Decision>, Result<Outcome, String>);
 
 /// One node of the depth-first search tree.
 struct Frame {

@@ -9,7 +9,9 @@
 //! that configuration the simulator is in *lockstep*: every piece of
 //! scheduling nondeterminism shows up as a same-cycle tie in the event
 //! queue, which the attached [`ReplayScheduler`] turns into an enumerable
-//! decision point for the explorer.
+//! decision point for the explorer. Each run is observed once: its access
+//! trace gives the outcome and its decision trace the explorer's
+//! backtracking state.
 //!
 //! ### Why start offsets are swept
 //!
@@ -27,9 +29,10 @@ use std::collections::BTreeMap;
 
 use dashlat_cpu::config::Consistency;
 use dashlat_cpu::machine::Machine;
-use dashlat_cpu::ops::Topology;
-use dashlat_cpu::{EventLog, ProcConfig};
-use dashlat_mem::system::{MemConfig, MemorySystem};
+use dashlat_cpu::ops::{Topology, Workload};
+use dashlat_cpu::script::ScriptWorkload;
+use dashlat_cpu::{Decision, EventLog, Observer, ProcConfig};
+use dashlat_mem::system::{AccessRecord, MemConfig, MemorySystem};
 use dashlat_mem::LatencyTable;
 use dashlat_sim::{Cycle, ReplayScheduler};
 
@@ -37,7 +40,7 @@ use crate::axiomatic;
 use crate::explore::{explore, Engine, Exploration};
 use crate::litmus::LitmusTest;
 use crate::outcome::{self, format_set, Outcome, OutcomeSet};
-use crate::workload::{layout, LitmusLayout, LitmusWorkload};
+use crate::workload::{compile, layout, LitmusLayout};
 
 /// Default per-verdict run budget. Generous: the most expensive corpus
 /// cell (iriw under the buffered models) exhausts well below it; hitting
@@ -120,34 +123,32 @@ fn mem_config(nprocs: usize, lazy: bool, mutation: Mutation) -> MemConfig {
     }
 }
 
-/// Builds the machine for one verification run.
-fn build(
+/// Builds the machine for one verification run, observed by what
+/// `observer` makes of the compiled workload.
+fn build<O: Observer>(
     test: &LitmusTest,
     lay: &LitmusLayout,
     model: Consistency,
     offsets: &[u64],
     prefix: Vec<usize>,
-    with_log: bool,
     mutation: Mutation,
-) -> Machine<LitmusWorkload> {
+    observer: impl FnOnce(&ScriptWorkload) -> O,
+) -> Machine<ScriptWorkload, O> {
     let nprocs = test.nprocs();
     let mem = MemorySystem::new(
         mem_config(nprocs, test.lazy_writeback, mutation),
         lay.page_map.clone(),
     );
-    let workload = LitmusWorkload::new(test, lay, offsets);
-    let mut m = Machine::new(
+    let workload = compile(test, lay, offsets);
+    let obs = observer(&workload);
+    Machine::observed(
         proc_config(model, mutation),
         Topology::new(nprocs, 1),
         mem,
         workload,
+        obs,
     )
-    .with_access_trace()
-    .with_scheduler(Box::new(ReplayScheduler::with_prefix(prefix)));
-    if with_log {
-        m = m.with_event_log();
-    }
-    m
+    .with_scheduler(Box::new(ReplayScheduler::with_prefix(prefix)))
 }
 
 /// Runs one interleaving to completion and extracts its outcome. A
@@ -162,13 +163,10 @@ fn run_once(
     prefix: &[usize],
     mutation: Mutation,
 ) -> crate::explore::RunRecord {
-    match build(test, lay, model, offsets, prefix.to_vec(), false, mutation).run() {
-        Ok(result) => {
-            let decisions = result
-                .decisions
-                .expect("scheduler attached, decisions recorded");
-            let trace = result.accesses.expect("access trace attached");
-            let outcome = outcome::extract(test, &lay.var_addrs, &trace);
+    let traces = |_: &ScriptWorkload| (Vec::<AccessRecord>::new(), Vec::<Decision>::new());
+    match build(test, lay, model, offsets, prefix.to_vec(), mutation, traces).run_observed() {
+        Ok((_, (accesses, decisions))) => {
+            let outcome = outcome::extract(test, &lay.var_addrs, &accesses);
             (decisions, Ok(outcome))
         }
         Err(e) => {
@@ -196,10 +194,11 @@ pub(crate) fn replay_with_log(
     mutation: Mutation,
 ) -> EventLog {
     let lay = layout(test, test.nprocs());
-    let result = build(test, &lay, model, offsets, prefix.to_vec(), true, mutation)
-        .run()
+    let log = |w: &ScriptWorkload| EventLog::new(w.processes(), w.sync_config());
+    let (_, log) = build(test, &lay, model, offsets, prefix.to_vec(), mutation, log)
+        .run_observed()
         .expect("witnessed interleaving replays");
-    result.events.expect("event log attached")
+    log
 }
 
 /// Explores every interleaving of one offset cell — exposed so the

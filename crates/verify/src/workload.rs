@@ -8,7 +8,8 @@
 //! tie-breaking alone cannot realise orderings between events that the
 //! uniform-latency configuration pins to different cycles.
 
-use dashlat_cpu::ops::{LockId, Op, ProcId, SyncConfig, Workload};
+use dashlat_cpu::ops::{LockId, Op};
+use dashlat_cpu::script::ScriptWorkload;
 use dashlat_mem::addr::Addr;
 use dashlat_mem::layout::{AddressSpaceBuilder, Placement};
 use dashlat_mem::{PageMap, LINE_BYTES};
@@ -56,106 +57,46 @@ pub fn layout(test: &LitmusTest, nprocs: usize) -> LitmusLayout {
     }
 }
 
-/// A litmus test compiled to an execution-driven machine workload.
-#[derive(Debug, Clone)]
-pub struct LitmusWorkload {
-    programs: Vec<Vec<Op>>,
-    pcs: Vec<usize>,
-    sync: SyncConfig,
-}
-
-impl LitmusWorkload {
-    /// Compiles `test` with the given per-processor start offsets
-    /// (`offsets.len()` must equal the processor count).
-    pub fn new(test: &LitmusTest, lay: &LitmusLayout, offsets: &[u64]) -> Self {
-        assert_eq!(offsets.len(), test.nprocs(), "one offset per processor");
-        let programs = test
-            .programs
-            .iter()
-            .zip(offsets)
-            .map(|(prog, &off)| {
-                let mut ops = Vec::with_capacity(prog.len() + 2);
-                if off > 0 {
-                    ops.push(Op::Compute(off));
-                }
-                for op in prog {
-                    ops.push(match *op {
-                        LOp::W(v, _) => Op::Write(lay.var_addrs[v]),
-                        LOp::R(v) => Op::Read(lay.var_addrs[v]),
-                        LOp::Rmw(v, _) => Op::Rmw(lay.var_addrs[v]),
-                        LOp::Acq(l) => Op::Acquire(LockId(l)),
-                        LOp::Rel(l) => Op::Release(LockId(l)),
-                    });
-                }
-                ops.push(Op::Done);
-                ops
-            })
-            .collect::<Vec<_>>();
-        let sync = SyncConfig {
-            lock_addrs: lay.lock_addrs.clone(),
-            barrier_addrs: Vec::new(),
-            labeled_ranges: Vec::new(),
-        };
-        LitmusWorkload {
-            pcs: vec![0; programs.len()],
-            programs,
-            sync,
-        }
-    }
-}
-
-impl Workload for LitmusWorkload {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn processes(&self) -> usize {
-        self.programs.len()
-    }
-
-    fn next_op(&mut self, pid: ProcId) -> Op {
-        let pc = self.pcs[pid.0];
-        match self.programs[pid.0].get(pc) {
-            Some(&op) => {
-                self.pcs[pid.0] += 1;
-                op
-            }
-            None => Op::Done,
-        }
-    }
-
-    fn peek_op(&self, pid: ProcId) -> Option<Op> {
-        Some(
-            self.programs[pid.0]
-                .get(self.pcs[pid.0])
-                .copied()
-                .unwrap_or(Op::Done),
-        )
-    }
-
-    fn sync_config(&self) -> SyncConfig {
-        self.sync.clone()
-    }
-
-    fn shared_bytes(&self) -> u64 {
-        (self.sync.lock_addrs.len() as u64 + self.programs.len() as u64) * LINE_BYTES
-    }
-
-    fn name(&self) -> &str {
-        "litmus"
-    }
+/// Compiles `test` into a scripted machine workload with the given
+/// per-processor start offsets (`offsets.len()` must equal the processor
+/// count).
+pub fn compile(test: &LitmusTest, lay: &LitmusLayout, offsets: &[u64]) -> ScriptWorkload {
+    assert_eq!(offsets.len(), test.nprocs(), "one offset per processor");
+    let programs = test
+        .programs
+        .iter()
+        .zip(offsets)
+        .map(|(prog, &off)| {
+            let start = (off > 0).then_some(Op::Compute(off));
+            start
+                .into_iter()
+                .chain(prog.iter().map(|op| match *op {
+                    LOp::W(v, _) => Op::Write(lay.var_addrs[v]),
+                    LOp::R(v) => Op::Read(lay.var_addrs[v]),
+                    LOp::Rmw(v, _) => Op::Rmw(lay.var_addrs[v]),
+                    LOp::Acq(l) => Op::Acquire(LockId(l)),
+                    LOp::Rel(l) => Op::Release(LockId(l)),
+                }))
+                .collect()
+        })
+        .collect();
+    let lines = lay.lock_addrs.len() + test.nprocs();
+    ScriptWorkload::new(programs)
+        .with_locks(lay.lock_addrs.clone())
+        .with_shared_bytes(lines as u64 * LINE_BYTES)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::litmus::by_name;
+    use dashlat_cpu::ops::{ProcId, Workload};
 
     #[test]
     fn compiles_with_offsets_and_peeks() {
         let t = by_name("sb").unwrap();
         let lay = layout(&t, 2);
-        let mut w = LitmusWorkload::new(&t, &lay, &[0, 3]);
+        let mut w = compile(&t, &lay, &[0, 3]);
         assert_eq!(w.processes(), 2);
         assert_eq!(w.peek_op(ProcId(1)), Some(Op::Compute(3)));
         assert_eq!(w.next_op(ProcId(1)), Op::Compute(3));

@@ -12,7 +12,7 @@
 
 use dashlat_analyze::lint::{lint_workload, LintOptions};
 use dashlat_verify::litmus::corpus;
-use dashlat_verify::workload::{layout, LitmusWorkload};
+use dashlat_verify::workload::{compile, layout};
 
 #[test]
 fn lint_reproduces_every_labeling_annotation() {
@@ -22,7 +22,7 @@ fn lint_reproduces_every_labeling_annotation() {
     for t in &tests {
         let lay = layout(t, t.nprocs());
         let offsets = vec![0; t.nprocs()];
-        let w = LitmusWorkload::new(t, &lay, &offsets);
+        let w = compile(t, &lay, &offsets);
         let r = lint_workload(t.name, &w, &LintOptions::default()).expect("litmus forks");
         // Litmus programs have no locksmithing bugs or barriers: the
         // only verdict in play is the labeling one.
@@ -50,7 +50,7 @@ fn pl_variants_certify_via_common_lock() {
         let t = dashlat_verify::litmus::by_name(name).expect("corpus test");
         let lay = layout(&t, t.nprocs());
         let offsets = vec![0; t.nprocs()];
-        let w = LitmusWorkload::new(&t, &lay, &offsets);
+        let w = compile(&t, &lay, &offsets);
         let r = lint_workload(name, &w, &LintOptions::default()).expect("forks");
         assert!(!r.is_critical(), "{}: {}", name, r.render());
         assert!(r.labeling.pairs_checked > 0, "{name} must have conflicts");
@@ -61,7 +61,7 @@ fn pl_variants_certify_via_common_lock() {
 fn under_labeled_verdicts_are_critical() {
     let t = dashlat_verify::litmus::by_name("sb").expect("corpus test");
     let lay = layout(&t, t.nprocs());
-    let w = LitmusWorkload::new(&t, &lay, &vec![0; t.nprocs()]);
+    let w = compile(&t, &lay, &vec![0; t.nprocs()]);
     let r = lint_workload("sb", &w, &LintOptions::default()).expect("forks");
     assert!(r.is_critical());
     assert!(!r.labeling.under_labeled_addrs.is_empty());

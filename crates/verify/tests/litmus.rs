@@ -347,9 +347,10 @@ fn fifo_scheduler_is_the_identity_seam() {
     use dashlat_cpu::machine::Machine;
     use dashlat_cpu::ops::Topology;
     use dashlat_mem::system::MemorySystem;
+    use dashlat_mem::AccessRecord;
     use dashlat_mem::{LatencyTable, MemConfig};
     use dashlat_sim::{Cycle, FifoScheduler};
-    use dashlat_verify::workload::{layout, LitmusWorkload};
+    use dashlat_verify::workload::{compile, layout};
 
     let t = by_name("sb").unwrap();
     let lay = layout(&t, t.nprocs());
@@ -365,18 +366,23 @@ fn fifo_scheduler_is_the_identity_seam() {
             },
             lay.page_map.clone(),
         );
-        let workload = LitmusWorkload::new(&t, &lay, &[0, 0]);
-        let mut m =
-            Machine::new(cfg, Topology::new(t.nprocs(), 1), mem, workload).with_access_trace();
+        let workload = compile(&t, &lay, &[0, 0]);
+        let mut m = Machine::observed(
+            cfg,
+            Topology::new(t.nprocs(), 1),
+            mem,
+            workload,
+            Vec::<AccessRecord>::new(),
+        );
         if with_sched {
             m = m.with_scheduler(Box::new(FifoScheduler));
         }
-        m.run().expect("sb must terminate")
+        m.run_observed().expect("sb must terminate")
     };
-    let plain = run(false);
-    let fifo = run(true);
+    let (plain, plain_accesses) = run(false);
+    let (fifo, fifo_accesses) = run(true);
     assert_eq!(
-        plain.accesses, fifo.accesses,
+        plain_accesses, fifo_accesses,
         "FifoScheduler diverged from the scheduler-free machine"
     );
     assert_eq!(plain.elapsed, fifo.elapsed);

@@ -17,7 +17,7 @@
 //!   per-process task queues, lock-protected scheduling and busy-wait
 //!   spinning on empty queues (which shows up as busy time, as in the
 //!   paper).
-//! * [`synthetic`] — microworkloads (uniform, stride, producer/consumer)
+//! * [`synthetic`] — microworkloads (uniform, stride)
 //!   used by tests and ablation benches.
 //! * [`circuit`] — deterministic netlist generator (the "small RISC
 //!   processor" equivalent) for PTHOR.
@@ -39,4 +39,4 @@ pub use circuit::{Circuit, CircuitParams};
 pub use lu::{Lu, LuParams};
 pub use mp3d::{Mp3d, Mp3dParams};
 pub use pthor::{Pthor, PthorParams};
-pub use synthetic::{ProducerConsumer, StrideSweep, UniformRandom};
+pub use synthetic::{StrideSweep, UniformRandom};

@@ -2,12 +2,11 @@
 //!
 //! These are not from the paper; they exercise the machine in controlled
 //! ways for tests and ablation benches: a uniform random sweep (worst-case
-//! locality), a strided sweep (predictable, prefetch-friendly), and a
-//! lock-mediated producer/consumer (synchronization-bound).
+//! locality) and a strided sweep (predictable, prefetch-friendly).
 
 use std::collections::VecDeque;
 
-use dashlat_cpu::ops::{LockId, Op, ProcId, SyncConfig, Topology, Workload};
+use dashlat_cpu::ops::{Op, ProcId, SyncConfig, Topology, Workload};
 use dashlat_mem::layout::{AddressSpaceBuilder, Placement, Segment};
 use dashlat_mem::LINE_BYTES;
 use dashlat_sim::Xorshift;
@@ -196,133 +195,6 @@ impl Workload for StrideSweep {
     }
 }
 
-/// Producer/consumer pairs over a lock-protected mailbox: process `2i`
-/// produces `items` values for process `2i+1`.
-///
-/// Exercises lock handoff and release-consistency visibility ordering: the
-/// consumer must observe every item exactly once.
-#[derive(Debug, Clone)]
-pub struct ProducerConsumer {
-    topo: Topology,
-    items: u64,
-    mailboxes: Vec<Segment>,
-    /// Logical state: per-pair (produced, consumed) counters.
-    progress: Vec<(u64, u64)>,
-    sync: SyncConfig,
-    queue: Vec<VecDeque<Op>>,
-    done: Vec<bool>,
-}
-
-impl ProducerConsumer {
-    /// Builds the pairs; requires an even process count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo.processes()` is odd.
-    pub fn new(topo: Topology, space: &mut AddressSpaceBuilder, items: u64) -> Self {
-        let n = topo.processes();
-        assert!(
-            n.is_multiple_of(2),
-            "producer/consumer needs an even process count"
-        );
-        let pairs = n / 2;
-        let mailboxes: Vec<Segment> = (0..pairs)
-            .map(|i| space.alloc(&format!("mailbox-{i}"), 256, Placement::RoundRobin))
-            .collect();
-        let locks = space.alloc("pc-locks", pairs as u64 * LINE_BYTES, Placement::RoundRobin);
-        let sync = SyncConfig {
-            lock_addrs: (0..pairs)
-                .map(|i| locks.at(i as u64 * LINE_BYTES))
-                .collect(),
-            barrier_addrs: Vec::new(),
-            labeled_ranges: Vec::new(),
-        };
-        ProducerConsumer {
-            topo,
-            items,
-            mailboxes,
-            progress: vec![(0, 0); pairs],
-            sync,
-            queue: (0..n).map(|_| VecDeque::new()).collect(),
-            done: vec![false; n],
-        }
-    }
-
-    /// Logical progress of a pair (for test assertions).
-    pub fn progress(&self, pair: usize) -> (u64, u64) {
-        self.progress[pair]
-    }
-
-    fn refill(&mut self, pid: ProcId) {
-        let pair = pid.0 / 2;
-        let is_producer = pid.0.is_multiple_of(2);
-        let (produced, consumed) = self.progress[pair];
-        let mbox = self.mailboxes[pair];
-        let lock = LockId(pair);
-        let q = &mut self.queue[pid.0];
-        if is_producer {
-            if produced >= self.items {
-                self.done[pid.0] = true;
-                return;
-            }
-            // Produce: write the value then publish under the lock.
-            self.progress[pair].0 += 1;
-            q.push_back(Op::Compute(20));
-            q.push_back(Op::Write(mbox.at((produced % 8) * LINE_BYTES)));
-            q.push_back(Op::Acquire(lock));
-            q.push_back(Op::Write(mbox.at(128))); // the "count" word
-            q.push_back(Op::Release(lock));
-        } else {
-            if consumed >= self.items {
-                self.done[pid.0] = true;
-                return;
-            }
-            // Consume: check the count under the lock; if something is
-            // available, read it out.
-            q.push_back(Op::Acquire(lock));
-            q.push_back(Op::Read(mbox.at(128)));
-            if produced > consumed {
-                self.progress[pair].1 += 1;
-                q.push_back(Op::Read(mbox.at((consumed % 8) * LINE_BYTES)));
-                q.push_back(Op::Compute(20));
-            } else {
-                // Nothing yet: release and spin a little.
-                q.push_back(Op::Compute(30));
-            }
-            q.push_back(Op::Release(lock));
-        }
-    }
-}
-
-impl Workload for ProducerConsumer {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn processes(&self) -> usize {
-        self.topo.processes()
-    }
-
-    fn next_op(&mut self, pid: ProcId) -> Op {
-        if self.queue[pid.0].is_empty() && !self.done[pid.0] {
-            self.refill(pid);
-        }
-        self.queue[pid.0].pop_front().unwrap_or(Op::Done)
-    }
-
-    fn sync_config(&self) -> SyncConfig {
-        self.sync.clone()
-    }
-
-    fn shared_bytes(&self) -> u64 {
-        self.mailboxes.iter().map(dashlat_mem::Segment::len).sum()
-    }
-
-    fn name(&self) -> &str {
-        "producer-consumer"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,32 +266,5 @@ mod tests {
             with.aggregate.read_stall < without.aggregate.read_stall,
             "read stall not reduced"
         );
-    }
-
-    #[test]
-    fn producer_consumer_transfers_every_item() {
-        let topo = Topology::new(4, 1);
-        let mut space = AddressSpaceBuilder::new(4);
-        let w = ProducerConsumer::new(topo, &mut space, 50);
-        let res = run_workload(topo, space, w, ProcConfig::rc_baseline());
-        assert!(res.lock_acquires >= 2 * 50);
-        assert!(res.aggregate.sync_stall > Cycle::ZERO);
-    }
-
-    #[test]
-    fn producer_consumer_works_under_sc_too() {
-        let topo = Topology::new(2, 1);
-        let mut space = AddressSpaceBuilder::new(2);
-        let w = ProducerConsumer::new(topo, &mut space, 20);
-        let res = run_workload(topo, space, w, ProcConfig::sc_baseline());
-        assert!(res.elapsed > Cycle::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "even process count")]
-    fn producer_consumer_rejects_odd() {
-        let topo = Topology::new(3, 1);
-        let mut space = AddressSpaceBuilder::new(3);
-        let _ = ProducerConsumer::new(topo, &mut space, 10);
     }
 }

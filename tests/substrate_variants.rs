@@ -167,6 +167,7 @@ fn lu_miss_density_falls_toward_the_end() {
     // high hit ratios towards the end" — the active submatrix shrinks into
     // the caches, so long-latency misses per interval must decline.
     use dash_latency::cpu::machine::Machine;
+    use dash_latency::cpu::RunTimeline;
     use dash_latency::mem::layout::AddressSpaceBuilder;
     use dash_latency::mem::system::MemorySystem;
 
@@ -175,13 +176,12 @@ fn lu_miss_density_falls_toward_the_end() {
     let mut space = AddressSpaceBuilder::new(cfg.processors);
     let w = App::Lu.build(cfg.scale, topo, &mut space, false);
     let mem = MemorySystem::new(cfg.mem_config(), space.build());
-    let mut pc = cfg.proc_config();
-    pc.timeline_bucket = Some(Cycle(10_000));
-    let res = Machine::new(pc, topo, mem, w)
+    let timeline = RunTimeline::new(Cycle(10_000));
+    let (_, timeline) = Machine::observed(cfg.proc_config(), topo, mem, w, timeline)
         .with_max_cycles(Cycle(10_000_000_000))
-        .run()
+        .run_observed()
         .expect("runs");
-    let misses = res.timeline.expect("timeline enabled").misses.buckets();
+    let misses = timeline.misses.buckets();
     assert!(
         misses.len() >= 6,
         "run too short for a timeline ({} buckets)",

@@ -15,16 +15,15 @@ fn recorded_trace_replays_identically_under_the_same_config() {
     let cfg = ExperimentConfig::base_test();
     let topo = cfg.topology();
 
-    // Execution-driven run, recorded through a &mut recorder so the trace
-    // survives the machine.
+    // Execution-driven run, recorded by an observer the run hands back.
     let mut space = AddressSpaceBuilder::new(cfg.processors);
     let inner = App::Lu.build(cfg.scale, topo, &mut space, false);
-    let mut recorder = TraceRecorder::new(inner);
+    let recorder = TraceRecorder::new(&inner);
     let page_map = space.build();
     let mem = MemorySystem::new(cfg.mem_config(), page_map.clone());
-    let original = Machine::new(cfg.proc_config(), topo, mem, &mut recorder)
+    let (original, recorder) = Machine::observed(cfg.proc_config(), topo, mem, inner, recorder)
         .with_max_cycles(Cycle(10_000_000_000))
-        .run()
+        .run_observed()
         .expect("LU terminates");
     let trace = recorder.into_trace();
     assert!(!trace.is_empty());
@@ -62,12 +61,12 @@ fn replay_under_a_different_config_still_terminates() {
     let topo = cfg.topology();
     let mut space = AddressSpaceBuilder::new(cfg.processors);
     let inner = App::Lu.build(cfg.scale, topo, &mut space, false);
-    let mut recorder = TraceRecorder::new(inner);
+    let recorder = TraceRecorder::new(&inner);
     let page_map = space.build();
     let mem = MemorySystem::new(cfg.mem_config(), page_map.clone());
-    let sc = Machine::new(cfg.proc_config(), topo, mem, &mut recorder)
+    let (sc, recorder) = Machine::observed(cfg.proc_config(), topo, mem, inner, recorder)
         .with_max_cycles(Cycle(10_000_000_000))
-        .run()
+        .run_observed()
         .expect("LU terminates");
     let trace = recorder.into_trace();
 
