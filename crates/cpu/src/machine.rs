@@ -64,7 +64,7 @@ const OUTSTANDING_PRUNE_LEN: usize = 128;
 /// probing, and both arrays share a cache line at typical depths. Entry
 /// order is irrelevant to semantics (lookups are by line), so removal can
 /// `swap_remove`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct MshrTable {
     lines: Vec<LineAddr>,
     done: Vec<Cycle>,
@@ -170,7 +170,7 @@ enum CtxState {
     Finished,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Context {
     state: CtxState,
     reason: Reason,
@@ -182,6 +182,7 @@ struct Context {
     blocked_on: Option<BlockedOn>,
 }
 
+#[derive(Clone)]
 struct Proc {
     /// Process ids of this processor's contexts.
     ctxs: Vec<usize>,
@@ -449,9 +450,29 @@ impl RunResult {
     }
 }
 
+/// The attached scheduler (see [`Machine::with_scheduler`]). Machines are
+/// cloned before one is attached — one built machine, a clone per run —
+/// so a clone never carries a scheduler.
+struct SchedSlot(Option<Box<dyn Scheduler>>);
+
+impl Clone for SchedSlot {
+    fn clone(&self) -> Self {
+        assert!(
+            self.0.is_none(),
+            "clone a machine before attaching its scheduler"
+        );
+        SchedSlot(None)
+    }
+}
+
 /// The machine executor. Construct with [`Machine::new`] and call
 /// [`Machine::run`]; to record what the run does, construct with
 /// [`Machine::observed`] and call [`Machine::run_observed`].
+///
+/// A machine is a value: cloning one gives an identical machine that has
+/// not run yet, which is how the memory-model verifier runs one built
+/// machine many times.
+#[derive(Clone)]
 pub struct Machine<W: Workload, O: Observer = ()> {
     cfg: ProcConfig,
     topo: Topology,
@@ -472,8 +493,13 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     /// First coherence-invariant violation observed (when checking is on).
     invariant_failure: Option<(Cycle, String)>,
     /// Same-cycle tie-break policy (see [`Machine::with_scheduler`]);
-    /// `None` keeps the plain deterministic `pop()` path.
-    sched: Option<Box<dyn Scheduler>>,
+    /// `None` keeps the plain batched dispatch path.
+    sched: SchedSlot,
+    /// Under a scheduler: the events ready at the current cycle that no
+    /// decision has taken yet, in the order the scheduler sees them.
+    slate: Vec<Event>,
+    /// Under a scheduler: the slate's descriptions (reused buffer).
+    alts: Vec<SchedAlt>,
     /// What the run reports beyond its [`RunResult`] (see
     /// [`crate::observe`]).
     obs: O,
@@ -583,7 +609,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             workload,
             // Same-cycle fan-in is bounded by one event per process plus
             // the per-processor buffer-service pipelines; far-future
-            // events (beyond the 1024-cycle wheel window) are rare. Sizing
+            // events (beyond the 256-cycle wheel window) are rare. Sizing
             // from the topology keeps steady-state dispatch allocation-free.
             queue: EventQueue::with_hints(QueueHints {
                 bucket_capacity: (topo.processes() + 2 * topo.processors).next_power_of_two(),
@@ -599,7 +625,9 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             prefetches_issued: 0,
             context_switches: 0,
             invariant_failure: None,
-            sched: None,
+            sched: SchedSlot(None),
+            slate: Vec::new(),
+            alts: Vec::new(),
             obs,
             watch_last_t: Cycle::ZERO,
             watch_events_at_t: 0,
@@ -615,18 +643,18 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     /// Attaches a same-cycle tie-break scheduler.
     ///
     /// Without one, the event queue's deterministic insertion-order
-    /// tie-break applies (the plain `pop()` path — zero overhead). With
-    /// one, every time the machine is about to process an event it drains
-    /// *all* events sharing the minimum timestamp, describes each as a
-    /// [`SchedAlt`], and lets the scheduler pick which runs next; the rest
-    /// are re-enqueued in their original relative order. Each decision
-    /// goes to the observer's [`Observer::decision`].
+    /// tie-break applies (the plain batched path — zero overhead). With
+    /// one, every time the machine is about to process an event it
+    /// describes each event ready at the current cycle as a [`SchedAlt`]
+    /// and lets the scheduler pick which runs next; the rest stay on the
+    /// slate for the next decision. Each decision goes to the observer's
+    /// [`Observer::decision`].
     ///
     /// [`dashlat_sim::sched::FifoScheduler`] reproduces the default order
     /// choice-for-choice; [`dashlat_sim::sched::ReplayScheduler`] is the
     /// stateless model checker's replay vehicle.
     pub fn with_scheduler(mut self, sched: Box<dyn Scheduler>) -> Self {
-        self.sched = Some(sched);
+        self.sched = SchedSlot(Some(sched));
         self
     }
 
@@ -656,8 +684,30 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     ///
     /// # Errors
     ///
-    /// As [`Machine::run`]; the observer is dropped with the machine.
-    pub fn run_observed(mut self) -> Result<(RunResult, O), RunError> {
+    /// As [`Machine::run`]; the observer is dropped with the machine (see
+    /// [`Machine::run_to_end`] to keep it).
+    pub fn run_observed(self) -> Result<(RunResult, O), RunError> {
+        let (result, obs) = self.run_to_end();
+        result.map(|result| (result, obs))
+    }
+
+    /// Runs the workload and hands the observer back whether or not the
+    /// run completes: after an error it holds what the run did up to the
+    /// error (the decisions that lead to it, for a model checker's
+    /// witness).
+    pub fn run_to_end(mut self) -> (Result<RunResult, RunError>, O) {
+        match self.drive() {
+            Ok(()) => {
+                let (result, obs) = self.finish();
+                (Ok(result), obs)
+            }
+            Err(e) => (Err(e), self.obs),
+        }
+    }
+
+    /// The event loop: dispatches every event until the queue drains or
+    /// the run fails.
+    fn drive(&mut self) -> Result<(), RunError> {
         // Kick off: each processor starts its first context; the rest are
         // ready.
         for p in 0..self.topo.processors {
@@ -666,7 +716,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             self.queue.schedule(Cycle::ZERO, Event::Step(pid));
         }
 
-        if self.sched.is_some() {
+        if self.sched.0.is_some() {
             // The scheduler-attached path collects the whole same-cycle
             // slate and asks the policy one event at a time.
             while let Some((t, ev)) = self.pop_scheduled() {
@@ -701,8 +751,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         if !stuck.is_empty() {
             return Err(RunError::Deadlock { stuck });
         }
-
-        Ok(self.finish())
+        Ok(())
     }
 
     /// Routes one event to its handler.
@@ -759,31 +808,37 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         Ok(())
     }
 
-    /// Scheduler-attached event selection: drains every event at the
-    /// minimum timestamp, asks the scheduler which executes next, and
-    /// re-enqueues the rest in their original relative order. Called for
+    /// Scheduler-attached event selection: asks the scheduler which event
+    /// ready at the current cycle executes next. The slate is what earlier
+    /// decisions at this cycle left unchosen, followed by the events
+    /// scheduled into the cycle since, in scheduling order; once it is
+    /// empty, the next cycle's events are drained onto it. Nothing is
+    /// re-queued, so every queue push is a scheduled event. Called for
     /// singleton slates too, so replay prefixes see a stable decision
     /// numbering.
     fn pop_scheduled(&mut self) -> Option<(Cycle, Event)> {
-        let t = self.queue.peek_time()?;
-        let mut slate: Vec<Event> = Vec::new();
-        while self.queue.peek_time() == Some(t) {
-            slate.push(self.queue.pop().expect("peeked event exists").1);
-        }
-        let alts: Vec<SchedAlt> = slate.iter().map(|ev| self.describe_event(ev)).collect();
-        let sched = self.sched.as_mut().expect("caller checked");
+        let t = if self.slate.is_empty() {
+            self.queue.drain_next_into(&mut self.slate)?
+        } else {
+            let t = self.queue.now();
+            if self.queue.peek_time() == Some(t) {
+                self.queue.drain_next_into(&mut self.slate);
+            }
+            t
+        };
+        let mut alts = std::mem::take(&mut self.alts);
+        alts.clear();
+        alts.extend(self.slate.iter().map(|ev| self.describe_event(ev)));
+        let sched = self.sched.0.as_mut().expect("caller checked");
         let choice = sched.choose(t, &alts);
         assert!(
-            choice < slate.len(),
+            choice < alts.len(),
             "scheduler chose alternative {choice} of a {}-wide slate",
-            slate.len()
+            alts.len()
         );
         self.obs.decision(choice, &alts);
-        let ev = slate.remove(choice);
-        for rest in slate {
-            self.queue.schedule(t, rest);
-        }
-        Some((t, ev))
+        self.alts = alts;
+        Some((t, self.slate.remove(choice)))
     }
 
     /// Describes one pending event for the scheduler: which processor it

@@ -54,8 +54,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dashlat_cpu::Decision;
-use dashlat_sim::vclock::VectorClock;
-use dashlat_sim::SchedAlt;
+use dashlat_sim::{ReplayScheduler, SchedAlt};
 
 use crate::outcome::{Outcome, OutcomeSet};
 
@@ -166,90 +165,134 @@ fn foata_fingerprint(events: &[SchedAlt]) -> u64 {
     }))
 }
 
-/// True when event `j` happens-before event `i` under the clock stamping
-/// of [`explore`] (component `pid[j]` of `clocks[i]` reached `j + 1`).
-fn hb(clocks: &[VectorClock], pids: &[usize], j: usize, i: usize) -> bool {
-    clocks[i].get(pids[j]) > j as u64
+/// Reusable storage for the race pass: flat vector clocks, one row of
+/// `width` components per executed event, so a run's pass allocates
+/// nothing once the buffers have grown to the longest run.
+#[derive(Default)]
+struct RaceScratch {
+    /// Row `i` is event `i`'s clock: component `p` is one past the index
+    /// of the last event of processor `p` that happens-before-or-is `i`.
+    clocks: Vec<u64>,
+    /// Join of the clocks of the events between a candidate and the event
+    /// whose races are being found that happen-before the latter.
+    running: Vec<u64>,
+    /// Initials of the current racing suffix (at most one per processor).
+    initials: Vec<usize>,
 }
 
 /// Grows the backtrack sets of the current stack from the happens-before
 /// structure of the just-completed run (the DPOR core).
-fn update_backtracks(stack: &mut [Frame], decisions: &[(usize, Vec<SchedAlt>)]) {
-    let n = decisions.len();
-    let events: Vec<SchedAlt> = decisions.iter().map(|(c, alts)| alts[*c]).collect();
-    let pids: Vec<usize> = events.iter().map(|e| e.pid).collect();
+///
+/// Event `j` happens-before a later event `k` when component `pid[j]` of
+/// `k`'s clock passes `j`. A pair `(j, i)` is an *immediate race* when
+/// the two are dependent, belong to different processors, and no event
+/// between them is ordered after `j` and before `i`: if one is, that
+/// chain pins their order and reversing `j` and `i` alone cannot produce
+/// a new trace. For each event `i`, one backward sweep over `j` finds all
+/// of its immediate races: it keeps the join of the clocks of the events
+/// already passed that happen-before `i`, and `j` is chained exactly when
+/// that join has passed `j`. The same sweep keeps the *initials* of the
+/// racing suffix — `i` plus the events between `j` and `i` that
+/// happen-before `i`, less those with a happens-before predecessor among
+/// them — which are the transitions that could run first if the race
+/// were reversed. The pass is O(n²·P) for `n` events over `P` processors.
+fn update_backtracks(stack: &mut [Frame], events: &[SchedAlt], scratch: &mut RaceScratch) {
+    let n = events.len();
+    let width = events.iter().map(|e| e.pid + 1).max().unwrap_or(0);
+    let RaceScratch {
+        clocks,
+        running,
+        initials,
+    } = scratch;
 
     // Stamp every executed event with a vector clock: the join of every
     // program-order or dependence predecessor, then its own component set
-    // to its index + 1. `hb` is then a O(1) lookup.
-    let mut clocks: Vec<VectorClock> = Vec::with_capacity(n);
+    // to its index + 1.
+    clocks.clear();
+    clocks.resize(n * width, 0);
     for i in 0..n {
-        let mut c = VectorClock::new(0);
-        for j in 0..i {
-            if pids[j] == pids[i] || !events[j].independent(&events[i]) {
-                c.join(&clocks[j]);
+        let (earlier, rest) = clocks.split_at_mut(i * width);
+        let clock = &mut rest[..width];
+        for (j, e) in events[..i].iter().enumerate() {
+            if !e.independent(&events[i]) {
+                join(clock, &earlier[j * width..(j + 1) * width]);
             }
         }
-        c.set(pids[i], (i as u64) + 1);
-        clocks.push(c);
+        clock[events[i].pid] = i as u64 + 1;
     }
+    let clocks = &clocks[..];
+    let hb = |j: usize, k: usize| clocks[k * width + events[j].pid] > j as u64;
 
+    running.resize(width, 0);
     for i in 0..n {
-        for j in 0..i {
-            // An immediate race: dependent, different processors, and no
-            // happens-before chain through an intermediate event (if one
-            // exists, reversing j and i alone cannot produce a new trace —
-            // the chain pins their order).
-            if pids[j] == pids[i] || events[j].independent(&events[i]) {
+        running.fill(0);
+        initials.clear();
+        initials.push(i);
+        for j in (0..i).rev() {
+            if !hb(j, i) {
                 continue;
             }
-            let chained = (j + 1..i).any(|k| hb(&clocks, &pids, j, k) && hb(&clocks, &pids, k, i));
-            if chained {
-                continue;
+            let racing = events[j].pid != events[i].pid && !events[j].independent(&events[i]);
+            if racing && running[events[j].pid] <= j as u64 {
+                add_backtrack(&mut stack[j], events, initials);
             }
-            // The racing suffix: i plus everything between j and i that i
-            // depends on. Its *initials* (members with no happens-before
-            // predecessor inside the suffix) are the transitions that
-            // could run first if the race were reversed.
-            let window: Vec<usize> = (j + 1..=i)
-                .filter(|&k| k == i || hb(&clocks, &pids, k, i))
-                .collect();
-            let initial_pids: Vec<usize> = window
-                .iter()
-                .filter(|&&k| !window.iter().any(|&k2| k2 < k && hb(&clocks, &pids, k2, k)))
-                .map(|&k| pids[k])
-                .collect();
-            let frame = &mut stack[j];
-            let candidates: Vec<usize> = (0..frame.alts.len())
-                .filter(|&idx| initial_pids.contains(&frame.alts[idx].pid))
-                .collect();
-            if candidates.is_empty() {
-                // No slate entry runs an initial: fall back to all
-                // alternatives (every slate entry is enabled, so this is
-                // the original algorithm's sound over-approximation).
-                for idx in 0..frame.alts.len() {
-                    if !frame.backtrack.contains(&idx) {
-                        frame.backtrack.push(idx);
-                    }
-                }
-            } else {
-                for idx in candidates {
-                    if !frame.backtrack.contains(&idx) {
-                        frame.backtrack.push(idx);
-                    }
-                }
-            }
+            join(running, &clocks[j * width..(j + 1) * width]);
+            initials.retain(|&k| !hb(j, k));
+            initials.push(j);
         }
     }
+}
+
+/// Componentwise maximum of two clocks of equal width.
+fn join(into: &mut [u64], other: &[u64]) {
+    for (a, &b) in into.iter_mut().zip(other) {
+        *a = (*a).max(b);
+    }
+}
+
+/// Adds to `frame`'s backtrack set every alternative that runs one of the
+/// racing suffix's `initials`. If no slate entry does, every alternative
+/// is added: every slate entry is enabled, so this is the original
+/// algorithm's sound over-approximation.
+fn add_backtrack(frame: &mut Frame, events: &[SchedAlt], initials: &[usize]) {
+    let runs_initial = |idx: &usize| {
+        initials
+            .iter()
+            .any(|&k| events[k].pid == frame.alts[*idx].pid)
+    };
+    let any = (0..frame.alts.len()).any(|idx| runs_initial(&idx));
+    for idx in 0..frame.alts.len() {
+        if (!any || runs_initial(&idx)) && !frame.backtrack.contains(&idx) {
+            frame.backtrack.push(idx);
+        }
+    }
+}
+
+/// The sleep set of the child `parent` reaches through alternative
+/// `chosen`: everything asleep at the parent, plus its fully explored
+/// earlier branches, minus whatever the chosen transition is dependent
+/// with (dependence wakes).
+fn child_sleep(parent: &Frame, chosen: usize) -> Vec<SchedAlt> {
+    let via = parent.alts[chosen];
+    let mut s: Vec<SchedAlt> = parent
+        .tried
+        .iter()
+        .filter(|&&t| t != chosen)
+        .map(|&t| parent.alts[t])
+        .chain(parent.sleep.iter().copied())
+        .filter(|x| x.independent(&via))
+        .collect();
+    s.dedup();
+    s
 }
 
 /// Exhaustively explores every scheduler interleaving of a deterministic
 /// program.
 ///
-/// `run` executes one machine run following `prefix` (then FIFO) and
-/// returns the full decision trace plus the terminal outcome (or machine
-/// error). It must be deterministic: equal prefixes must yield equal
-/// traces.
+/// `run` executes one machine run whose decisions the given scheduler
+/// makes, and returns the decision trace plus the terminal outcome — or,
+/// for a failed run, the decisions up to the error and the error. It must
+/// be deterministic: equal schedulers must yield equal traces.
 ///
 /// # Panics
 ///
@@ -257,24 +300,25 @@ fn update_backtracks(stack: &mut [Frame], decisions: &[(usize, Vec<SchedAlt>)]) 
 /// reaches a decision point with a different slate).
 pub fn explore<F>(mut run: F, max_runs: u64, engine: Engine) -> Exploration
 where
-    F: FnMut(&[usize]) -> RunRecord,
+    F: FnMut(ReplayScheduler) -> RunRecord,
 {
     let mut out = Exploration::default();
     let mut stack: Vec<Frame> = Vec::new();
     let mut prefix: Vec<usize> = Vec::new();
     let mut traces: HashSet<u64> = HashSet::new();
+    let mut scratch = RaceScratch::default();
     loop {
         if out.runs >= max_runs {
             out.truncated = true;
             return out;
         }
         out.runs += 1;
-        let (decisions, result) = run(&prefix);
+        let replayed = prefix.len();
+        let (decisions, result) = run(ReplayScheduler::with_prefix(std::mem::take(&mut prefix)));
         assert!(
-            decisions.len() >= prefix.len(),
-            "replay consumed only {} of a {}-choice prefix — nondeterministic run",
+            decisions.len() >= replayed,
+            "replay consumed only {} of a {replayed}-choice prefix — nondeterministic run",
             decisions.len(),
-            prefix.len()
         );
         let choices: Vec<usize> = decisions.iter().map(|d| d.0).collect();
         match result {
@@ -292,27 +336,12 @@ where
             out.redundant += 1;
         }
 
-        // Grow the tree along the new suffix of this run. A frame's sleep
-        // set is inherited from its parent: everything asleep there, plus
-        // the parent's fully-explored earlier branches, minus whatever the
-        // parent's chosen transition is dependent with (dependence wakes).
+        // Grow the tree along the new suffix of this run.
         for i in stack.len()..decisions.len() {
             let (chosen, alts) = &decisions[i];
-            let inherited = if i == 0 {
-                Vec::new()
-            } else {
-                let parent = &stack[i - 1];
-                let via = parent.alts[decisions[i - 1].0];
-                let mut s: Vec<SchedAlt> = parent
-                    .tried
-                    .iter()
-                    .filter(|&&t| t != decisions[i - 1].0)
-                    .map(|&t| parent.alts[t])
-                    .chain(parent.sleep.iter().copied())
-                    .filter(|x| x.independent(&via))
-                    .collect();
-                s.dedup();
-                s
+            let inherited = match i {
+                0 => Vec::new(),
+                _ => child_sleep(&stack[i - 1], decisions[i - 1].0),
             };
             debug_assert!(*chosen < alts.len());
             stack.push(Frame {
@@ -328,7 +357,7 @@ where
         );
 
         if engine == Engine::Dpor {
-            update_backtracks(&mut stack, &decisions);
+            update_backtracks(&mut stack, &executed, &mut scratch);
         }
 
         // Backtrack to the deepest node with an unexplored, awake branch
@@ -360,7 +389,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dashlat_sim::Footprint;
+    use dashlat_sim::{Cycle, Footprint, Scheduler};
 
     fn alt(pid: usize, fp: Footprint) -> SchedAlt {
         SchedAlt {
@@ -372,17 +401,15 @@ mod tests {
 
     /// A synthetic "program": one event per processor, each appending its
     /// pid to a log; the outcome is the permutation taken. Slates shrink
-    /// as events execute.
-    fn permutation_runner(fps: Vec<Footprint>) -> impl FnMut(&[usize]) -> RunRecord {
-        move |prefix: &[usize]| {
+    /// as events execute, and the scheduler makes every choice.
+    fn permutation_runner(fps: Vec<Footprint>) -> impl FnMut(ReplayScheduler) -> RunRecord {
+        move |mut sched: ReplayScheduler| {
             let mut remaining: Vec<usize> = (0..fps.len()).collect();
             let mut decisions = Vec::new();
             let mut order = Vec::new();
-            let mut cursor = 0;
             while !remaining.is_empty() {
                 let slate: Vec<SchedAlt> = remaining.iter().map(|&p| alt(p, fps[p])).collect();
-                let choice = prefix.get(cursor).copied().unwrap_or(0);
-                cursor += 1;
+                let choice = sched.choose(Cycle::ZERO, &slate);
                 assert!(choice < slate.len());
                 decisions.push((choice, slate));
                 order.push(remaining.remove(choice) as u64);
@@ -486,7 +513,7 @@ mod tests {
             let e = explore(permutation_runner(fps.clone()), 1_000, engine);
             let mut runner = permutation_runner(fps);
             for (outcome, prefix) in &e.witnesses {
-                let (_, replayed) = runner(prefix);
+                let (_, replayed) = runner(ReplayScheduler::with_prefix(prefix.clone()));
                 assert_eq!(replayed.as_ref().ok(), Some(outcome));
             }
         }
@@ -497,8 +524,8 @@ mod tests {
         // The runner fails on the execution where P1 goes first.
         let mut runner = {
             let mut inner = permutation_runner(vec![Footprint::Line(0); 2]);
-            move |prefix: &[usize]| {
-                let (decisions, result) = inner(prefix);
+            move |sched: ReplayScheduler| {
+                let (decisions, result) = inner(sched);
                 let order = result.unwrap();
                 if order[0] == 1 {
                     (decisions, Err("invariant violated".to_owned()))
@@ -511,7 +538,7 @@ mod tests {
         let (msg, prefix) = e.error.expect("search must surface the error");
         assert_eq!(msg, "invariant violated");
         // The witness prefix replays to the same error.
-        let (_, replayed) = runner(&prefix);
+        let (_, replayed) = runner(ReplayScheduler::with_prefix(prefix));
         assert!(replayed.is_err());
     }
 

@@ -37,7 +37,7 @@ use dashlat_mem::LatencyTable;
 use dashlat_sim::{Cycle, ReplayScheduler};
 
 use crate::axiomatic;
-use crate::explore::{explore, Engine, Exploration};
+use crate::explore::{explore, Engine, Exploration, RunRecord};
 use crate::litmus::LitmusTest;
 use crate::outcome::{self, format_set, Outcome, OutcomeSet};
 use crate::workload::{compile, layout, LitmusLayout};
@@ -123,14 +123,13 @@ fn mem_config(nprocs: usize, lazy: bool, mutation: Mutation) -> MemConfig {
     }
 }
 
-/// Builds the machine for one verification run, observed by what
-/// `observer` makes of the compiled workload.
+/// Builds the machine of one offset cell, observed by what `observer`
+/// makes of the compiled workload. No scheduler is attached yet.
 fn build<O: Observer>(
     test: &LitmusTest,
     lay: &LitmusLayout,
     model: Consistency,
     offsets: &[u64],
-    prefix: Vec<usize>,
     mutation: Mutation,
     observer: impl FnOnce(&ScriptWorkload) -> O,
 ) -> Machine<ScriptWorkload, O> {
@@ -148,40 +147,74 @@ fn build<O: Observer>(
         workload,
         obs,
     )
-    .with_scheduler(Box::new(ReplayScheduler::with_prefix(prefix)))
 }
 
-/// Runs one interleaving to completion and extracts its outcome. A
-/// machine error (invariant violation, deadlock) becomes an `Err` run —
-/// the explorer stops and surfaces it with its replay prefix, which is
-/// how the seeded coherence mutation is caught.
-fn run_once(
+/// What the explorer reads from a run: its access trace, which gives the
+/// outcome, and its decision trace.
+type Traces = (Vec<AccessRecord>, Vec<Decision>);
+
+/// One offset cell of a `(test, model)` verification. Its machine is
+/// built once; every run executes a clone of it.
+struct Cell<'a> {
+    test: &'a LitmusTest,
+    lay: &'a LitmusLayout,
+    model: Consistency,
+    offsets: &'a [u64],
+    machine: Machine<ScriptWorkload, Traces>,
+}
+
+impl<'a> Cell<'a> {
+    fn new(
+        test: &'a LitmusTest,
+        lay: &'a LitmusLayout,
+        model: Consistency,
+        offsets: &'a [u64],
+        mutation: Mutation,
+    ) -> Self {
+        let traces = |_: &ScriptWorkload| Traces::default();
+        Cell {
+            test,
+            lay,
+            model,
+            offsets,
+            machine: build(test, lay, model, offsets, mutation, traces),
+        }
+    }
+
+    /// Runs one interleaving to completion and extracts its outcome. A
+    /// machine error (invariant violation, deadlock) becomes an `Err` run
+    /// that keeps the decisions leading to it — the explorer stops and
+    /// surfaces them as a replayable witness, which is how the seeded
+    /// coherence mutation is caught.
+    fn run(&self, sched: ReplayScheduler) -> RunRecord {
+        let (result, (accesses, decisions)) = self
+            .machine
+            .clone()
+            .with_scheduler(Box::new(sched))
+            .run_to_end();
+        let outcome = match result {
+            Ok(_) => Ok(outcome::extract(self.test, &self.lay.var_addrs, &accesses)),
+            Err(e) => Err(format!(
+                "litmus {} under {} with offsets {:?}: {e}",
+                self.test.name, self.model, self.offsets
+            )),
+        };
+        (decisions, outcome)
+    }
+}
+
+/// Replays one `(offsets, prefix)` witness of a verdict and returns what
+/// the run ends in: the outcome, or the machine error it reproduces.
+pub fn replay_witness(
     test: &LitmusTest,
-    lay: &LitmusLayout,
     model: Consistency,
     offsets: &[u64],
     prefix: &[usize],
     mutation: Mutation,
-) -> crate::explore::RunRecord {
-    let traces = |_: &ScriptWorkload| (Vec::<AccessRecord>::new(), Vec::<Decision>::new());
-    match build(test, lay, model, offsets, prefix.to_vec(), mutation, traces).run_observed() {
-        Ok((_, (accesses, decisions))) => {
-            let outcome = outcome::extract(test, &lay.var_addrs, &accesses);
-            (decisions, Ok(outcome))
-        }
-        Err(e) => {
-            // The partial decision trace is lost with the machine; the
-            // explorer only needs the prefix it chose, which it already
-            // holds. Report the error with an empty tail.
-            (
-                prefix.iter().map(|&c| (c, Vec::new())).collect(),
-                Err(format!(
-                    "litmus {} under {model} with offsets {offsets:?}: {e}",
-                    test.name
-                )),
-            )
-        }
-    }
+) -> Result<Outcome, String> {
+    let lay = layout(test, test.nprocs());
+    let cell = Cell::new(test, &lay, model, offsets, mutation);
+    cell.run(ReplayScheduler::with_prefix(prefix.to_vec())).1
 }
 
 /// Re-runs one witnessed interleaving with event logging on, for
@@ -195,7 +228,8 @@ pub(crate) fn replay_with_log(
 ) -> EventLog {
     let lay = layout(test, test.nprocs());
     let log = |w: &ScriptWorkload| EventLog::new(w.processes(), w.sync_config());
-    let (_, log) = build(test, &lay, model, offsets, prefix.to_vec(), mutation, log)
+    let (_, log) = build(test, &lay, model, offsets, mutation, log)
+        .with_scheduler(Box::new(ReplayScheduler::with_prefix(prefix.to_vec())))
         .run_observed()
         .expect("witnessed interleaving replays");
     log
@@ -212,11 +246,8 @@ pub fn explore_cell(
     engine: Engine,
 ) -> Exploration {
     let lay = layout(test, test.nprocs());
-    explore(
-        |prefix| run_once(test, &lay, model, offsets, prefix, Mutation::None),
-        max_runs,
-        engine,
-    )
+    let cell = Cell::new(test, &lay, model, offsets, Mutation::None);
+    explore(|sched| cell.run(sched), max_runs, engine)
 }
 
 /// Every offset vector of the sweep: `{0..=max}^nprocs`.
@@ -384,11 +415,10 @@ fn verify_litmus_opts(
             redundant: cell_redundant,
             truncated: cell_truncated,
             error,
-        } = explore(
-            |prefix| run_once(test, &lay, model, offsets, prefix, mutation),
-            budget,
-            engine,
-        );
+        } = {
+            let cell = Cell::new(test, &lay, model, offsets, mutation);
+            explore(|sched| cell.run(sched), budget, engine)
+        };
         runs += cell_runs;
         redundant += cell_redundant;
         truncated |= cell_truncated;
@@ -516,8 +546,7 @@ mod tests {
         assert!(v.machine.contains(&vec![0, 0]));
         // The witness replays deterministically.
         let (offsets, prefix) = &v.witnesses[&vec![0, 0]];
-        let lay = layout(&t, 2);
-        let (_, outcome) = run_once(&t, &lay, Consistency::Rc, offsets, prefix, Mutation::None);
+        let outcome = replay_witness(&t, Consistency::Rc, offsets, prefix, Mutation::None);
         assert_eq!(outcome, Ok(vec![0, 0]));
     }
 

@@ -13,7 +13,7 @@
 
 use dashlat_cpu::config::Consistency;
 use dashlat_verify::counterexample;
-use dashlat_verify::harness::{verify_litmus_mutated, Mutation};
+use dashlat_verify::harness::{replay_witness, verify_litmus_mutated, Mutation};
 use dashlat_verify::litmus::by_name;
 use dashlat_verify::DEFAULT_MAX_RUNS;
 
@@ -103,9 +103,10 @@ fn seeded_dropped_invalidation_is_caught_as_a_machine_error() {
         "error message names the test: {message}"
     );
     assert_eq!(offsets.len(), test.nprocs());
-    // The witness is a concrete replayable interleaving (possibly the
-    // very first one, with an empty choice prefix).
-    let _ = prefix;
+    // The witness is the erring run's every choice up to the error, so it
+    // replays to the same machine error.
+    let replayed = replay_witness(&test, Consistency::Sc, offsets, prefix, v.mutation);
+    assert_eq!(replayed, Err(message.clone()));
     assert_eq!(v.mutation, Mutation::DropInval);
 }
 

@@ -58,10 +58,12 @@ fn observing_every_recorder_at_once_changes_nothing() {
         );
         assert_eq!(observed.sim_events, plain.sim_events, "{app}");
 
-        // FIFO tie-breaking is the scheduler-free order.
+        // FIFO tie-breaking is the scheduler-free order, and the
+        // scheduler adds no events: `sim_events` counts dispatched work.
         let (free, ()) = run(app, false, |_| ());
         assert_eq!(free.elapsed, plain.elapsed, "{app}");
         assert_eq!(free.aggregate, plain.aggregate, "{app}");
+        assert_eq!(free.sim_events, plain.sim_events, "{app}");
 
         // Every recorder saw the run.
         assert!(!log.is_empty(), "{app}: no analysis events");
