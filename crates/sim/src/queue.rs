@@ -228,9 +228,9 @@ impl<E> EventQueue<E> {
         }
         let (slot, at) = wheel_next?;
         // Front removal shifts the bucket (buckets are push-only `Vec`s);
-        // this path only runs for the scheduler-attached verifier and
-        // tests — batched dispatch takes whole buckets via
-        // [`EventQueue::drain_next_into`].
+        // only tests and benchmarks pop single events — the machine takes
+        // whole buckets via [`EventQueue::drain_next_into`], with or
+        // without a scheduler.
         let event = self.wheel[slot].remove(0);
         debug_assert!(at >= self.now);
         if self.wheel[slot].is_empty() {

@@ -12,11 +12,12 @@
 //! first, whether a write buffer drains before or after a racing read, ...).
 //!
 //! This module defines the seam. The machine in `dashlat-cpu`, when given a
-//! [`Scheduler`], collects all events that share the minimum timestamp into
-//! a slate of [`SchedAlt`] descriptors and asks the scheduler which one to
-//! execute next; the rest are re-enqueued in their original relative order.
-//! Without a scheduler attached, the machine keeps the plain `pop()` path —
-//! zero cost, bit-identical behaviour to before this seam existed.
+//! [`Scheduler`], describes every event ready at the current cycle as a
+//! slate of [`SchedAlt`] descriptors and asks the scheduler which one to
+//! execute next; the rest stay on the slate, ahead of any events scheduled
+//! into the same cycle later. Without a scheduler attached, the machine
+//! keeps its plain batched dispatch — zero cost, bit-identical behaviour to
+//! before this seam existed.
 //!
 //! The descriptors expose just enough static information (acting processor
 //! and touched cache line, when known) for a partial-order-reduction
@@ -124,22 +125,43 @@ impl Scheduler for FifoScheduler {
     }
 }
 
-/// Replays a recorded prefix of choices, then falls back to FIFO order.
-/// This is the workhorse of the stateless model checker: the explorer
-/// re-runs the program from scratch with ever-longer choice prefixes and
+/// Replays a recorded prefix of choices, then lets a sleep set steer the
+/// rest of the run. This is the workhorse of the stateless model checker:
+/// the explorer re-runs the program from scratch, each time replaying the
+/// path to a branch node and taking one untried alternative there, and
 /// inspects the slates the machine reported at every decision point (to
 /// its observer, not to this scheduler) to find unexplored branches.
+///
+/// Past the prefix, each decision takes the first slate entry that is not
+/// asleep — an asleep alternative leads only to traces an earlier run
+/// already covered — and falls back to FIFO (entry 0) only when every
+/// entry is asleep. After each choice, the entries dependent with it wake:
+/// the rule the explorer uses to give a child node its sleep set. An empty
+/// sleep set therefore replays the prefix and then follows FIFO order.
 #[derive(Debug, Default, Clone)]
 pub struct ReplayScheduler {
     prefix: Vec<usize>,
     cursor: usize,
+    /// Alternatives asleep at the next decision past the prefix.
+    sleep: Vec<SchedAlt>,
 }
 
 impl ReplayScheduler {
     /// A scheduler that follows `prefix`, then FIFO.
     #[must_use]
     pub fn with_prefix(prefix: Vec<usize>) -> Self {
-        ReplayScheduler { prefix, cursor: 0 }
+        ReplayScheduler {
+            prefix,
+            cursor: 0,
+            sleep: Vec::new(),
+        }
+    }
+
+    /// Puts `sleep` to sleep at the first decision past the prefix.
+    #[must_use]
+    pub fn with_sleep(mut self, sleep: Vec<SchedAlt>) -> Self {
+        self.sleep = sleep;
+        self
     }
 }
 
@@ -155,7 +177,15 @@ impl Scheduler for ReplayScheduler {
                 );
                 c
             }
-            None => 0,
+            None => {
+                let c = alts
+                    .iter()
+                    .position(|a| !self.sleep.contains(a))
+                    .unwrap_or(0);
+                let chosen = alts[c];
+                self.sleep.retain(|s| s.independent(&chosen));
+                c
+            }
         };
         self.cursor += 1;
         choice
@@ -204,6 +234,34 @@ mod tests {
         let mut s = ReplayScheduler::with_prefix(vec![1]);
         assert_eq!(s.choose(Cycle(0), &slate), 1);
         assert_eq!(s.choose(Cycle(0), &slate), 0, "past prefix: FIFO");
+    }
+
+    #[test]
+    fn replay_skips_asleep_entries_until_a_dependent_choice_wakes_them() {
+        let a = alt(0, Footprint::Line(1));
+        let b = alt(1, Footprint::Line(2));
+        let c = alt(2, Footprint::Line(1));
+        let mut s = ReplayScheduler::with_prefix(vec![]).with_sleep(vec![a]);
+        // `a` is asleep: the first awake entry runs instead.
+        assert_eq!(s.choose(Cycle(0), &[a, b, c]), 1);
+        // `b` is independent of `a`, so `a` sleeps on; `c` touches `a`'s
+        // line and is taken.
+        assert_eq!(s.choose(Cycle(0), &[a, c]), 1);
+        // `c` woke `a`.
+        assert_eq!(s.choose(Cycle(0), &[a]), 0);
+    }
+
+    #[test]
+    fn replay_falls_back_to_fifo_when_every_entry_is_asleep() {
+        let a = alt(0, Footprint::Line(1));
+        let b = alt(1, Footprint::Line(2));
+        let mut s = ReplayScheduler::with_prefix(vec![0]).with_sleep(vec![a, b]);
+        assert_eq!(
+            s.choose(Cycle(0), &[b, a]),
+            0,
+            "prefix ignores the sleep set"
+        );
+        assert_eq!(s.choose(Cycle(0), &[b, a]), 0, "all asleep: FIFO");
     }
 
     #[test]

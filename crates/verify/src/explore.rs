@@ -2,13 +2,19 @@
 //!
 //! The machine, run with a [`dashlat_sim::ReplayScheduler`], reports every
 //! same-cycle decision point as a `(chosen, slate)` pair. The explorer
-//! re-runs the program from scratch with ever-longer choice prefixes,
-//! depth-first, until every alternative that could lead to a new
-//! Mazurkiewicz trace has been executed. Three engines share the tree:
+//! re-runs the program from scratch, depth-first, until every alternative
+//! that could lead to a new Mazurkiewicz trace has been executed. Each run
+//! replays the choices down to a branch node, takes one untried
+//! alternative there, and hands the scheduler the sleep set that branch
+//! starts with. Past the branch the scheduler takes the first alternative
+//! that is not asleep, and after each choice it wakes what that choice is
+//! dependent with — the same rule that gives each new node of the tree its
+//! sleep set — and falls back to FIFO order only when a slate is entirely
+//! asleep. Three engines share the tree:
 //!
 //! * [`Engine::Full`] — plain exhaustive DFS over every alternative at
-//!   every decision point. The ground truth everything else is checked
-//!   against.
+//!   every decision point, with no sleep sets and FIFO order past each
+//!   branch. The ground truth everything else is checked against.
 //! * [`Engine::Sleep`] — sleep sets (Godefroid). When a branch `a` at some
 //!   node has been fully explored and a sibling `b` independent of `a` is
 //!   explored next, `a` is put to sleep in `b`'s subtree: any execution
@@ -99,9 +105,9 @@ pub struct Exploration {
     /// outcome set is then a *lower bound*, and the caller must say so.
     pub truncated: bool,
     /// The first machine error (invariant violation, deadlock, ...) the
-    /// search hit, with the choice prefix that reproduces it. The search
-    /// stops at the first error: the machine's state is wrong, so further
-    /// outcomes prove nothing.
+    /// search hit, with the erring run's choices up to the error, which
+    /// replay to it. The search stops at the first error: the machine's
+    /// state is wrong, so further outcomes prove nothing.
     pub error: Option<(String, Vec<usize>)>,
 }
 
@@ -305,6 +311,8 @@ where
     let mut out = Exploration::default();
     let mut stack: Vec<Frame> = Vec::new();
     let mut prefix: Vec<usize> = Vec::new();
+    // Asleep at the first decision past `prefix` (always empty for Full).
+    let mut sleep: Vec<SchedAlt> = Vec::new();
     let mut traces: HashSet<u64> = HashSet::new();
     let mut scratch = RaceScratch::default();
     loop {
@@ -314,7 +322,9 @@ where
         }
         out.runs += 1;
         let replayed = prefix.len();
-        let (decisions, result) = run(ReplayScheduler::with_prefix(std::mem::take(&mut prefix)));
+        let sched = ReplayScheduler::with_prefix(std::mem::take(&mut prefix))
+            .with_sleep(std::mem::take(&mut sleep));
+        let (decisions, result) = run(sched);
         assert!(
             decisions.len() >= replayed,
             "replay consumed only {} of a {replayed}-choice prefix — nondeterministic run",
@@ -378,6 +388,9 @@ where
             });
             if let Some(j) = next {
                 top.tried.push(j);
+                if engine != Engine::Full {
+                    sleep = child_sleep(top, j);
+                }
                 prefix = stack.iter().map(|f| *f.tried.last().unwrap()).collect();
                 break;
             }
@@ -496,6 +509,56 @@ mod tests {
             dpor.runs,
             full.runs
         );
+    }
+
+    #[test]
+    fn new_decisions_take_an_awake_alternative_whenever_one_exists() {
+        // P1 and P2 race on one line; P0 touches another. Once the P0
+        // branch at the root is explored, P0 sleeps under P1's branch,
+        // where FIFO order would run it next.
+        let fps = vec![Footprint::Line(0), Footprint::Line(1), Footprint::Line(1)];
+        let mut steered = 0;
+        for engine in [Engine::Sleep, Engine::Dpor] {
+            let mut inner = permutation_runner(fps.clone());
+            let mut runs: Vec<Vec<Decision>> = Vec::new();
+            let e = explore(
+                |sched| {
+                    let record = inner(sched);
+                    runs.push(record.0.clone());
+                    record
+                },
+                1_000,
+                engine,
+            );
+            assert!(!e.truncated);
+            // Replay the sleep sets along every run: at each node, the
+            // branches earlier runs took from it fall asleep, and a
+            // choice wakes what it is dependent with.
+            for (r, run) in runs.iter().enumerate() {
+                let mut sleep: Vec<SchedAlt> = Vec::new();
+                for (k, (chosen, slate)) in run.iter().enumerate() {
+                    let via = slate[*chosen];
+                    if slate.iter().any(|a| !sleep.contains(a)) {
+                        assert!(
+                            !sleep.contains(&via),
+                            "{engine}: run {r} decision {k} took slept {via} from {slate:?}"
+                        );
+                        steered += usize::from(sleep.contains(&slate[0]));
+                    }
+                    let on_path = |other: &&Vec<Decision>| {
+                        other.len() > k
+                            && other[k].0 != *chosen
+                            && other[..k].iter().zip(&run[..k]).all(|(a, b)| a.0 == b.0)
+                    };
+                    let earlier = runs[..r].iter().filter(on_path).map(|o| slate[o[k].0]);
+                    sleep = earlier
+                        .chain(sleep.iter().copied())
+                        .filter(|a| a.independent(&via))
+                        .collect();
+                }
+            }
+        }
+        assert!(steered > 0, "FIFO order never met a slept entry");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! trace gives the outcome and its decision trace the explorer's
 //! backtracking state.
 //!
+//! Each offset cell's machine is built once, with no scheduler attached;
+//! every run of the cell executes a clone of it under the scheduler the
+//! explorer hands over, so no run rebuilds the memory system, the
+//! compiled workload or the event queue. A run that fails keeps its
+//! decisions up to the error, so the machine-error witness replays.
+//!
 //! ### Why start offsets are swept
 //!
 //! Tie-breaking alone cannot reorder events the uniform timing pins to

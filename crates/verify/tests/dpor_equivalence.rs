@@ -15,7 +15,7 @@ use dashlat_verify::outcome::format_set;
 use dashlat_verify::{verify_litmus_engine, Engine, DEFAULT_MAX_RUNS};
 use proptest::prelude::*;
 
-use Consistency::{Rc, Sc};
+use Consistency::{Pc, Rc, Sc, Wc};
 
 fn random_test(programs: Vec<Vec<LOp>>) -> LitmusTest {
     LitmusTest {
@@ -122,4 +122,24 @@ fn redundancy_metric_is_populated() {
         "disjoint store-buffer pairs must produce equivalent traces"
     );
     assert!(v.redundant <= v.runs);
+}
+
+/// The sleep-guided suffix, pinned as a regression: past its replayed
+/// prefix a run takes an awake alternative whenever one exists, so on the
+/// cells where a FIFO suffix mostly re-ran explored traces (92,736 runs on
+/// `wc_acq` under WC and 9,122 on `sb4` under PC) DPOR needs at most half
+/// as many runs for the same verdict.
+#[test]
+fn sleep_guided_suffix_halves_the_costliest_cells() {
+    for (name, model, fifo_runs) in [("wc_acq", Wc, 92_736), ("sb4", Pc, 9_122)] {
+        let t = by_name(name).unwrap();
+        let v = verify_litmus_engine(&t, model, DEFAULT_MAX_RUNS, Engine::Dpor);
+        assert!(v.passed(), "{name} under {model} must pass");
+        assert!(
+            v.runs * 2 <= fifo_runs,
+            "{name} under {model}: {} runs, ceiling {}",
+            v.runs,
+            fifo_runs / 2
+        );
+    }
 }
