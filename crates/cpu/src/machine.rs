@@ -498,8 +498,6 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     /// Under a scheduler: the events ready at the current cycle that no
     /// decision has taken yet, in the order the scheduler sees them.
     slate: Vec<Event>,
-    /// Under a scheduler: the slate's descriptions (reused buffer).
-    alts: Vec<SchedAlt>,
     /// What the run reports beyond its [`RunResult`] (see
     /// [`crate::observe`]).
     obs: O,
@@ -627,7 +625,6 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             invariant_failure: None,
             sched: SchedSlot(None),
             slate: Vec::new(),
-            alts: Vec::new(),
             obs,
             watch_last_t: Cycle::ZERO,
             watch_events_at_t: 0,
@@ -826,9 +823,11 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             }
             t
         };
-        let mut alts = std::mem::take(&mut self.alts);
-        alts.clear();
-        alts.extend(self.slate.iter().map(|ev| self.describe_event(ev)));
+        let alts: Vec<SchedAlt> = self
+            .slate
+            .iter()
+            .map(|ev| self.describe_event(ev))
+            .collect();
         let sched = self.sched.0.as_mut().expect("caller checked");
         let choice = sched.choose(t, &alts);
         assert!(
@@ -837,7 +836,6 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             alts.len()
         );
         self.obs.decision(choice, &alts);
-        self.alts = alts;
         Some((t, self.slate.remove(choice)))
     }
 
