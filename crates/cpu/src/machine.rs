@@ -495,9 +495,6 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     /// Same-cycle tie-break policy (see [`Machine::with_scheduler`]);
     /// `None` keeps the plain batched dispatch path.
     sched: SchedSlot,
-    /// Under a scheduler: the events ready at the current cycle that no
-    /// decision has taken yet, in the order the scheduler sees them.
-    slate: Vec<Event>,
     /// What the run reports beyond its [`RunResult`] (see
     /// [`crate::observe`]).
     obs: O,
@@ -505,6 +502,9 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     /// events dispatched at it (see [`Machine::check_progress`]).
     watch_last_t: Cycle,
     watch_events_at_t: u64,
+    /// Under a scheduler: the events ready at the current cycle that no
+    /// decision has taken yet, in the order the scheduler sees them.
+    slate: Vec<Event>,
 }
 
 impl<W: Workload> Machine<W> {
