@@ -4,8 +4,8 @@
 //! machine, this one measures the *simulator*: wall-clock per figure
 //! matrix, simulation events per second, and the serial-vs-parallel
 //! speedup of the sweep engine. It writes the machine-readable record
-//! (`BENCH_16.json` at the repo root by convention) that CI's bench-gate
-//! and the results log track across commits.
+//! (`BENCH_<n>.json` at the repo root by convention) that the results log
+//! tracks across commits.
 //!
 //! Usage: `perf [--test-scale] [--jobs N] [--out PATH] [--figures 2,3]`
 //!
@@ -24,16 +24,16 @@
 //!
 //! Both passes simulate every cell they count. The headline
 //! `events_per_sec` is the serial pass's: it does not depend on the
-//! host's core count, and it is the quantity `bench_gate` measures.
-//! `parallel_ms` and `speedup` show what the worker pool adds, read
-//! against each figure's `jobs_effective` — the workers its per-app
-//! matrices were granted.
+//! host's core count. `parallel_ms` and `speedup` show what the worker
+//! pool adds, read against each figure's `jobs_effective` — the workers
+//! its per-app matrices were granted. A record describes the host that
+//! took it; comparing two commits is perfbench's job, on one host.
 
 use std::process::ExitCode;
 
 use dashlat::experiments::FIGURES;
 use dashlat::{effective_jobs, hardware_cores, ExperimentConfig, MatrixReport};
-use dashlat_bench::{calibrate, command_line, figure_list, or_exit, sweep_figure, BenchArgs};
+use dashlat_bench::{command_line, figure_list, or_exit, sweep_figure, BenchArgs};
 
 struct FigureTiming {
     figure: u8,
@@ -64,15 +64,6 @@ fn main() -> ExitCode {
         base.processors,
         base.scale,
         hardware_cores(),
-    );
-
-    // Host-speed calibration, recorded in the JSON so the CI bench-gate
-    // can rescale this record to a differently-sized runner.
-    let (calibration, calibration_spread) = calibrate(3);
-    println!(
-        "calibration: {:.2} Mevents/s (spread {:.1}%)\n",
-        calibration / 1e6,
-        calibration_spread * 1e2,
     );
 
     let mut timings = Vec::new();
@@ -118,14 +109,7 @@ fn main() -> ExitCode {
         total_serial / total_parallel
     );
 
-    let json = render_json(
-        &base,
-        jobs,
-        calibration,
-        &timings,
-        total_serial,
-        total_parallel,
-    );
+    let json = render_json(&base, jobs, &timings, total_serial, total_parallel);
     if let Some(path) = out_path {
         std::fs::write(&path, &json).expect("write --out file");
         println!("\nwrote {path}");
@@ -142,7 +126,6 @@ fn main() -> ExitCode {
 fn render_json(
     base: &ExperimentConfig,
     jobs: usize,
-    calibration: f64,
     timings: &[FigureTiming],
     total_serial: f64,
     total_parallel: f64,
@@ -153,7 +136,7 @@ fn render_json(
     // produced it (a 1-core runner legitimately reports speedup 1.0).
     let mut out = String::from("{\n");
     out.push_str(&format!(
-        "  \"scale\": \"{:?}\",\n  \"processors\": {},\n  \"cores\": {},\n  \"jobs\": {jobs},\n  \"calibration_events_per_sec\": {calibration:.0},\n",
+        "  \"scale\": \"{:?}\",\n  \"processors\": {},\n  \"cores\": {},\n  \"jobs\": {jobs},\n",
         base.scale,
         base.processors,
         hardware_cores(),

@@ -1,6 +1,6 @@
 #![deny(missing_docs)]
 
-//! Shared helpers for the figure/table binaries and criterion benches.
+//! Shared helpers for the figure/table binaries.
 //!
 //! Every binary regenerates one table or figure of the paper:
 //!
@@ -30,8 +30,9 @@
 //! lives in `dashlat::sweeplog` (re-exported here unchanged) so the CLI's
 //! supervised sweep can share it.
 //!
-//! `perf` and `bench_gate` time a figure through one function,
-//! [`sweep_figure`], which simulates every cell it counts.
+//! `perf` times a figure through [`sweep_figure`], which simulates every
+//! cell it counts. The simulator's speed from one change to the next is
+//! judged by perfbench (`perfbench/`), not by this crate.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -43,47 +44,6 @@ use dashlat::args::Args;
 use dashlat::config::ExperimentConfig;
 use dashlat::experiments::{figure_configs, parse_figure, FigureReport};
 use dashlat::runner::{matrix_jobs, run_matrix_jobs, MatrixReport};
-
-/// One timed run of a small, fixed simulation (16-node uniform-random
-/// traffic, deterministic seed), returning host events per second.
-///
-/// This is the bench-gate's *calibration* workload: it exercises the same
-/// dispatch loop, memory system, and contention paths as a figure sweep,
-/// so its throughput tracks the figure sweeps' throughput across hosts of
-/// different speeds. A committed BENCH baseline records the score of the
-/// machine that produced it; the gate re-runs the calibration on the
-/// current runner and scales the baseline by the ratio before comparing.
-pub fn calibration_run() -> f64 {
-    use dashlat_cpu::config::ProcConfig;
-    use dashlat_cpu::machine::Machine;
-    use dashlat_cpu::ops::Topology;
-    use dashlat_mem::layout::AddressSpaceBuilder;
-    use dashlat_mem::system::{MemConfig, MemorySystem};
-    use dashlat_workloads::synthetic::UniformRandom;
-
-    let topo = Topology::new(16, 1);
-    let mut space = AddressSpaceBuilder::new(16);
-    let w = UniformRandom::new(topo, &mut space, 1 << 18, 2_000, 0.3, 5, 3);
-    let mem = MemorySystem::new(MemConfig::dash_scaled(16), space.build());
-    let start = Instant::now();
-    let result = Machine::new(ProcConfig::sc_baseline(), topo, mem, w)
-        .run()
-        .expect("calibration machine terminates");
-    result.sim_events as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Runs [`calibration_run`] `samples` times (after one untimed warm-up)
-/// and returns `(best_events_per_sec, spread)`, where `spread` is
-/// `(best - worst) / best` over the samples. A large spread means the
-/// host is too noisy for throughput comparisons to mean anything — the
-/// bench-gate skips (loudly) instead of failing on such runners.
-pub fn calibrate(samples: usize) -> (f64, f64) {
-    calibration_run();
-    let scores: Vec<f64> = (0..samples.max(1)).map(|_| calibration_run()).collect();
-    let best = scores.iter().copied().fold(f64::MIN, f64::max);
-    let worst = scores.iter().copied().fold(f64::MAX, f64::min);
-    (best, (best - worst) / best)
-}
 
 /// One timed sweep of a paper figure: every application's matrix of the
 /// figure's configurations, each cell simulated.
@@ -101,8 +61,8 @@ pub struct FigureSweep {
 }
 
 /// Sweeps paper figure `figure` over `base` with `jobs` workers per
-/// application matrix and times it. This is the one measurement `perf`
-/// and `bench_gate` share, so their events/sec count the same work.
+/// application matrix and times it: `perf`'s serial and parallel passes
+/// both count exactly the work it simulated.
 ///
 /// # Panics
 ///

@@ -1,6 +1,6 @@
 //! The `perf` record counts only work it simulated: each figure's cells,
 //! simulation events and granted workers match what running the figure's
-//! cells directly gives, and the record has no memo keys.
+//! cells directly gives, and the record has no memo or calibration keys.
 
 use std::process::Command;
 
@@ -22,8 +22,10 @@ fn perf_record_counts_every_cell_it_simulates() {
     assert!(run.status.success(), "{run:?}");
     let text = std::fs::read_to_string(&out).expect("perf wrote its record");
     std::fs::remove_dir_all(&dir).ok();
-    // No memo keys: every cell counted was simulated.
+    // No memo keys: every cell counted was simulated. No calibration key:
+    // a record describes its own host and is not rescaled to another.
     assert!(!text.contains("memo"), "{text}");
+    assert!(!text.contains("calibration"), "{text}");
     let record = Value::parse(&text).expect("the record is JSON");
 
     let base = parse_machine_args(&mut vec!["--test-scale".to_owned()]).expect("flags parse");

@@ -1196,11 +1196,20 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         let lock_fill = std::mem::take(&mut proc.pending_lockout_fill);
         proc.breakdown.prefetch_overhead += Cycle(lock_pf);
         proc.breakdown.no_switch += Cycle(lock_fill);
-        proc.breakdown.busy += Cycle(n);
-        proc.run_lengths.busy(Cycle(n));
-        self.obs.compute(t, ProcId(pid), n);
+        self.charge_busy(t, pid, p, Cycle(n));
         self.queue
             .schedule(t + Cycle(n + lock_pf + lock_fill), Event::Step(pid));
+    }
+
+    /// Charges `cycles` busy cycles from `t` to process `pid` on processor
+    /// `p`: its breakdown, its run lengths and the observer's `busy` hook.
+    /// Every busy cycle the machine charges goes through here.
+    #[inline]
+    fn charge_busy(&mut self, t: Cycle, pid: usize, p: usize, cycles: Cycle) {
+        let proc = &mut self.procs[p];
+        proc.breakdown.busy += cycles;
+        proc.run_lengths.busy(cycles);
+        self.obs.busy(t, ProcId(pid), cycles.as_u64());
     }
 
     /// Looks up an in-flight line; stale entries (already completed) count
@@ -1249,9 +1258,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         let r = self.access_mem(t, node, a, AccessKind::Read);
         if r.class == ServiceClass::PrimaryHit {
             // The load issues and completes in the pipeline: busy time.
-            let cycles = r.done_at.saturating_sub(t);
-            self.procs[p].breakdown.busy += cycles;
-            self.procs[p].run_lengths.busy(cycles);
+            self.charge_busy(t, pid, p, r.done_at.saturating_sub(t));
             self.queue.schedule(r.done_at, Event::Step(pid));
             return;
         }
@@ -1434,8 +1441,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             self.queue.schedule(t + Cycle(1), Event::WbService(p));
         }
         // The store itself is a single issue cycle.
-        self.procs[p].breakdown.busy += Cycle(1);
-        self.procs[p].run_lengths.busy(Cycle(1));
+        self.charge_busy(t, pid, p, Cycle(1));
         self.queue.schedule(t + Cycle(1), Event::Step(pid));
     }
 

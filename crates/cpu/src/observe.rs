@@ -47,9 +47,9 @@ pub trait Observer {
     #[inline]
     fn commit(&mut self, _t: Cycle, _pid: ProcId, _kind: EventKind) {}
 
-    /// `pid` started a compute burst of `cycles` at `t`.
+    /// `pid` was charged `cycles` busy cycles from `t`.
     #[inline]
-    fn compute(&mut self, _t: Cycle, _pid: ProcId, _cycles: u64) {}
+    fn busy(&mut self, _t: Cycle, _pid: ProcId, _cycles: u64) {}
 
     /// `pid` blocked at `t` on a long-latency operation.
     #[inline]
@@ -82,9 +82,9 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 
     #[inline]
-    fn compute(&mut self, t: Cycle, pid: ProcId, cycles: u64) {
-        self.0.compute(t, pid, cycles);
-        self.1.compute(t, pid, cycles);
+    fn busy(&mut self, t: Cycle, pid: ProcId, cycles: u64) {
+        self.0.busy(t, pid, cycles);
+        self.1.busy(t, pid, cycles);
     }
 
     #[inline]
@@ -111,7 +111,9 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
 /// there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTimeline {
-    /// Compute-burst cycles started per bucket (all processors summed).
+    /// Busy cycles charged per bucket, by the cycle each charge starts
+    /// at (all processors summed); the series sums to the run's
+    /// `TimeBreakdown::busy`.
     pub busy: TimeSeries,
     /// Long-latency misses (context blocks) started per bucket.
     pub misses: TimeSeries,
@@ -132,7 +134,7 @@ impl RunTimeline {
 }
 
 impl Observer for RunTimeline {
-    fn compute(&mut self, t: Cycle, _pid: ProcId, cycles: u64) {
+    fn busy(&mut self, t: Cycle, _pid: ProcId, cycles: u64) {
         self.busy.add(t, cycles);
     }
 

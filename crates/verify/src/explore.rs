@@ -58,6 +58,7 @@
 //! an ideal DPOR would execute every trace exactly once.
 
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use dashlat_cpu::Decision;
 use dashlat_sim::{ReplayScheduler, SchedAlt};
@@ -130,26 +131,21 @@ struct Frame {
     backtrack: Vec<usize>,
 }
 
-/// FNV-1a over a byte stream — tiny, deterministic, collision-unlikely at
-/// the scale of one exploration (thousands of traces).
-fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The Foata fingerprint of an executed trace: events are identified by
 /// `(pid, per-pid occurrence)`, layered greedily (each event's layer is one
 /// past the deepest layer of any dependent predecessor), and the layered
-/// multiset is hashed in canonical order. Mazurkiewicz-equivalent traces
-/// have equal fingerprints.
+/// multiset of `(layer, occurrence, event)` keys — the event being its
+/// processor, tag and footprint — is hashed in canonical order with the
+/// standard library's fixed-key SipHash (fingerprints are compared only
+/// within one exploration). Mazurkiewicz-equivalent traces have equal
+/// fingerprints; traces whose events layer alike but differ in what one
+/// of them is or touches do not.
 fn foata_fingerprint(events: &[SchedAlt]) -> u64 {
     let mut occ_count: BTreeMap<usize, u64> = BTreeMap::new();
     let mut layers: Vec<u64> = Vec::with_capacity(events.len());
-    let mut keyed: Vec<(u64, u64, u64)> = Vec::with_capacity(events.len());
+    // `(layer, pid, occurrence)` is unique per event, so sorting by it is
+    // canonical; the index finds the event itself.
+    let mut keyed: Vec<(u64, usize, u64, usize)> = Vec::with_capacity(events.len());
     for (i, e) in events.iter().enumerate() {
         let mut layer = 0;
         for (j, d) in events[..i].iter().enumerate() {
@@ -159,16 +155,15 @@ fn foata_fingerprint(events: &[SchedAlt]) -> u64 {
         }
         layers.push(layer);
         let occ = occ_count.entry(e.pid).or_insert(0);
-        keyed.push((layer, e.pid as u64, *occ));
+        keyed.push((layer, e.pid, *occ, i));
         *occ += 1;
     }
     keyed.sort_unstable();
-    fnv1a_64(keyed.iter().flat_map(|&(l, p, o)| {
-        l.to_le_bytes()
-            .into_iter()
-            .chain(p.to_le_bytes())
-            .chain(o.to_le_bytes())
-    }))
+    let mut h = DefaultHasher::new();
+    for &(layer, _, occ, i) in &keyed {
+        (layer, occ, events[i]).hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Reusable storage for the race pass: flat vector clocks, one row of
@@ -616,5 +611,14 @@ mod tests {
         assert_ne!(foata_fingerprint(&[a0, c]), foata_fingerprint(&[c, a0]));
         // Same pid twice: occurrences are distinguished.
         assert_ne!(foata_fingerprint(&[a0, a0, b]), foata_fingerprint(&[a0, b]));
+        // Traces that layer alike but differ in one event's footprint or
+        // tag are different traces.
+        let b2 = alt(1, Footprint::Line(2));
+        assert_ne!(foata_fingerprint(&[a0, b]), foata_fingerprint(&[a0, b2]));
+        let b_fill = SchedAlt { tag: "fill", ..b };
+        assert_ne!(
+            foata_fingerprint(&[a0, b]),
+            foata_fingerprint(&[a0, b_fill])
+        );
     }
 }

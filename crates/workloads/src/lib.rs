@@ -17,8 +17,8 @@
 //!   per-process task queues, lock-protected scheduling and busy-wait
 //!   spinning on empty queues (which shows up as busy time, as in the
 //!   paper).
-//! * [`synthetic`] — microworkloads (uniform, stride)
-//!   used by tests and ablation benches.
+//! * [`synthetic`] — a strided microworkload used by tests and the
+//!   prefetch-distance example.
 //! * [`circuit`] — deterministic netlist generator (the "small RISC
 //!   processor" equivalent) for PTHOR.
 //!
@@ -39,4 +39,4 @@ pub use circuit::{Circuit, CircuitParams};
 pub use lu::{Lu, LuParams};
 pub use mp3d::{Mp3d, Mp3dParams};
 pub use pthor::{Pthor, PthorParams};
-pub use synthetic::{StrideSweep, UniformRandom};
+pub use synthetic::StrideSweep;

@@ -1,5 +1,6 @@
 //! The observation seam changes nothing it observes: a run watched by
-//! every recorder at once reports exactly what an unobserved run does.
+//! every recorder at once reports exactly what an unobserved run does,
+//! and what the recorders sum to agrees with the run's own accounting.
 
 use dash_latency::apps::App;
 use dash_latency::config::ExperimentConfig;
@@ -10,14 +11,14 @@ use dash_latency::mem::layout::AddressSpaceBuilder;
 use dash_latency::mem::system::{AccessRecord, MemorySystem};
 use dash_latency::sim::{Cycle, FifoScheduler};
 
-/// Runs `app` at test scale, observed by what `observer` makes of its
+/// Runs `app` on `cfg`, observed by what `observer` makes of its
 /// workload, under [`FifoScheduler`] when `fifo` is set.
 fn run<O: Observer>(
     app: App,
+    cfg: &ExperimentConfig,
     fifo: bool,
     observer: impl FnOnce(&dyn Workload) -> O,
 ) -> (RunResult, O) {
-    let cfg = ExperimentConfig::base_test();
     let topo = cfg.topology();
     let mut space = AddressSpaceBuilder::new(cfg.processors);
     let workload = app.build(cfg.scale, topo, &mut space, false);
@@ -33,7 +34,12 @@ fn run<O: Observer>(
 
 #[test]
 fn observing_every_recorder_at_once_changes_nothing() {
-    for app in [App::Mp3d, App::Lu] {
+    // SC charges busy cycles for compute bursts and primary-cache read
+    // hits; RC also charges each write's issue cycle.
+    let sc = ExperimentConfig::base_test();
+    let rc = ExperimentConfig::base_test().with_rc();
+    for (app, cfg) in [(App::Mp3d, &sc), (App::Lu, &sc), (App::Mp3d, &rc)] {
+        let what = format!("{app} {}", cfg.label());
         let everything = |w: &dyn Workload| {
             (
                 (
@@ -47,30 +53,36 @@ fn observing_every_recorder_at_once_changes_nothing() {
             )
         };
         let (observed, ((log, accesses), (timeline, (recorder, decisions)))) =
-            run(app, true, everything);
-        let (plain, ()) = run(app, true, |_| ());
-        assert_eq!(observed.elapsed, plain.elapsed, "{app}");
-        assert_eq!(observed.aggregate, plain.aggregate, "{app}");
+            run(app, cfg, true, everything);
+        let (plain, ()) = run(app, cfg, true, |_| ());
+        assert_eq!(observed.elapsed, plain.elapsed, "{what}");
+        assert_eq!(observed.aggregate, plain.aggregate, "{what}");
         assert_eq!(
             format!("{:?}", observed.mem),
             format!("{:?}", plain.mem),
-            "{app}"
+            "{what}"
         );
-        assert_eq!(observed.sim_events, plain.sim_events, "{app}");
+        assert_eq!(observed.sim_events, plain.sim_events, "{what}");
 
         // FIFO tie-breaking is the scheduler-free order, and the
         // scheduler adds no events: `sim_events` counts dispatched work.
-        let (free, ()) = run(app, false, |_| ());
-        assert_eq!(free.elapsed, plain.elapsed, "{app}");
-        assert_eq!(free.aggregate, plain.aggregate, "{app}");
-        assert_eq!(free.sim_events, plain.sim_events, "{app}");
+        let (free, ()) = run(app, cfg, false, |_| ());
+        assert_eq!(free.elapsed, plain.elapsed, "{what}");
+        assert_eq!(free.aggregate, plain.aggregate, "{what}");
+        assert_eq!(free.sim_events, plain.sim_events, "{what}");
 
         // Every recorder saw the run.
-        assert!(!log.is_empty(), "{app}: no analysis events");
-        assert!(!accesses.is_empty(), "{app}: no accesses");
-        assert!(!decisions.is_empty(), "{app}: no decisions");
-        assert!(timeline.busy.peak() > 0, "{app}: no busy time");
-        assert!(timeline.misses.peak() > 0, "{app}: no misses");
-        assert!(!recorder.into_trace().is_empty(), "{app}: no ops");
+        assert!(!log.is_empty(), "{what}: no analysis events");
+        assert!(!accesses.is_empty(), "{what}: no accesses");
+        assert!(!decisions.is_empty(), "{what}: no decisions");
+        assert!(timeline.busy.peak() > 0, "{what}: no busy time");
+        assert!(timeline.misses.peak() > 0, "{what}: no misses");
+        assert!(!recorder.into_trace().is_empty(), "{what}: no ops");
+        // The timeline sees every busy cycle the breakdown charges.
+        assert_eq!(
+            timeline.busy.total(),
+            observed.aggregate.busy.as_u64(),
+            "{what}"
+        );
     }
 }
