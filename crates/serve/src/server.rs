@@ -216,7 +216,8 @@ pub struct Server {
     /// The address `run` is accepting on, which `stop` connects to so
     /// that the blocking `accept` returns.
     listening: Mutex<Option<SocketAddr>>,
-    /// Currently open client connections (the `max_connections` gauge).
+    /// Currently open client connections (the `max_connections` gauge):
+    /// counted on accept, given back by the handler's [`OpenConnection`].
     conns: AtomicUsize,
     /// Lifetime count of connections shed at the cap with 503.
     conns_shed: AtomicU64,
@@ -343,15 +344,9 @@ impl Server {
                     let active = self.conns.fetch_add(1, Ordering::SeqCst) + 1;
                     if active > self.cfg.max_connections {
                         self.conns_shed.fetch_add(1, Ordering::Relaxed);
-                        std::thread::spawn(move || {
-                            server.reject_connection(stream);
-                            server.conns.fetch_sub(1, Ordering::SeqCst);
-                        });
+                        std::thread::spawn(move || server.reject_connection(stream));
                     } else {
-                        std::thread::spawn(move || {
-                            server.handle_connection(stream);
-                            server.conns.fetch_sub(1, Ordering::SeqCst);
-                        });
+                        std::thread::spawn(move || server.handle_connection(stream));
                     }
                 }
                 Err(e) => {
@@ -803,6 +798,7 @@ impl Server {
     /// Sheds one over-cap connection: a 503 with `Retry-After`, written
     /// without waiting for the request to arrive.
     fn reject_connection(&self, mut stream: TcpStream) {
+        let _open = OpenConnection(&self.conns);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
         let retry = self.cfg.shed_retry_after_secs;
         let _ = write_response(
@@ -817,6 +813,7 @@ impl Server {
     }
 
     fn handle_connection(&self, mut stream: TcpStream) {
+        let _open = OpenConnection(&self.conns);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
         let deadline = (self.cfg.conn_deadline_secs > 0)
             .then(|| Instant::now() + Duration::from_secs(self.cfg.conn_deadline_secs));
@@ -1137,6 +1134,18 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
         ip => ip,
     };
     SocketAddr::new(ip, local.port())
+}
+
+/// One accepted connection's slot in the open-connection gauge, given
+/// back on drop. A handler makes it first thing, so it drops before the
+/// handler's stream parameter closes the connection: a client that has
+/// read its whole response is no longer counted.
+struct OpenConnection<'a>(&'a AtomicUsize);
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// After answering a request that was never fully read (shed, timed
@@ -1562,10 +1571,13 @@ mod tests {
         let poll = {
             let addr = addr.clone();
             std::thread::spawn(move || {
+                // A late poll: the stop below must still wait for it.
+                std::thread::sleep(Duration::from_millis(200));
                 client::request(&addr, "GET", "/jobs/1/events?wait=30", None)
             })
         };
-        // The poll holds a connection of its own beside the health check.
+        // The poll holds a connection of its own beside the health check;
+        // finished requests are no longer counted once they have returned.
         let deadline = Instant::now() + Duration::from_secs(10);
         while connections(&addr) < 2 {
             assert!(Instant::now() < deadline, "the long poll never connected");

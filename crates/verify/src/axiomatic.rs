@@ -25,163 +25,222 @@
 //! the lock only when it drains (after all program-order-earlier writes),
 //! which is what makes critical sections publish their writes.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashSet;
 
 use dashlat_cpu::config::Consistency;
 
 use crate::litmus::{LOp, LitmusTest};
 use crate::outcome::{Outcome, OutcomeSet};
 
-/// One store-buffer entry of the reference semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum BufEntry {
-    /// A buffered store (variable, value).
-    Write(usize, u64),
-    /// A release marker: frees the lock when it drains.
-    Release(usize),
+/// A reference-machine state, flattened into one word buffer whose layout
+/// [`Shape`] fixes. Two states that agree on program counters, buffers,
+/// registers, memory and lock ownership have identical futures, so
+/// memoizing the buffers is exact.
+type State = Vec<u64>;
+
+/// Where each part of a test's reference state lives in its buffer.
+///
+/// A store buffer drains in FIFO order, so it always holds a contiguous
+/// run of its processor's buffered operations (writes and releases, under
+/// a buffering model): those already issued, less the first `drained`.
+/// The issued ones are fixed by the program counter, so one count per
+/// processor stands for the whole buffer. Likewise each read fills the
+/// register slot of its position in the program, so the registers have
+/// one word per read of the test. The words are, in order: the program
+/// counters, the drained counts, memory, the locks (0 when free, the
+/// holder + 1 otherwise) and the registers.
+struct Shape<'t> {
+    test: &'t LitmusTest,
+    model: Consistency,
+    /// Per processor: the program indices of its buffered operations.
+    buffered: Vec<Vec<usize>>,
+    /// Per processor and program index: the word a read there fills.
+    slot: Vec<Vec<usize>>,
+    /// The first register word.
+    regs: usize,
+    /// Words per state: the registers run to the end.
+    len: usize,
 }
 
-/// A reference-machine state. Deriving `Hash`/`Eq` makes memoization
-/// exact: two states that agree on program counters, buffers, registers,
-/// memory and lock ownership have identical futures.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    pc: Vec<usize>,
-    buf: Vec<VecDeque<BufEntry>>,
-    regs: Vec<Vec<u64>>,
-    mem: Vec<u64>,
-    locks: Vec<Option<usize>>,
-}
-
-impl State {
-    fn initial(test: &LitmusTest) -> State {
+impl<'t> Shape<'t> {
+    fn new(test: &'t LitmusTest, model: Consistency) -> Self {
         let n = test.nprocs();
-        State {
-            pc: vec![0; n],
-            buf: vec![VecDeque::new(); n],
-            regs: (0..n).map(|_| Vec::new()).collect(),
-            mem: vec![0; test.nvars],
-            locks: vec![None; test.nlocks],
+        let regs = 2 * n + test.nvars + test.nlocks;
+        let buffered = test
+            .programs
+            .iter()
+            .map(|prog| {
+                (0..prog.len())
+                    .filter(|&i| {
+                        model.buffers_writes() && matches!(prog[i], LOp::W(..) | LOp::Rel(_))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut next = regs;
+        let slot = test
+            .programs
+            .iter()
+            .map(|prog| {
+                prog.iter()
+                    .map(|op| {
+                        let at = next;
+                        next += usize::from(matches!(op, LOp::R(_) | LOp::Rmw(..)));
+                        at
+                    })
+                    .collect()
+            })
+            .collect();
+        Shape {
+            test,
+            model,
+            buffered,
+            slot,
+            regs,
+            len: next,
         }
     }
 
-    fn done(&self, test: &LitmusTest) -> bool {
-        self.pc
-            .iter()
-            .zip(&test.programs)
-            .all(|(&pc, prog)| pc >= prog.len())
+    fn n(&self) -> usize {
+        self.test.nprocs()
     }
 
-    fn outcome(&self) -> Outcome {
-        self.regs.iter().flatten().copied().collect()
+    fn initial(&self) -> State {
+        vec![0; self.len]
+    }
+
+    fn mem(&self, v: usize) -> usize {
+        2 * self.n() + v
+    }
+
+    fn lock(&self, l: usize) -> usize {
+        2 * self.n() + self.test.nvars + l
+    }
+
+    fn done(&self, s: &State) -> bool {
+        self.test
+            .programs
+            .iter()
+            .enumerate()
+            .all(|(p, prog)| s[p] as usize >= prog.len())
+    }
+
+    fn outcome(&self, s: &State) -> Outcome {
+        s[self.regs..].to_vec()
+    }
+
+    /// Processor `p`'s store buffer, oldest first, as program indices.
+    fn buffer(&self, s: &State, p: usize) -> &[usize] {
+        let issued = self.buffered[p].partition_point(|&i| i < s[p] as usize);
+        &self.buffered[p][s[self.n() + p] as usize..issued]
     }
 
     /// Latest buffered write of processor `p` to variable `v`, if any
     /// (the store-forwarding source).
-    fn forward(&self, p: usize, v: usize) -> Option<u64> {
-        self.buf[p].iter().rev().find_map(|e| match *e {
-            BufEntry::Write(w, val) if w == v => Some(val),
-            _ => None,
-        })
+    fn forward(&self, s: &State, p: usize, v: usize) -> Option<u64> {
+        self.buffer(s, p)
+            .iter()
+            .rev()
+            .find_map(|&i| match self.test.programs[p][i] {
+                LOp::W(w, val) if w == v => Some(val),
+                _ => None,
+            })
     }
-}
 
-/// Every state reachable from `s` in one step, under `model`.
-fn successors(test: &LitmusTest, model: Consistency, s: &State) -> Vec<State> {
-    let mut out = Vec::new();
-    for p in 0..test.nprocs() {
-        // Issue p's next program operation.
-        if let Some(&op) = test.programs[p].get(s.pc[p]) {
-            match op {
-                LOp::W(v, val) => {
-                    let mut n = s.clone();
-                    if model.buffers_writes() {
-                        n.buf[p].push_back(BufEntry::Write(v, val));
-                    } else {
-                        n.mem[v] = val;
-                    }
-                    n.pc[p] += 1;
-                    out.push(n);
-                }
-                LOp::R(v) => {
-                    let mut n = s.clone();
-                    let val = s.forward(p, v).unwrap_or(s.mem[v]);
-                    n.regs[p].push(val);
-                    n.pc[p] += 1;
-                    out.push(n);
-                }
-                LOp::Rmw(v, val) => {
+    /// Pushes every state reachable from `s` in one step onto `out`.
+    fn successors(&self, s: &State, out: &mut Vec<State>) {
+        let n = self.n();
+        for (p, prog) in self.test.programs.iter().enumerate() {
+            let pc = s[p] as usize;
+            let buf = self.buffer(s, p);
+            // Issue p's next program operation.
+            if let Some(&op) = prog.get(pc) {
+                let enabled = match op {
                     // An RMW fences (the machine drains its write buffer
                     // before acquiring ownership), then reads and writes
                     // memory as one indivisible action: it is only
                     // enabled on an empty buffer and never buffers its
                     // own store.
-                    if s.buf[p].is_empty() {
-                        let mut n = s.clone();
-                        n.regs[p].push(s.mem[v]);
-                        n.mem[v] = val;
-                        n.pc[p] += 1;
-                        out.push(n);
+                    LOp::Rmw(..) => buf.is_empty(),
+                    LOp::Acq(l) => {
+                        s[self.lock(l)] == 0 && (!self.model.acquire_waits() || buf.is_empty())
                     }
-                }
-                LOp::Acq(l) => {
-                    let fence_ok = !model.acquire_waits() || s.buf[p].is_empty();
-                    if s.locks[l].is_none() && fence_ok {
-                        let mut n = s.clone();
-                        n.locks[l] = Some(p);
-                        n.pc[p] += 1;
-                        out.push(n);
+                    LOp::W(..) | LOp::R(_) | LOp::Rel(_) => true,
+                };
+                if enabled {
+                    let mut next = s.clone();
+                    next[p] += 1;
+                    match op {
+                        // Under a buffering model an issued write or
+                        // release joins the buffer, which `pc` implies.
+                        LOp::W(v, val) => {
+                            if !self.model.buffers_writes() {
+                                next[self.mem(v)] = val;
+                            }
+                        }
+                        LOp::R(v) => {
+                            next[self.slot[p][pc]] =
+                                self.forward(s, p, v).unwrap_or(s[self.mem(v)]);
+                        }
+                        LOp::Rmw(v, val) => {
+                            next[self.slot[p][pc]] = s[self.mem(v)];
+                            next[self.mem(v)] = val;
+                        }
+                        LOp::Acq(l) => next[self.lock(l)] = p as u64 + 1,
+                        LOp::Rel(l) => {
+                            debug_assert_eq!(
+                                s[self.lock(l)],
+                                p as u64 + 1,
+                                "release by non-holder"
+                            );
+                            if !self.model.buffers_writes() {
+                                next[self.lock(l)] = 0;
+                            }
+                        }
                     }
-                }
-                LOp::Rel(l) => {
-                    debug_assert_eq!(s.locks[l], Some(p), "release by non-holder");
-                    let mut n = s.clone();
-                    if model.buffers_writes() {
-                        n.buf[p].push_back(BufEntry::Release(l));
-                    } else {
-                        n.locks[l] = None;
-                    }
-                    n.pc[p] += 1;
-                    out.push(n);
+                    out.push(next);
                 }
             }
-        }
-        // Drain the head of p's store buffer.
-        if let Some(&head) = s.buf[p].front() {
-            let mut n = s.clone();
-            n.buf[p].pop_front();
-            match head {
-                BufEntry::Write(v, val) => n.mem[v] = val,
-                BufEntry::Release(l) => {
-                    debug_assert_eq!(n.locks[l], Some(p), "release marker by non-holder");
-                    n.locks[l] = None;
+            // Drain the head of p's store buffer.
+            if let Some(&head) = buf.first() {
+                let mut next = s.clone();
+                next[n + p] += 1;
+                match prog[head] {
+                    LOp::W(v, val) => next[self.mem(v)] = val,
+                    LOp::Rel(l) => {
+                        debug_assert_eq!(
+                            s[self.lock(l)],
+                            p as u64 + 1,
+                            "release marker by non-holder"
+                        );
+                        next[self.lock(l)] = 0;
+                    }
+                    _ => unreachable!("only writes and releases are buffered"),
                 }
+                out.push(next);
             }
-            out.push(n);
         }
     }
-    out
 }
 
 /// The exact set of outcomes `model` admits for `test`: exhaustive
 /// memoized depth-first search over the reference semantics.
 pub fn allowed(test: &LitmusTest, model: Consistency) -> OutcomeSet {
+    let shape = Shape::new(test, model);
     let mut outcomes = OutcomeSet::new();
-    let mut seen: HashMap<State, ()> = HashMap::new();
-    let mut stack = vec![State::initial(test)];
+    let mut seen: HashSet<State> = HashSet::new();
+    let mut stack = vec![shape.initial()];
     while let Some(s) = stack.pop() {
-        if let Entry::Vacant(e) = seen.entry(s.clone()) {
-            e.insert(());
-        } else {
+        if seen.contains(&s) {
             continue;
         }
-        if s.done(test) {
-            outcomes.insert(s.outcome());
+        if shape.done(&s) {
+            outcomes.insert(shape.outcome(&s));
             // Remaining buffer drains cannot change the registers.
-            continue;
+        } else {
+            shape.successors(&s, &mut stack);
         }
-        stack.extend(successors(test, model, &s));
+        seen.insert(s);
     }
     assert!(
         !outcomes.is_empty(),

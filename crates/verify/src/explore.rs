@@ -41,6 +41,25 @@
 //!   is what turns the product-shaped schedule spaces of 4-processor
 //!   tests from thousands of runs into dozens.
 //!
+//! A run whose suffix meets a slate that lies wholly in the sleep set its
+//! node inherits is *sleep-blocked*: every way on from there starts with
+//! a transition an earlier run already explored from an equivalent state,
+//! so nothing below that decision can produce a new trace. DPOR abandons
+//! such a state, as Flanagan and Godefroid do: the tree stops growing at
+//! the blocked decision — no node is made for it or anything after it —
+//! and the race pass ignores the events from it on. The machine run still
+//! completes (the scheduler takes the slate's first entry and goes on), so
+//! its outcome and witness are kept. `Sleep` and `Full` keep growing the
+//! tree below such decisions; they are the baselines DPOR is measured and
+//! checked against.
+//!
+//! The happens-before pass is incremental. A run replays the previous
+//! run's choices down to its branch, so its events before the branch are
+//! exactly the previous run's: their vector clocks and Foata layers are
+//! kept, only the events from the branch on are stamped, and races are
+//! searched only for the new events before the block. One scan over each
+//! new event's predecessors yields both its clock and its Foata layer.
+//!
 //! Independence between alternatives is the static relation of
 //! [`SchedAlt::independent`]: different processors *and* provably disjoint
 //! footprints. Anything uncertain is `Footprint::Unknown` and therefore
@@ -100,7 +119,9 @@ pub struct Exploration {
     pub runs: u64,
     /// Runs whose Foata normal form had already been executed — an
     /// equivalent interleaving explored twice. Zero for an ideal
-    /// reduction; the stats report surfaces it.
+    /// reduction; the stats report surfaces it. Under [`Engine::Dpor`]
+    /// only sleep-blocked runs repeat a trace: a run that never meets a
+    /// wholly asleep slate past its branch executes a new one.
     pub redundant: u64,
     /// True when the run cap stopped the search before exhaustion — the
     /// outcome set is then a *lower bound*, and the caller must say so.
@@ -131,49 +152,20 @@ struct Frame {
     backtrack: Vec<usize>,
 }
 
-/// The Foata fingerprint of an executed trace: events are identified by
-/// `(pid, per-pid occurrence)`, layered greedily (each event's layer is one
-/// past the deepest layer of any dependent predecessor), and the layered
-/// multiset of `(layer, occurrence, event)` keys — the event being its
-/// processor, tag and footprint — is hashed in canonical order with the
-/// standard library's fixed-key SipHash (fingerprints are compared only
-/// within one exploration). Mazurkiewicz-equivalent traces have equal
-/// fingerprints; traces whose events layer alike but differ in what one
-/// of them is or touches do not.
-fn foata_fingerprint(events: &[SchedAlt]) -> u64 {
-    let mut occ_count: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut layers: Vec<u64> = Vec::with_capacity(events.len());
-    // `(layer, pid, occurrence)` is unique per event, so sorting by it is
-    // canonical; the index finds the event itself.
-    let mut keyed: Vec<(u64, usize, u64, usize)> = Vec::with_capacity(events.len());
-    for (i, e) in events.iter().enumerate() {
-        let mut layer = 0;
-        for (j, d) in events[..i].iter().enumerate() {
-            if !d.independent(e) {
-                layer = layer.max(layers[j] + 1);
-            }
-        }
-        layers.push(layer);
-        let occ = occ_count.entry(e.pid).or_insert(0);
-        keyed.push((layer, e.pid, *occ, i));
-        *occ += 1;
-    }
-    keyed.sort_unstable();
-    let mut h = DefaultHasher::new();
-    for &(layer, _, occ, i) in &keyed {
-        (layer, occ, events[i]).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Reusable storage for the race pass: flat vector clocks, one row of
-/// `width` components per executed event, so a run's pass allocates
-/// nothing once the buffers have grown to the longest run.
+/// The happens-before analysis of the current run, one row per executed
+/// event, kept across runs: a run replays the previous run's events up to
+/// its branch, so only the rows from the branch on are stamped again, and
+/// once the buffers have grown to the longest run nothing is allocated.
 #[derive(Default)]
 struct RaceScratch {
+    /// Components per clock row: one past the largest processor index
+    /// seen so far.
+    width: usize,
     /// Row `i` is event `i`'s clock: component `p` is one past the index
     /// of the last event of processor `p` that happens-before-or-is `i`.
     clocks: Vec<u64>,
+    /// Event `i`'s Foata stamp.
+    stamps: Vec<Stamp>,
     /// Join of the clocks of the events between a candidate and the event
     /// whose races are being found that happen-before the latter.
     running: Vec<u64>,
@@ -181,8 +173,81 @@ struct RaceScratch {
     initials: Vec<usize>,
 }
 
-/// Grows the backtrack sets of the current stack from the happens-before
-/// structure of the just-completed run (the DPOR core).
+/// An executed event's place in the Foata normal form of its trace.
+#[derive(Clone, Copy)]
+struct Stamp {
+    /// One past the deepest layer of any dependent predecessor (0 for an
+    /// event without one).
+    layer: usize,
+    /// How many earlier events its processor executed.
+    occurrence: usize,
+    /// The event's term of the fingerprint: the hash of `(layer,
+    /// occurrence, event)`, the event being its processor, tag and
+    /// footprint.
+    key: u64,
+}
+
+impl RaceScratch {
+    /// Stamps events `from..` of `events` with their vector clocks (the
+    /// join of every program-order or dependence predecessor, then their
+    /// own component set to their index + 1) and their Foata stamps, in
+    /// one scan over each event's predecessors. Rows before `from` must
+    /// hold the same events as when they were stamped; they are kept
+    /// unless a new processor widens the clocks. Each new event costs
+    /// O(n·P) for `n` events over `P` processors.
+    fn stamp(&mut self, events: &[SchedAlt], from: usize) {
+        let width = events
+            .iter()
+            .map(|e| e.pid + 1)
+            .fold(self.width, usize::max);
+        let from = if width == self.width { from } else { 0 };
+        self.width = width;
+        self.clocks.truncate(from * width);
+        self.clocks.resize(events.len() * width, 0);
+        self.stamps.truncate(from);
+        for (i, e) in events.iter().enumerate().skip(from) {
+            let (earlier, rest) = self.clocks.split_at_mut(i * width);
+            let clock = &mut rest[..width];
+            let (mut layer, mut occurrence) = (0, 0);
+            for (j, d) in events[..i].iter().enumerate() {
+                if !d.independent(e) {
+                    join(clock, &earlier[j * width..(j + 1) * width]);
+                    let s = self.stamps[j];
+                    layer = layer.max(s.layer + 1);
+                    if d.pid == e.pid {
+                        occurrence = s.occurrence + 1;
+                    }
+                }
+            }
+            clock[e.pid] = i as u64 + 1;
+            let mut h = DefaultHasher::new();
+            (layer, occurrence, e).hash(&mut h);
+            self.stamps.push(Stamp {
+                layer,
+                occurrence,
+                key: h.finish(),
+            });
+        }
+    }
+
+    /// The Foata fingerprint of the stamped trace: the wrapping sum of its
+    /// events' keys. `(layer, pid, occurrence)` is unique per event, so the
+    /// keys form a set and the sum does not depend on the order the trace
+    /// ran them in. Mazurkiewicz-equivalent traces layer alike and have
+    /// equal fingerprints; traces whose events layer alike but differ in
+    /// what one of them is or touches do not. The keys are the standard
+    /// library's fixed-key SipHash, so fingerprints are compared only
+    /// within one exploration.
+    fn fingerprint(&self) -> u64 {
+        self.stamps.iter().fold(0, |sum, s| sum.wrapping_add(s.key))
+    }
+}
+
+/// Grows the backtrack sets of the current stack from the races of the
+/// stamped run's events `from..stack.len()` (the DPOR core): the events
+/// before `from` are an earlier run's, whose races are already in the
+/// backtrack sets, and those from `stack.len()` on lie past a
+/// sleep-blocked decision.
 ///
 /// Event `j` happens-before a later event `k` when component `pid[j]` of
 /// `k`'s clock passes `j`. A pair `(j, i)` is an *immediate race* when
@@ -196,36 +261,26 @@ struct RaceScratch {
 /// racing suffix — `i` plus the events between `j` and `i` that
 /// happen-before `i`, less those with a happens-before predecessor among
 /// them — which are the transitions that could run first if the race
-/// were reversed. The pass is O(n²·P) for `n` events over `P` processors.
-fn update_backtracks(stack: &mut [Frame], events: &[SchedAlt], scratch: &mut RaceScratch) {
-    let n = events.len();
-    let width = events.iter().map(|e| e.pid + 1).max().unwrap_or(0);
+/// were reversed. Each searched event costs O(n·P).
+fn update_backtracks(
+    stack: &mut [Frame],
+    events: &[SchedAlt],
+    from: usize,
+    scratch: &mut RaceScratch,
+) {
     let RaceScratch {
+        width,
         clocks,
         running,
         initials,
+        ..
     } = scratch;
-
-    // Stamp every executed event with a vector clock: the join of every
-    // program-order or dependence predecessor, then its own component set
-    // to its index + 1.
-    clocks.clear();
-    clocks.resize(n * width, 0);
-    for i in 0..n {
-        let (earlier, rest) = clocks.split_at_mut(i * width);
-        let clock = &mut rest[..width];
-        for (j, e) in events[..i].iter().enumerate() {
-            if !e.independent(&events[i]) {
-                join(clock, &earlier[j * width..(j + 1) * width]);
-            }
-        }
-        clock[events[i].pid] = i as u64 + 1;
-    }
+    let width = *width;
     let clocks = &clocks[..];
     let hb = |j: usize, k: usize| clocks[k * width + events[j].pid] > j as u64;
 
     running.resize(width, 0);
-    for i in 0..n {
+    for i in from..stack.len() {
         running.fill(0);
         initials.clear();
         initials.push(i);
@@ -310,6 +365,7 @@ where
     let mut sleep: Vec<SchedAlt> = Vec::new();
     let mut traces: HashSet<u64> = HashSet::new();
     let mut scratch = RaceScratch::default();
+    let mut executed: Vec<SchedAlt> = Vec::new();
     loop {
         if out.runs >= max_runs {
             out.truncated = true;
@@ -336,18 +392,27 @@ where
                 return out;
             }
         }
-        let executed: Vec<SchedAlt> = decisions.iter().map(|(c, alts)| alts[*c]).collect();
-        if !traces.insert(foata_fingerprint(&executed)) {
+        // The events before the branch, the prefix's last choice, are the
+        // previous run's.
+        let branch = replayed.saturating_sub(1);
+        executed.truncate(branch);
+        executed.extend(decisions[branch..].iter().map(|(c, alts)| alts[*c]));
+        scratch.stamp(&executed, branch);
+        if !traces.insert(scratch.fingerprint()) {
             out.redundant += 1;
         }
 
-        // Grow the tree along the new suffix of this run.
+        // Grow the tree along the new suffix of this run; under DPOR, up
+        // to its first sleep-blocked decision.
         for i in stack.len()..decisions.len() {
             let (chosen, alts) = &decisions[i];
             let inherited = match i {
                 0 => Vec::new(),
                 _ => child_sleep(&stack[i - 1], decisions[i - 1].0),
             };
+            if engine == Engine::Dpor && alts.iter().all(|a| inherited.contains(a)) {
+                break;
+            }
             debug_assert!(*chosen < alts.len());
             stack.push(Frame {
                 alts: alts.clone(),
@@ -360,9 +425,16 @@ where
             stack.iter().zip(&decisions).all(|(f, d)| f.alts == d.1),
             "slate drift under replay"
         );
+        debug_assert!(
+            executed
+                .iter()
+                .zip(&decisions)
+                .all(|(e, (c, alts))| *e == alts[*c]),
+            "the replayed events differ from the previous run's"
+        );
 
         if engine == Engine::Dpor {
-            update_backtracks(&mut stack, &executed, &mut scratch);
+            update_backtracks(&mut stack, &executed, branch, &mut scratch);
         }
 
         // Backtrack to the deepest node with an unexplored, awake branch
@@ -407,23 +479,86 @@ mod tests {
         }
     }
 
-    /// A synthetic "program": one event per processor, each appending its
-    /// pid to a log; the outcome is the permutation taken. Slates shrink
-    /// as events execute, and the scheduler makes every choice.
-    fn permutation_runner(fps: Vec<Footprint>) -> impl FnMut(ReplayScheduler) -> RunRecord {
+    /// The fingerprint the explorer computes for a trace stamped afresh.
+    fn foata_fingerprint(events: &[SchedAlt]) -> u64 {
+        let mut scratch = RaceScratch::default();
+        scratch.stamp(events, 0);
+        scratch.fingerprint()
+    }
+
+    /// A synthetic program: processor `p` executes the events of
+    /// `progs[p]` in order, each appending `p` to a log; the outcome is the
+    /// order taken. Each slate lists every unfinished processor's next
+    /// event, and the scheduler makes every choice.
+    fn program_runner(progs: Vec<Vec<Footprint>>) -> impl FnMut(ReplayScheduler) -> RunRecord {
         move |mut sched: ReplayScheduler| {
-            let mut remaining: Vec<usize> = (0..fps.len()).collect();
+            let mut pc = vec![0; progs.len()];
             let mut decisions = Vec::new();
             let mut order = Vec::new();
-            while !remaining.is_empty() {
-                let slate: Vec<SchedAlt> = remaining.iter().map(|&p| alt(p, fps[p])).collect();
+            loop {
+                let ready: Vec<usize> = (0..progs.len())
+                    .filter(|&p| pc[p] < progs[p].len())
+                    .collect();
+                if ready.is_empty() {
+                    return (decisions, Ok(order));
+                }
+                let slate: Vec<SchedAlt> = ready.iter().map(|&p| alt(p, progs[p][pc[p]])).collect();
                 let choice = sched.choose(Cycle::ZERO, &slate);
                 assert!(choice < slate.len());
                 decisions.push((choice, slate));
-                order.push(remaining.remove(choice) as u64);
+                pc[ready[choice]] += 1;
+                order.push(ready[choice] as u64);
             }
-            (decisions, Ok(order))
         }
+    }
+
+    /// One event per processor: the outcome is the permutation taken, and
+    /// slates shrink as events execute.
+    fn permutation_runner(fps: Vec<Footprint>) -> impl FnMut(ReplayScheduler) -> RunRecord {
+        program_runner(fps.into_iter().map(|fp| vec![fp]).collect())
+    }
+
+    /// Explores `runner` under `engine` and keeps every run's decisions.
+    fn recorded(
+        mut runner: impl FnMut(ReplayScheduler) -> RunRecord,
+        engine: Engine,
+    ) -> (Exploration, Vec<Vec<Decision>>) {
+        let mut runs: Vec<Vec<Decision>> = Vec::new();
+        let e = explore(
+            |sched| {
+                let record = runner(sched);
+                runs.push(record.0.clone());
+                record
+            },
+            1_000,
+            engine,
+        );
+        assert!(!e.truncated);
+        (e, runs)
+    }
+
+    /// The sleep set in force at each decision of run `r`, replayed from
+    /// the recorded runs: at each node, the branches earlier runs took
+    /// from it fall asleep, and a choice wakes what it is dependent with.
+    fn replayed_sleep_sets(runs: &[Vec<Decision>], r: usize) -> Vec<Vec<SchedAlt>> {
+        let run = &runs[r];
+        let mut sleep: Vec<SchedAlt> = Vec::new();
+        let mut sets = Vec::with_capacity(run.len());
+        for (k, (chosen, slate)) in run.iter().enumerate() {
+            let via = slate[*chosen];
+            let on_path = |other: &&Vec<Decision>| {
+                other.len() > k
+                    && other[k].0 != *chosen
+                    && other[..k].iter().zip(&run[..k]).all(|(a, b)| a.0 == b.0)
+            };
+            let earlier = runs[..r].iter().filter(on_path).map(|o| slate[o[k].0]);
+            let next = earlier
+                .chain(sleep.iter().copied())
+                .filter(|a| a.independent(&via))
+                .collect();
+            sets.push(std::mem::replace(&mut sleep, next));
+        }
+        sets
     }
 
     #[test]
@@ -514,24 +649,10 @@ mod tests {
         let fps = vec![Footprint::Line(0), Footprint::Line(1), Footprint::Line(1)];
         let mut steered = 0;
         for engine in [Engine::Sleep, Engine::Dpor] {
-            let mut inner = permutation_runner(fps.clone());
-            let mut runs: Vec<Vec<Decision>> = Vec::new();
-            let e = explore(
-                |sched| {
-                    let record = inner(sched);
-                    runs.push(record.0.clone());
-                    record
-                },
-                1_000,
-                engine,
-            );
-            assert!(!e.truncated);
-            // Replay the sleep sets along every run: at each node, the
-            // branches earlier runs took from it fall asleep, and a
-            // choice wakes what it is dependent with.
+            let (_, runs) = recorded(permutation_runner(fps.clone()), engine);
             for (r, run) in runs.iter().enumerate() {
-                let mut sleep: Vec<SchedAlt> = Vec::new();
-                for (k, (chosen, slate)) in run.iter().enumerate() {
+                let sleeps = replayed_sleep_sets(&runs, r);
+                for (k, ((chosen, slate), sleep)) in run.iter().zip(&sleeps).enumerate() {
                     let via = slate[*chosen];
                     if slate.iter().any(|a| !sleep.contains(a)) {
                         assert!(
@@ -540,20 +661,49 @@ mod tests {
                         );
                         steered += usize::from(sleep.contains(&slate[0]));
                     }
-                    let on_path = |other: &&Vec<Decision>| {
-                        other.len() > k
-                            && other[k].0 != *chosen
-                            && other[..k].iter().zip(&run[..k]).all(|(a, b)| a.0 == b.0)
-                    };
-                    let earlier = runs[..r].iter().filter(on_path).map(|o| slate[o[k].0]);
-                    sleep = earlier
-                        .chain(sleep.iter().copied())
-                        .filter(|a| a.independent(&via))
-                        .collect();
                 }
             }
         }
         assert!(steered > 0, "FIFO order never met a slept entry");
+    }
+
+    #[test]
+    fn only_sleep_blocked_runs_repeat_a_trace() {
+        // Four processors over three lines: a program where a tree grown
+        // below decisions whose whole slate is asleep makes DPOR branch
+        // inside subtrees that only repeat a sleeping sibling's traces.
+        let progs = vec![
+            vec![Footprint::Line(1)],
+            vec![Footprint::Line(0), Footprint::Line(2)],
+            vec![Footprint::Line(0), Footprint::Line(1), Footprint::Line(2)],
+            vec![Footprint::Line(1), Footprint::Line(1)],
+        ];
+        let (e, runs) = recorded(program_runner(progs), Engine::Dpor);
+        let mut traces = HashSet::new();
+        let mut blocked = 0;
+        for (r, run) in runs.iter().enumerate() {
+            // A run replays the choices it shares with an earlier run,
+            // then takes its branch.
+            let prefix = runs[..r]
+                .iter()
+                .map(|o| o.iter().zip(run).take_while(|(a, b)| a.0 == b.0).count() + 1)
+                .max()
+                .unwrap_or(0);
+            let sleeps = replayed_sleep_sets(&runs, r);
+            let met_all_asleep = run
+                .iter()
+                .zip(&sleeps)
+                .skip(prefix)
+                .any(|((_, slate), sleep)| slate.iter().all(|a| sleep.contains(a)));
+            blocked += usize::from(met_all_asleep);
+            let executed: Vec<SchedAlt> = run.iter().map(|(c, slate)| slate[*c]).collect();
+            assert!(
+                traces.insert(foata_fingerprint(&executed)) || met_all_asleep,
+                "run {r} repeats a trace but met no wholly asleep slate past its prefix"
+            );
+        }
+        assert_eq!(e.redundant as usize, runs.len() - traces.len());
+        assert!(blocked > 0, "no run was sleep-blocked");
     }
 
     #[test]

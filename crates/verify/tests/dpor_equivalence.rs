@@ -37,15 +37,16 @@ fn random_test(programs: Vec<Vec<LOp>>) -> LitmusTest {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On arbitrary 2-processor programs over 2 variables — including
-    /// RMWs — the DPOR engine's outcome set equals the sleep-set
-    /// engine's at both the lockstep cell and a shifted cell, and never
-    /// takes more runs.
+    /// On arbitrary 2- and 3-processor programs over 2 variables —
+    /// including RMWs — the DPOR engine's outcome set equals the
+    /// sleep-set engine's at both the lockstep cell and a shifted cell,
+    /// and never takes more runs. Three processors make the
+    /// sleep-blocked states where DPOR stops growing the tree common.
     #[test]
     fn dpor_matches_sleep_sets_on_random_programs(
         raw in proptest::collection::vec(
             proptest::collection::vec((0usize..5, 0usize..2), 1..4),
-            2..3,
+            2..4,
         )
     ) {
         let programs: Vec<Vec<LOp>> = raw
@@ -64,8 +65,11 @@ proptest! {
             })
             .collect();
         let t = random_test(programs);
+        let lockstep = vec![0; t.nprocs()];
+        let mut shifted = lockstep.clone();
+        shifted[1] = 1;
         for model in [Sc, Rc] {
-            for offsets in [vec![0, 0], vec![0, 1]] {
+            for offsets in [lockstep.clone(), shifted.clone()] {
                 let dpor = explore_cell(&t, model, &offsets, DEFAULT_MAX_RUNS, Engine::Dpor);
                 let sleep = explore_cell(&t, model, &offsets, DEFAULT_MAX_RUNS, Engine::Sleep);
                 prop_assert!(!dpor.truncated && !sleep.truncated);
@@ -141,5 +145,33 @@ fn sleep_guided_suffix_halves_the_costliest_cells() {
             v.runs,
             fifo_runs / 2
         );
+    }
+}
+
+/// Sleep-blocked states end the search, pinned as a regression: DPOR
+/// grows no tree below a decision whose whole slate is asleep, so it no
+/// longer branches inside subtrees that only repeat a sleeping sibling's
+/// traces. Growing the tree below them took 30,384 runs (19,824 of them
+/// redundant) on `wc_acq` under WC and 3,325 on `sb4` under PC.
+#[test]
+fn sleep_blocked_states_end_the_search() {
+    for (name, model, max_runs, max_redundant) in
+        [("wc_acq", Wc, 12_000, Some(1_100)), ("sb4", Pc, 900, None)]
+    {
+        let t = by_name(name).unwrap();
+        let v = verify_litmus_engine(&t, model, DEFAULT_MAX_RUNS, Engine::Dpor);
+        assert!(v.passed(), "{name} under {model} must pass");
+        assert!(
+            v.runs <= max_runs,
+            "{name} under {model}: {} runs, ceiling {max_runs}",
+            v.runs
+        );
+        if let Some(max) = max_redundant {
+            assert!(
+                v.redundant <= max,
+                "{name} under {model}: {} redundant runs, ceiling {max}",
+                v.redundant
+            );
+        }
     }
 }
