@@ -81,7 +81,7 @@ pub use config::{Consistency, ProcConfig};
 pub use events::{events_from_trace, AnalysisEvent, EventKind, EventLog, ReplayNote};
 pub use extract::{extract_program, ExtractError, Extraction};
 pub use machine::{BlockedOn, BlockedOp, Machine, RunError, RunResult, StuckProcess};
-pub use observe::{Decision, Observer, RunTimeline};
+pub use observe::{DecisionTrace, Observer, RunTimeline};
 pub use ops::{BarrierId, LabeledRange, LockId, Op, ProcId, SyncConfig, Topology, Workload};
 pub use sync::SyncState;
 pub use trace::{Trace, TraceRecorder};

@@ -64,10 +64,26 @@ const OUTSTANDING_PRUNE_LEN: usize = 128;
 /// probing, and both arrays share a cache line at typical depths. Entry
 /// order is irrelevant to semantics (lookups are by line), so removal can
 /// `swap_remove`.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct MshrTable {
     lines: Vec<LineAddr>,
     done: Vec<Cycle>,
+}
+
+impl Clone for MshrTable {
+    fn clone(&self) -> Self {
+        let MshrTable { lines, done } = self;
+        MshrTable {
+            lines: lines.clone(),
+            done: done.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let MshrTable { lines, done } = self;
+        lines.clone_from(&source.lines);
+        done.clone_from(&source.done);
+    }
 }
 
 impl MshrTable {
@@ -182,7 +198,6 @@ struct Context {
     blocked_on: Option<BlockedOn>,
 }
 
-#[derive(Clone)]
 struct Proc {
     /// Process ids of this processor's contexts.
     ctxs: Vec<usize>,
@@ -214,6 +229,108 @@ struct Proc {
     pending_lockout_fill: u64,
     /// Processor-side fault decisions (transient buffer-full events).
     faults: Option<FaultInjector>,
+}
+
+impl Clone for Proc {
+    fn clone(&self) -> Self {
+        let Proc {
+            ctxs,
+            loaded,
+            idle_since,
+            finished_at,
+            breakdown,
+            run_lengths,
+            wbuf,
+            wb_meta,
+            wb_active,
+            wb_next_issue,
+            writes_done_horizon,
+            acks_horizon,
+            wb_full_waiters,
+            fence_waiters,
+            pbuf,
+            pb_active,
+            pb_next_issue,
+            pf_full_waiters,
+            outstanding,
+            pending_lockout_pf,
+            pending_lockout_fill,
+            faults,
+        } = self;
+        Proc {
+            ctxs: ctxs.clone(),
+            loaded: *loaded,
+            idle_since: *idle_since,
+            finished_at: *finished_at,
+            breakdown: *breakdown,
+            run_lengths: run_lengths.clone(),
+            wbuf: wbuf.clone(),
+            wb_meta: wb_meta.clone(),
+            wb_active: *wb_active,
+            wb_next_issue: *wb_next_issue,
+            writes_done_horizon: *writes_done_horizon,
+            acks_horizon: *acks_horizon,
+            wb_full_waiters: wb_full_waiters.clone(),
+            fence_waiters: fence_waiters.clone(),
+            pbuf: pbuf.clone(),
+            pb_active: *pb_active,
+            pb_next_issue: *pb_next_issue,
+            pf_full_waiters: pf_full_waiters.clone(),
+            outstanding: outstanding.clone(),
+            pending_lockout_pf: *pending_lockout_pf,
+            pending_lockout_fill: *pending_lockout_fill,
+            faults: faults.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Proc {
+            ctxs,
+            loaded,
+            idle_since,
+            finished_at,
+            breakdown,
+            run_lengths,
+            wbuf,
+            wb_meta,
+            wb_active,
+            wb_next_issue,
+            writes_done_horizon,
+            acks_horizon,
+            wb_full_waiters,
+            fence_waiters,
+            pbuf,
+            pb_active,
+            pb_next_issue,
+            pf_full_waiters,
+            outstanding,
+            pending_lockout_pf,
+            pending_lockout_fill,
+            faults,
+        } = self;
+        ctxs.clone_from(&source.ctxs);
+        *loaded = source.loaded;
+        *idle_since = source.idle_since;
+        *finished_at = source.finished_at;
+        *breakdown = source.breakdown;
+        run_lengths.clone_from(&source.run_lengths);
+        wbuf.clone_from(&source.wbuf);
+        wb_meta.clone_from(&source.wb_meta);
+        *wb_active = source.wb_active;
+        *wb_next_issue = source.wb_next_issue;
+        *writes_done_horizon = source.writes_done_horizon;
+        *acks_horizon = source.acks_horizon;
+        wb_full_waiters.clone_from(&source.wb_full_waiters);
+        fence_waiters.clone_from(&source.fence_waiters);
+        pbuf.clone_from(&source.pbuf);
+        *pb_active = source.pb_active;
+        *pb_next_issue = source.pb_next_issue;
+        pf_full_waiters.clone_from(&source.pf_full_waiters);
+        outstanding.clone_from(&source.outstanding);
+        *pending_lockout_pf = source.pending_lockout_pf;
+        *pending_lockout_fill = source.pending_lockout_fill;
+        faults.clone_from(&source.faults);
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -450,16 +567,16 @@ impl RunResult {
     }
 }
 
-/// The attached scheduler (see [`Machine::with_scheduler`]). Machines are
-/// cloned before one is attached — one built machine, a clone per run —
-/// so a clone never carries a scheduler.
+/// The attached scheduler (see [`Machine::with_scheduler`]). A scheduler
+/// is attached to a copy of a built machine, never to the machine copied
+/// — one built machine, a copy per run — so a copy never carries one.
 struct SchedSlot(Option<Box<dyn Scheduler>>);
 
 impl Clone for SchedSlot {
     fn clone(&self) -> Self {
         assert!(
             self.0.is_none(),
-            "clone a machine before attaching its scheduler"
+            "copy a machine before attaching its scheduler"
         );
         SchedSlot(None)
     }
@@ -469,10 +586,12 @@ impl Clone for SchedSlot {
 /// [`Machine::run`]; to record what the run does, construct with
 /// [`Machine::observed`] and call [`Machine::run_observed`].
 ///
-/// A machine is a value: cloning one gives an identical machine that has
-/// not run yet, which is how the memory-model verifier runs one built
-/// machine many times.
-#[derive(Clone)]
+/// A machine is a value: a clone of a machine that has not run is an
+/// identical machine that has not run, and `clone_from` makes one in
+/// place, reusing every table, queue bucket and buffer the target has
+/// grown. The memory-model verifier builds one machine and runs each
+/// interleaving in one recycled machine ([`Machine::rerun`]), so a run
+/// allocates next to nothing.
 pub struct Machine<W: Workload, O: Observer = ()> {
     cfg: ProcConfig,
     topo: Topology,
@@ -505,6 +624,116 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     /// Under a scheduler: the events ready at the current cycle that no
     /// decision has taken yet, in the order the scheduler sees them.
     slate: Vec<Event>,
+    /// Under a scheduler: the description of each slate entry at the
+    /// current decision, kept so that a decision allocates nothing.
+    alts: Vec<SchedAlt>,
+}
+
+impl<W: Workload + Clone, O: Observer + Clone> Clone for Machine<W, O> {
+    fn clone(&self) -> Self {
+        let Machine {
+            cfg,
+            topo,
+            mem,
+            sync,
+            workload,
+            queue,
+            procs,
+            ctxs,
+            max_cycles,
+            shared_reads,
+            shared_writes,
+            lock_acquires,
+            barrier_arrivals,
+            prefetches_issued,
+            context_switches,
+            invariant_failure,
+            sched,
+            obs,
+            watch_last_t,
+            watch_events_at_t,
+            slate,
+            alts,
+        } = self;
+        Machine {
+            cfg: cfg.clone(),
+            topo: *topo,
+            mem: mem.clone(),
+            sync: sync.clone(),
+            workload: workload.clone(),
+            queue: queue.clone(),
+            procs: procs.clone(),
+            ctxs: ctxs.clone(),
+            max_cycles: *max_cycles,
+            shared_reads: *shared_reads,
+            shared_writes: *shared_writes,
+            lock_acquires: *lock_acquires,
+            barrier_arrivals: *barrier_arrivals,
+            prefetches_issued: *prefetches_issued,
+            context_switches: *context_switches,
+            invariant_failure: invariant_failure.clone(),
+            sched: sched.clone(),
+            obs: obs.clone(),
+            watch_last_t: *watch_last_t,
+            watch_events_at_t: *watch_events_at_t,
+            slate: slate.clone(),
+            alts: alts.clone(),
+        }
+    }
+
+    /// Copies `source` into `self` field by field, each reusing the
+    /// storage `self` already holds. The destructuring names every field,
+    /// so a field added to the machine does not compile until it is
+    /// copied here too: a stale field would silently steer every later
+    /// run of a recycled machine.
+    fn clone_from(&mut self, source: &Self) {
+        let Machine {
+            cfg,
+            topo,
+            mem,
+            sync,
+            workload,
+            queue,
+            procs,
+            ctxs,
+            max_cycles,
+            shared_reads,
+            shared_writes,
+            lock_acquires,
+            barrier_arrivals,
+            prefetches_issued,
+            context_switches,
+            invariant_failure,
+            sched,
+            obs,
+            watch_last_t,
+            watch_events_at_t,
+            slate,
+            alts,
+        } = self;
+        cfg.clone_from(&source.cfg);
+        *topo = source.topo;
+        mem.clone_from(&source.mem);
+        sync.clone_from(&source.sync);
+        workload.clone_from(&source.workload);
+        queue.clone_from(&source.queue);
+        procs.clone_from(&source.procs);
+        ctxs.clone_from(&source.ctxs);
+        *max_cycles = source.max_cycles;
+        *shared_reads = source.shared_reads;
+        *shared_writes = source.shared_writes;
+        *lock_acquires = source.lock_acquires;
+        *barrier_arrivals = source.barrier_arrivals;
+        *prefetches_issued = source.prefetches_issued;
+        *context_switches = source.context_switches;
+        invariant_failure.clone_from(&source.invariant_failure);
+        sched.clone_from(&source.sched);
+        obs.clone_from(&source.obs);
+        *watch_last_t = source.watch_last_t;
+        *watch_events_at_t = source.watch_events_at_t;
+        slate.clone_from(&source.slate);
+        alts.clone_from(&source.alts);
+    }
 }
 
 impl<W: Workload> Machine<W> {
@@ -515,6 +744,35 @@ impl<W: Workload> Machine<W> {
     /// As [`Machine::observed`].
     pub fn new(cfg: ProcConfig, topo: Topology, mem: MemorySystem, workload: W) -> Self {
         Machine::observed(cfg, topo, mem, workload, ())
+    }
+}
+
+impl<W: Workload + Clone, O: Observer + Clone> Machine<W, O> {
+    /// Runs a copy of `proto` in this machine's storage under `sched`:
+    /// copies `proto` in with `clone_from`, which reuses every table,
+    /// queue bucket and buffer this machine has grown, attaches the
+    /// scheduler and drives the copy to the end. No [`RunResult`] is
+    /// built: what the run reports goes to the observer, which is handed
+    /// back whether or not the run completes — after an error it holds
+    /// what the run did up to the error (the decisions that lead to it,
+    /// for a model checker's witness).
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proto` has a scheduler attached.
+    pub fn rerun(
+        &mut self,
+        proto: &Self,
+        sched: Box<dyn Scheduler>,
+    ) -> (Result<(), RunError>, &mut O) {
+        self.clone_from(proto);
+        self.sched = SchedSlot(Some(sched));
+        let result = self.drive();
+        (result, &mut self.obs)
     }
 }
 
@@ -628,7 +886,32 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             obs,
             watch_last_t: Cycle::ZERO,
             watch_events_at_t: 0,
+            alts: Vec::new(),
         }
+    }
+
+    /// Replaces the program of a machine that has not run, keeping
+    /// everything built for the old one: the memory system, the
+    /// processors and the event queue. The memory-model verifier builds
+    /// one machine per litmus test and model and swaps only the program
+    /// between its start-offset cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has run, or if `workload` differs from the
+    /// current program in process count or synchronization resources.
+    pub fn set_workload(&mut self, workload: W) {
+        assert_eq!(self.queue.scheduled(), 0, "the machine has run");
+        assert_eq!(
+            workload.processes(),
+            self.workload.processes(),
+            "workload process count does not match the machine"
+        );
+        assert!(
+            workload.sync_config() == self.workload.sync_config(),
+            "workload synchronization resources do not match the machine"
+        );
+        self.workload = workload;
     }
 
     /// Overrides the livelock cycle budget.
@@ -682,24 +965,10 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     /// # Errors
     ///
     /// As [`Machine::run`]; the observer is dropped with the machine (see
-    /// [`Machine::run_to_end`] to keep it).
-    pub fn run_observed(self) -> Result<(RunResult, O), RunError> {
-        let (result, obs) = self.run_to_end();
-        result.map(|result| (result, obs))
-    }
-
-    /// Runs the workload and hands the observer back whether or not the
-    /// run completes: after an error it holds what the run did up to the
-    /// error (the decisions that lead to it, for a model checker's
-    /// witness).
-    pub fn run_to_end(mut self) -> (Result<RunResult, RunError>, O) {
-        match self.drive() {
-            Ok(()) => {
-                let (result, obs) = self.finish();
-                (Ok(result), obs)
-            }
-            Err(e) => (Err(e), self.obs),
-        }
+    /// [`Machine::rerun`] to keep it).
+    pub fn run_observed(mut self) -> Result<(RunResult, O), RunError> {
+        self.drive()?;
+        Ok(self.finish())
     }
 
     /// The event loop: dispatches every event until the queue drains or
@@ -823,11 +1092,9 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             }
             t
         };
-        let alts: Vec<SchedAlt> = self
-            .slate
-            .iter()
-            .map(|ev| self.describe_event(ev))
-            .collect();
+        let mut alts = std::mem::take(&mut self.alts);
+        alts.clear();
+        alts.extend(self.slate.iter().map(|ev| self.describe_event(ev)));
         let sched = self.sched.0.as_mut().expect("caller checked");
         let choice = sched.choose(t, &alts);
         assert!(
@@ -836,6 +1103,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             alts.len()
         );
         self.obs.decision(choice, &alts);
+        self.alts = alts;
         Some((t, self.slate.remove(choice)))
     }
 

@@ -17,7 +17,7 @@
 //!   [`Trace`](crate::trace::Trace);
 //! * `Vec<AccessRecord>` — the memory system's access trace in coherence
 //!   order, from which the memory-model verifier reads values;
-//! * `Vec<Decision>` — the scheduler's decisions, the model checker's
+//! * [`DecisionTrace`] — the scheduler's decisions, the model checker's
 //!   backtracking state;
 //! * `(A, B)` — two observers at once (nest pairs for more).
 //!
@@ -31,10 +31,6 @@ use dashlat_sim::{Cycle, SchedAlt};
 
 use crate::events::EventKind;
 use crate::ops::{Op, ProcId};
-
-/// One scheduler decision: the chosen index and the slate it was chosen
-/// from.
-pub type Decision = (usize, Vec<SchedAlt>);
 
 /// What a run reveals as it happens. Every hook defaults to doing
 /// nothing.
@@ -149,8 +145,112 @@ impl Observer for Vec<AccessRecord> {
     }
 }
 
-impl Observer for Vec<Decision> {
+/// The scheduler's decisions of one run, in order: at decision `k` the
+/// scheduler chose alternative [`choice`](DecisionTrace::choice) of
+/// [`slate`](DecisionTrace::slate). Every slate lives in one flat buffer,
+/// so recording a decision allocates nothing once the buffers have grown
+/// to a run's length, and a trace reused across runs
+/// ([`clear`](DecisionTrace::clear), or `clone_from` an empty one) keeps
+/// them.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct DecisionTrace {
+    /// The index chosen at each decision.
+    choices: Vec<usize>,
+    /// Decision `k`'s slate is `alts[ends[k - 1]..ends[k]]` (from 0 for
+    /// the first decision).
+    ends: Vec<usize>,
+    /// Every decision's slate, back to back.
+    alts: Vec<SchedAlt>,
+}
+
+impl Clone for DecisionTrace {
+    fn clone(&self) -> Self {
+        let DecisionTrace {
+            choices,
+            ends,
+            alts,
+        } = self;
+        DecisionTrace {
+            choices: choices.clone(),
+            ends: ends.clone(),
+            alts: alts.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let DecisionTrace {
+            choices,
+            ends,
+            alts,
+        } = self;
+        choices.clone_from(&source.choices);
+        ends.clone_from(&source.ends);
+        alts.clone_from(&source.alts);
+    }
+}
+
+impl DecisionTrace {
+    /// Appends a decision: `choice` taken from `slate`.
+    pub fn push(&mut self, choice: usize, slate: &[SchedAlt]) {
+        self.choices.push(choice);
+        self.alts.extend_from_slice(slate);
+        self.ends.push(self.alts.len());
+    }
+
+    /// Forgets every decision, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.choices.clear();
+        self.ends.clear();
+        self.alts.clear();
+    }
+
+    /// Decisions recorded.
+    pub fn len(&self) -> usize {
+        self.choices.len()
+    }
+
+    /// True when no decision was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.choices.is_empty()
+    }
+
+    /// The index chosen at every decision, in order: replayed, they make
+    /// the same run.
+    pub fn choices(&self) -> &[usize] {
+        &self.choices
+    }
+
+    /// The index chosen at decision `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    pub fn choice(&self, k: usize) -> usize {
+        self.choices[k]
+    }
+
+    /// The slate of decision `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    pub fn slate(&self, k: usize) -> &[SchedAlt] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.alts[start..self.ends[k]]
+    }
+
+    /// The alternative decision `k` took.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    pub fn chosen(&self, k: usize) -> SchedAlt {
+        self.slate(k)[self.choices[k]]
+    }
+}
+
+impl Observer for DecisionTrace {
     fn decision(&mut self, choice: usize, slate: &[SchedAlt]) {
-        self.push((choice, slate.to_vec()));
+        self.push(choice, slate);
     }
 }

@@ -147,7 +147,7 @@ impl LabeledRange {
 /// addresses backing each lock and barrier (they are ordinary cache lines
 /// and generate ordinary coherence traffic), plus any address ranges whose
 /// competing accesses are *labeled* as intentionally unordered.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SyncConfig {
     /// One backing address per lock.
     pub lock_addrs: Vec<Addr>,
@@ -157,6 +157,32 @@ pub struct SyncConfig {
     /// Declared labeled-competing ranges (empty for fully ordered
     /// workloads such as LU).
     pub labeled_ranges: Vec<LabeledRange>,
+}
+
+impl Clone for SyncConfig {
+    fn clone(&self) -> Self {
+        let SyncConfig {
+            lock_addrs,
+            barrier_addrs,
+            labeled_ranges,
+        } = self;
+        SyncConfig {
+            lock_addrs: lock_addrs.clone(),
+            barrier_addrs: barrier_addrs.clone(),
+            labeled_ranges: labeled_ranges.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let SyncConfig {
+            lock_addrs,
+            barrier_addrs,
+            labeled_ranges,
+        } = self;
+        lock_addrs.clone_from(&source.lock_addrs);
+        barrier_addrs.clone_from(&source.barrier_addrs);
+        labeled_ranges.clone_from(&source.labeled_ranges);
+    }
 }
 
 impl SyncConfig {

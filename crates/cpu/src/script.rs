@@ -27,12 +27,42 @@ use crate::ops::{LabeledRange, Op, ProcId, SyncConfig, Workload};
 /// assert_eq!(w.next_op(ProcId(0)), Op::Done);
 /// assert_eq!(w.next_op(ProcId(0)), Op::Done);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScriptWorkload {
     scripts: Vec<Vec<Op>>,
     cursor: Vec<usize>,
     sync: SyncConfig,
     shared_bytes: u64,
+}
+
+impl Clone for ScriptWorkload {
+    fn clone(&self) -> Self {
+        let ScriptWorkload {
+            scripts,
+            cursor,
+            sync,
+            shared_bytes,
+        } = self;
+        ScriptWorkload {
+            scripts: scripts.clone(),
+            cursor: cursor.clone(),
+            sync: sync.clone(),
+            shared_bytes: *shared_bytes,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let ScriptWorkload {
+            scripts,
+            cursor,
+            sync,
+            shared_bytes,
+        } = self;
+        scripts.clone_from(&source.scripts);
+        cursor.clone_from(&source.cursor);
+        sync.clone_from(&source.sync);
+        *shared_bytes = source.shared_bytes;
+    }
 }
 
 impl ScriptWorkload {

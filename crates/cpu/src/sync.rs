@@ -20,19 +20,75 @@ use dashlat_mem::addr::Addr;
 
 use crate::ops::{BarrierId, LockId, ProcId, SyncConfig};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Lock {
     addr: Addr,
     holder: Option<ProcId>,
     waiters: VecDeque<ProcId>,
 }
 
-#[derive(Debug, Clone)]
+impl Clone for Lock {
+    fn clone(&self) -> Self {
+        let Lock {
+            addr,
+            holder,
+            waiters,
+        } = self;
+        Lock {
+            addr: *addr,
+            holder: *holder,
+            waiters: waiters.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Lock {
+            addr,
+            holder,
+            waiters,
+        } = self;
+        *addr = source.addr;
+        *holder = source.holder;
+        waiters.clone_from(&source.waiters);
+    }
+}
+
+#[derive(Debug)]
 struct Barrier {
     addr: Addr,
     arrived: usize,
     waiting: Vec<ProcId>,
     episodes: u64,
+}
+
+impl Clone for Barrier {
+    fn clone(&self) -> Self {
+        let Barrier {
+            addr,
+            arrived,
+            waiting,
+            episodes,
+        } = self;
+        Barrier {
+            addr: *addr,
+            arrived: *arrived,
+            waiting: waiting.clone(),
+            episodes: *episodes,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Barrier {
+            addr,
+            arrived,
+            waiting,
+            episodes,
+        } = self;
+        *addr = source.addr;
+        *arrived = source.arrived;
+        waiting.clone_from(&source.waiting);
+        *episodes = source.episodes;
+    }
 }
 
 /// Result of a lock acquire attempt.
@@ -55,13 +111,47 @@ pub enum BarrierOutcome {
 }
 
 /// Machine-wide synchronization state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SyncState {
     locks: Vec<Lock>,
     barriers: Vec<Barrier>,
     participants: usize,
     lock_ops: u64,
     barrier_ops: u64,
+}
+
+impl Clone for SyncState {
+    fn clone(&self) -> Self {
+        let SyncState {
+            locks,
+            barriers,
+            participants,
+            lock_ops,
+            barrier_ops,
+        } = self;
+        SyncState {
+            locks: locks.clone(),
+            barriers: barriers.clone(),
+            participants: *participants,
+            lock_ops: *lock_ops,
+            barrier_ops: *barrier_ops,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let SyncState {
+            locks,
+            barriers,
+            participants,
+            lock_ops,
+            barrier_ops,
+        } = self;
+        locks.clone_from(&source.locks);
+        barriers.clone_from(&source.barriers);
+        *participants = source.participants;
+        *lock_ops = source.lock_ops;
+        *barrier_ops = source.barrier_ops;
+    }
 }
 
 impl SyncState {

@@ -58,7 +58,7 @@ pub struct PendingWrite {
 /// assert!(!wb.try_push(PendingWrite { addr: Addr(32), enqueued_at: Cycle(2), kind: WriteKind::Data }));
 /// assert_eq!(wb.pop().map(|w| w.addr), Some(Addr(0)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WriteBuffer {
     entries: VecDeque<PendingWrite>,
     capacity: usize,
@@ -70,6 +70,52 @@ pub struct WriteBuffer {
     next_seq: u64,
     serviced_high: Option<u64>,
     fifo_violation: Option<String>,
+}
+
+impl Clone for WriteBuffer {
+    fn clone(&self) -> Self {
+        let WriteBuffer {
+            entries,
+            capacity,
+            high_water,
+            total_pushed,
+            seqs,
+            next_seq,
+            serviced_high,
+            fifo_violation,
+        } = self;
+        WriteBuffer {
+            entries: entries.clone(),
+            capacity: *capacity,
+            high_water: *high_water,
+            total_pushed: *total_pushed,
+            seqs: seqs.clone(),
+            next_seq: *next_seq,
+            serviced_high: *serviced_high,
+            fifo_violation: fifo_violation.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let WriteBuffer {
+            entries,
+            capacity,
+            high_water,
+            total_pushed,
+            seqs,
+            next_seq,
+            serviced_high,
+            fifo_violation,
+        } = self;
+        entries.clone_from(&source.entries);
+        *capacity = source.capacity;
+        *high_water = source.high_water;
+        *total_pushed = source.total_pushed;
+        seqs.clone_from(&source.seqs);
+        *next_seq = source.next_seq;
+        *serviced_high = source.serviced_high;
+        fifo_violation.clone_from(&source.fifo_violation);
+    }
 }
 
 impl WriteBuffer {
@@ -208,12 +254,42 @@ pub struct PendingPrefetch {
 /// line is already present the prefetch is discarded, otherwise it is issued
 /// to the memory system like a normal request (§5.1). That check-and-issue
 /// sequencing is driven by the processor model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PrefetchBuffer {
     entries: VecDeque<PendingPrefetch>,
     capacity: usize,
     high_water: usize,
     total_pushed: u64,
+}
+
+impl Clone for PrefetchBuffer {
+    fn clone(&self) -> Self {
+        let PrefetchBuffer {
+            entries,
+            capacity,
+            high_water,
+            total_pushed,
+        } = self;
+        PrefetchBuffer {
+            entries: entries.clone(),
+            capacity: *capacity,
+            high_water: *high_water,
+            total_pushed: *total_pushed,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let PrefetchBuffer {
+            entries,
+            capacity,
+            high_water,
+            total_pushed,
+        } = self;
+        entries.clone_from(&source.entries);
+        *capacity = source.capacity;
+        *high_water = source.high_water;
+        *total_pushed = source.total_pushed;
+    }
 }
 
 impl PrefetchBuffer {

@@ -53,13 +53,29 @@ pub enum Eviction {
 /// // A different line mapping to the same set displaces it:
 /// assert_eq!(c.fill(LineAddr(7 + 128), LineState::Dirty), Eviction::Clean(LineAddr(7)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     sets: Vec<Option<Slot>>,
     /// `sets.len() - 1` when the set count is a power of two (the common
     /// geometry), letting `set_of` mask instead of divide on the hot path;
     /// `usize::MAX` otherwise.
     mask: usize,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        let Cache { sets, mask } = self;
+        Cache {
+            sets: sets.clone(),
+            mask: *mask,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Cache { sets, mask } = self;
+        sets.clone_from(&source.sets);
+        *mask = source.mask;
+    }
 }
 
 impl Cache {

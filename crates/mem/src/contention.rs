@@ -86,7 +86,7 @@ pub enum NetworkModel {
 
 /// All contended resources of the machine: a handful of `busy-until`
 /// vectors, so a clone is a flat memcpy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Contention {
     enabled: bool,
     occ: OccupancyTable,
@@ -95,6 +95,48 @@ pub struct Contention {
     net_in: Vec<Resource>,
     memory: Vec<Resource>,
     mesh: Option<crate::mesh::Mesh>,
+}
+
+impl Clone for Contention {
+    fn clone(&self) -> Self {
+        let Contention {
+            enabled,
+            occ,
+            bus,
+            net_out,
+            net_in,
+            memory,
+            mesh,
+        } = self;
+        Contention {
+            enabled: *enabled,
+            occ: occ.clone(),
+            bus: bus.clone(),
+            net_out: net_out.clone(),
+            net_in: net_in.clone(),
+            memory: memory.clone(),
+            mesh: mesh.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Contention {
+            enabled,
+            occ,
+            bus,
+            net_out,
+            net_in,
+            memory,
+            mesh,
+        } = self;
+        *enabled = source.enabled;
+        occ.clone_from(&source.occ);
+        bus.clone_from(&source.bus);
+        net_out.clone_from(&source.net_out);
+        net_in.clone_from(&source.net_in);
+        memory.clone_from(&source.memory);
+        mesh.clone_from(&source.mesh);
+    }
 }
 
 impl Contention {
@@ -186,6 +228,21 @@ impl Contention {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Frees every resource, as if no transaction had occupied any.
+    pub(crate) fn reset(&mut self) {
+        for r in [
+            &mut self.bus,
+            &mut self.net_out,
+            &mut self.net_in,
+            &mut self.memory,
+        ] {
+            r.fill(Resource::default());
+        }
+        if let Some(mesh) = &mut self.mesh {
+            mesh.reset();
+        }
     }
 }
 

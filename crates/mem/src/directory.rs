@@ -71,7 +71,7 @@ pub struct DirOutcome {
 /// pre-sized range (possible only for addresses outside the declared
 /// layout, e.g. hand-written litmus programs) spill to a hash map with
 /// identical semantics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Directory {
     /// State of line `i` at index `i`, for lines below the pre-sized bound.
     dense: Vec<DirState>,
@@ -85,6 +85,44 @@ pub struct Directory {
     /// Count of non-[`DirState::Uncached`] entries, maintained on every
     /// transition so telemetry never walks the arena.
     tracked: usize,
+}
+
+impl Clone for Directory {
+    fn clone(&self) -> Self {
+        let Directory {
+            dense,
+            spill,
+            kind,
+            nodes,
+            broadcasts,
+            tracked,
+        } = self;
+        Directory {
+            dense: dense.clone(),
+            spill: spill.clone(),
+            kind: *kind,
+            nodes: *nodes,
+            broadcasts: *broadcasts,
+            tracked: *tracked,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Directory {
+            dense,
+            spill,
+            kind,
+            nodes,
+            broadcasts,
+            tracked,
+        } = self;
+        dense.clone_from(&source.dense);
+        spill.clone_from(&source.spill);
+        *kind = source.kind;
+        *nodes = source.nodes;
+        *broadcasts = source.broadcasts;
+        *tracked = source.tracked;
+    }
 }
 
 impl Directory {

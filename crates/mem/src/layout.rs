@@ -83,10 +83,26 @@ impl fmt::Display for Segment {
 }
 
 /// Maps every page of the shared space to its home node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PageMap {
     homes: Vec<NodeId>,
     nodes: usize,
+}
+
+impl Clone for PageMap {
+    fn clone(&self) -> Self {
+        let PageMap { homes, nodes } = self;
+        PageMap {
+            homes: homes.clone(),
+            nodes: *nodes,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let PageMap { homes, nodes } = self;
+        homes.clone_from(&source.homes);
+        *nodes = source.nodes;
+    }
 }
 
 impl PageMap {

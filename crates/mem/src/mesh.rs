@@ -41,7 +41,7 @@ impl Dir {
 ///
 /// Nodes are numbered row-major: node `i` sits at
 /// `(i % width, i / width)`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mesh {
     width: usize,
     height: usize,
@@ -54,7 +54,46 @@ pub struct Mesh {
     coords: Vec<(u32, u32)>,
 }
 
+impl Clone for Mesh {
+    fn clone(&self) -> Self {
+        let Mesh {
+            width,
+            height,
+            links,
+            occupancy,
+            coords,
+        } = self;
+        Mesh {
+            width: *width,
+            height: *height,
+            links: links.clone(),
+            occupancy: *occupancy,
+            coords: coords.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Mesh {
+            width,
+            height,
+            links,
+            occupancy,
+            coords,
+        } = self;
+        *width = source.width;
+        *height = source.height;
+        links.clone_from(&source.links);
+        *occupancy = source.occupancy;
+        coords.clone_from(&source.coords);
+    }
+}
+
 impl Mesh {
+    /// Frees every link, as if no message had crossed any.
+    pub(crate) fn reset(&mut self) {
+        self.links.fill(Resource::default());
+    }
+
     /// Builds the smallest mesh that fits `nodes` (width = ⌈√nodes⌉).
     ///
     /// # Panics

@@ -236,8 +236,9 @@ pub struct MemStats {
 /// The simulated memory system of the whole machine.
 ///
 /// All state is flat tables (caches, directory, busy-until vectors,
-/// counters), so `Clone` captures a bit-exact copy of the memory system.
-#[derive(Clone)]
+/// counters), so `Clone` captures a bit-exact copy of the memory system,
+/// and `clone_from` makes one in place without allocating once the
+/// target's tables have the source's sizes.
 pub struct MemorySystem {
     cfg: MemConfig,
     page_map: PageMap,
@@ -262,6 +263,60 @@ impl std::fmt::Debug for MemorySystem {
             .field("caching", &self.cfg.caching)
             .field("tracked_lines", &self.directory.tracked_lines())
             .finish()
+    }
+}
+
+impl Clone for MemorySystem {
+    fn clone(&self) -> Self {
+        let MemorySystem {
+            cfg,
+            page_map,
+            primary,
+            secondary,
+            directory,
+            contention,
+            faults,
+            stats,
+            holders_scratch,
+            dirty_scratch,
+        } = self;
+        MemorySystem {
+            cfg: cfg.clone(),
+            page_map: page_map.clone(),
+            primary: primary.clone(),
+            secondary: secondary.clone(),
+            directory: directory.clone(),
+            contention: contention.clone(),
+            faults: faults.clone(),
+            stats: stats.clone(),
+            holders_scratch: holders_scratch.clone(),
+            dirty_scratch: dirty_scratch.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let MemorySystem {
+            cfg,
+            page_map,
+            primary,
+            secondary,
+            directory,
+            contention,
+            faults,
+            stats,
+            holders_scratch,
+            dirty_scratch,
+        } = self;
+        cfg.clone_from(&source.cfg);
+        page_map.clone_from(&source.page_map);
+        primary.clone_from(&source.primary);
+        secondary.clone_from(&source.secondary);
+        directory.clone_from(&source.directory);
+        contention.clone_from(&source.contention);
+        faults.clone_from(&source.faults);
+        stats.clone_from(&source.stats);
+        holders_scratch.clone_from(&source.holders_scratch);
+        dirty_scratch.clone_from(&source.dirty_scratch);
     }
 }
 
@@ -315,8 +370,9 @@ impl MemorySystem {
         self.directory.state(line)
     }
 
-    /// A protocol-state fork of this system: identical caches, directory
-    /// and page map, but fresh contention/fault/statistics state.
+    /// Makes `self` a protocol-state fork of `source`, reusing `self`'s
+    /// tables: identical caches, directory and page map, but fresh
+    /// contention/fault/statistics state.
     ///
     /// The exhaustive directory-protocol checker explores the reachable
     /// protocol state space breadth-first; each frontier state is expanded
@@ -325,24 +381,11 @@ impl MemorySystem {
     /// for the SWMR and data-value invariants — timing artefacts like
     /// queue occupancy deliberately reset so two states that differ only
     /// in contention history compare equal.
-    pub fn fork_protocol(&self) -> MemorySystem {
-        MemorySystem {
-            cfg: self.cfg.clone(),
-            page_map: self.page_map.clone(),
-            primary: self.primary.clone(),
-            secondary: self.secondary.clone(),
-            directory: self.directory.clone(),
-            contention: Contention::with_network(
-                self.cfg.nodes,
-                self.cfg.occupancies.clone(),
-                self.cfg.contention,
-                self.cfg.network,
-            ),
-            faults: None,
-            stats: MemStats::default(),
-            holders_scratch: Vec::new(),
-            dirty_scratch: Vec::new(),
-        }
+    pub fn fork_protocol_from(&mut self, source: &MemorySystem) {
+        self.clone_from(source);
+        self.contention.reset();
+        self.faults = None;
+        self.stats = MemStats::default();
     }
 
     /// Number of 16-byte lines in the layout's shared segments (the upper

@@ -105,7 +105,6 @@ pub struct QueueHints {
 /// let (t, e) = q.pop().expect("queue is non-empty");
 /// assert_eq!((t, e), (Cycle(1), 'a'));
 /// ```
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// `WHEEL_SLOTS` buckets; bucket `at % WHEEL_SLOTS` holds the events for
     /// timestamp `at` while `at` lies inside the window. Buckets are plain
@@ -331,6 +330,55 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        let EventQueue {
+            wheel,
+            occupied,
+            wheel_len,
+            overflow,
+            next_seq,
+            now,
+        } = self;
+        EventQueue {
+            wheel: wheel.clone(),
+            occupied: *occupied,
+            wheel_len: *wheel_len,
+            overflow: overflow.clone(),
+            next_seq: *next_seq,
+            now: *now,
+        }
+    }
+
+    /// Copies `source` into `self` keeping `self`'s bucket and heap
+    /// storage: a machine that reruns a copy of one built queue allocates
+    /// nothing once its buckets have grown. Only buckets occupied in
+    /// either queue are touched; the rest are empty in both.
+    fn clone_from(&mut self, source: &Self) {
+        let EventQueue {
+            wheel,
+            occupied,
+            wheel_len,
+            overflow,
+            next_seq,
+            now,
+        } = self;
+        for (w, (mine, theirs)) in occupied.iter().zip(&source.occupied).enumerate() {
+            let mut bits = mine | theirs;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                wheel[slot].clone_from(&source.wheel[slot]);
+            }
+        }
+        *occupied = source.occupied;
+        *wheel_len = source.wheel_len;
+        overflow.clone_from(&source.overflow);
+        *next_seq = source.next_seq;
+        *now = source.now;
     }
 }
 
@@ -561,6 +609,22 @@ mod tests {
         assert_eq!(copy.scheduled(), q.scheduled());
         // The original is untouched by draining the clone.
         assert_eq!(q.len(), 2);
+
+        // `clone_from` into a queue with other events in other buckets
+        // and in the heap leaves exactly the source's.
+        let mut other = EventQueue::new();
+        for t in [1, 7, 200, 700] {
+            other.schedule(Cycle(t), 10);
+        }
+        other.pop();
+        other.clone_from(&q);
+        assert_eq!((other.now(), other.len()), (q.now(), q.len()));
+        let mut rest = Vec::new();
+        while let Some(e) = other.pop() {
+            rest.push(e);
+        }
+        assert_eq!(rest, vec![(Cycle(5), 2), (Cycle(9000), 3)]);
+        assert_eq!(other.scheduled(), q.scheduled());
     }
 
     #[test]

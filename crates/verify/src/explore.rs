@@ -1,7 +1,11 @@
 //! Stateless model checking over scheduler decision points.
 //!
-//! The machine, run with a [`dashlat_sim::ReplayScheduler`], reports every
-//! same-cycle decision point as a `(chosen, slate)` pair. The explorer
+//! The machine, run with a [`dashlat_sim::ReplayScheduler`], records every
+//! same-cycle decision point — the slate and the index chosen from it — in
+//! a [`DecisionTrace`]. One trace serves the whole exploration: each run
+//! clears it and the runner records into it, so a run allocates no
+//! decision storage, and the explorer copies a run's choices out only for
+//! a new outcome's witness or an error. The explorer
 //! re-runs the program from scratch, depth-first, until every alternative
 //! that could lead to a new Mazurkiewicz trace has been executed. Each run
 //! replays the choices down to a branch node, takes one untried
@@ -79,7 +83,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-use dashlat_cpu::Decision;
+use dashlat_cpu::DecisionTrace;
 use dashlat_sim::{ReplayScheduler, SchedAlt};
 
 use crate::outcome::{Outcome, OutcomeSet};
@@ -133,12 +137,9 @@ pub struct Exploration {
     pub error: Option<(String, Vec<usize>)>,
 }
 
-/// What one machine run reports back to the explorer: the decision trace
-/// — `(choice taken, full slate)` at each decision point — plus the
-/// terminal outcome, or the machine error that ended the run.
-pub type RunRecord = (Vec<Decision>, Result<Outcome, String>);
-
-/// One node of the depth-first search tree.
+/// One node of the depth-first search tree. Popped nodes are kept and
+/// reused for the next ones, so growing the tree reuses their buffers.
+#[derive(Default)]
 struct Frame {
     /// The slate the machine reported at this decision point.
     alts: Vec<SchedAlt>,
@@ -324,39 +325,42 @@ fn add_backtrack(frame: &mut Frame, events: &[SchedAlt], initials: &[usize]) {
     }
 }
 
-/// The sleep set of the child `parent` reaches through alternative
-/// `chosen`: everything asleep at the parent, plus its fully explored
-/// earlier branches, minus whatever the chosen transition is dependent
-/// with (dependence wakes).
-fn child_sleep(parent: &Frame, chosen: usize) -> Vec<SchedAlt> {
+/// Sets `sleep` to the sleep set of the child `parent` reaches through
+/// alternative `chosen`: everything asleep at the parent, plus its fully
+/// explored earlier branches, minus whatever the chosen transition is
+/// dependent with (dependence wakes).
+fn child_sleep(parent: &Frame, chosen: usize, sleep: &mut Vec<SchedAlt>) {
     let via = parent.alts[chosen];
-    let mut s: Vec<SchedAlt> = parent
-        .tried
-        .iter()
-        .filter(|&&t| t != chosen)
-        .map(|&t| parent.alts[t])
-        .chain(parent.sleep.iter().copied())
-        .filter(|x| x.independent(&via))
-        .collect();
-    s.dedup();
-    s
+    sleep.clear();
+    sleep.extend(
+        parent
+            .tried
+            .iter()
+            .filter(|&&t| t != chosen)
+            .map(|&t| parent.alts[t])
+            .chain(parent.sleep.iter().copied())
+            .filter(|x| x.independent(&via)),
+    );
+    sleep.dedup();
 }
 
 /// Exhaustively explores every scheduler interleaving of a deterministic
 /// program.
 ///
 /// `run` executes one machine run whose decisions the given scheduler
-/// makes, and returns the decision trace plus the terminal outcome — or,
-/// for a failed run, the decisions up to the error and the error. It must
-/// be deterministic: equal schedulers must yield equal traces.
+/// makes, records them in the trace it is handed (empty on entry), and
+/// returns the terminal outcome — or, for a failed run, the error, with
+/// the decisions up to it recorded. It must be deterministic: equal
+/// schedulers must yield equal traces.
 ///
 /// # Panics
 ///
-/// Panics if `run` is observably nondeterministic (a replayed prefix
-/// reaches a decision point with a different slate).
+/// Panics if `run` is observably nondeterministic: a replayed prefix
+/// reaches a decision point with a different slate, or its replayed
+/// events differ from the run it replays.
 pub fn explore<F>(mut run: F, max_runs: u64, engine: Engine) -> Exploration
 where
-    F: FnMut(ReplayScheduler) -> RunRecord,
+    F: FnMut(ReplayScheduler, &mut DecisionTrace) -> Result<Outcome, String>,
 {
     let mut out = Exploration::default();
     let mut stack: Vec<Frame> = Vec::new();
@@ -366,37 +370,57 @@ where
     let mut traces: HashSet<u64> = HashSet::new();
     let mut scratch = RaceScratch::default();
     let mut executed: Vec<SchedAlt> = Vec::new();
+    let mut trace = DecisionTrace::default();
+    let mut spare: Vec<Frame> = Vec::new();
     loop {
         if out.runs >= max_runs {
             out.truncated = true;
             return out;
         }
         out.runs += 1;
+        // The prefix replays the choices of every node on the stack.
         let replayed = prefix.len();
         let sched = ReplayScheduler::with_prefix(std::mem::take(&mut prefix))
             .with_sleep(std::mem::take(&mut sleep));
-        let (decisions, result) = run(sched);
+        trace.clear();
+        let result = run(sched, &mut trace);
         assert!(
-            decisions.len() >= replayed,
+            trace.len() >= replayed,
             "replay consumed only {} of a {replayed}-choice prefix — nondeterministic run",
-            decisions.len(),
+            trace.len(),
         );
-        let choices: Vec<usize> = decisions.iter().map(|d| d.0).collect();
-        match result {
-            Ok(outcome) => {
-                out.outcomes.insert(outcome.clone());
-                out.witnesses.entry(outcome).or_insert(choices);
-            }
-            Err(message) => {
-                out.error = Some((message, choices));
-                return out;
-            }
-        }
+        assert!(
+            stack
+                .iter()
+                .enumerate()
+                .all(|(k, f)| f.alts == trace.slate(k)),
+            "slate drift under replay"
+        );
         // The events before the branch, the prefix's last choice, are the
         // previous run's.
         let branch = replayed.saturating_sub(1);
+        assert!(
+            executed[..branch]
+                .iter()
+                .enumerate()
+                .all(|(k, e)| *e == trace.chosen(k)),
+            "the replayed events differ from the previous run's"
+        );
+        match result {
+            Ok(outcome) => {
+                if !out.witnesses.contains_key(&outcome) {
+                    out.witnesses
+                        .insert(outcome.clone(), trace.choices().to_vec());
+                    out.outcomes.insert(outcome);
+                }
+            }
+            Err(message) => {
+                out.error = Some((message, trace.choices().to_vec()));
+                return out;
+            }
+        }
         executed.truncate(branch);
-        executed.extend(decisions[branch..].iter().map(|(c, alts)| alts[*c]));
+        executed.extend((branch..trace.len()).map(|k| trace.chosen(k)));
         scratch.stamp(&executed, branch);
         if !traces.insert(scratch.fingerprint()) {
             out.redundant += 1;
@@ -404,34 +428,26 @@ where
 
         // Grow the tree along the new suffix of this run; under DPOR, up
         // to its first sleep-blocked decision.
-        for i in stack.len()..decisions.len() {
-            let (chosen, alts) = &decisions[i];
-            let inherited = match i {
-                0 => Vec::new(),
-                _ => child_sleep(&stack[i - 1], decisions[i - 1].0),
-            };
-            if engine == Engine::Dpor && alts.iter().all(|a| inherited.contains(a)) {
+        for i in stack.len()..trace.len() {
+            let (chosen, alts) = (trace.choice(i), trace.slate(i));
+            let mut frame = spare.pop().unwrap_or_default();
+            match i {
+                0 => frame.sleep.clear(),
+                _ => child_sleep(&stack[i - 1], trace.choice(i - 1), &mut frame.sleep),
+            }
+            if engine == Engine::Dpor && alts.iter().all(|a| frame.sleep.contains(a)) {
+                spare.push(frame);
                 break;
             }
-            debug_assert!(*chosen < alts.len());
-            stack.push(Frame {
-                alts: alts.clone(),
-                tried: vec![*chosen],
-                sleep: inherited,
-                backtrack: vec![*chosen],
-            });
+            debug_assert!(chosen < alts.len());
+            frame.alts.clear();
+            frame.alts.extend_from_slice(alts);
+            for taken in [&mut frame.tried, &mut frame.backtrack] {
+                taken.clear();
+                taken.push(chosen);
+            }
+            stack.push(frame);
         }
-        debug_assert!(
-            stack.iter().zip(&decisions).all(|(f, d)| f.alts == d.1),
-            "slate drift under replay"
-        );
-        debug_assert!(
-            executed
-                .iter()
-                .zip(&decisions)
-                .all(|(e, (c, alts))| *e == alts[*c]),
-            "the replayed events differ from the previous run's"
-        );
 
         if engine == Engine::Dpor {
             update_backtracks(&mut stack, &executed, branch, &mut scratch);
@@ -456,12 +472,12 @@ where
             if let Some(j) = next {
                 top.tried.push(j);
                 if engine != Engine::Full {
-                    sleep = child_sleep(top, j);
+                    child_sleep(top, j, &mut sleep);
                 }
                 prefix = stack.iter().map(|f| *f.tried.last().unwrap()).collect();
                 break;
             }
-            stack.pop();
+            spare.extend(stack.pop());
         }
     }
 }
@@ -486,26 +502,29 @@ mod tests {
         scratch.fingerprint()
     }
 
+    /// What the explorer runs: one run under a scheduler, recorded.
+    trait Runner: FnMut(ReplayScheduler, &mut DecisionTrace) -> Result<Outcome, String> {}
+    impl<F: FnMut(ReplayScheduler, &mut DecisionTrace) -> Result<Outcome, String>> Runner for F {}
+
     /// A synthetic program: processor `p` executes the events of
     /// `progs[p]` in order, each appending `p` to a log; the outcome is the
     /// order taken. Each slate lists every unfinished processor's next
     /// event, and the scheduler makes every choice.
-    fn program_runner(progs: Vec<Vec<Footprint>>) -> impl FnMut(ReplayScheduler) -> RunRecord {
-        move |mut sched: ReplayScheduler| {
+    fn program_runner(progs: Vec<Vec<Footprint>>) -> impl Runner {
+        move |mut sched: ReplayScheduler, trace: &mut DecisionTrace| {
             let mut pc = vec![0; progs.len()];
-            let mut decisions = Vec::new();
             let mut order = Vec::new();
             loop {
                 let ready: Vec<usize> = (0..progs.len())
                     .filter(|&p| pc[p] < progs[p].len())
                     .collect();
                 if ready.is_empty() {
-                    return (decisions, Ok(order));
+                    return Ok(order);
                 }
                 let slate: Vec<SchedAlt> = ready.iter().map(|&p| alt(p, progs[p][pc[p]])).collect();
                 let choice = sched.choose(Cycle::ZERO, &slate);
                 assert!(choice < slate.len());
-                decisions.push((choice, slate));
+                trace.push(choice, &slate);
                 pc[ready[choice]] += 1;
                 order.push(ready[choice] as u64);
             }
@@ -514,21 +533,28 @@ mod tests {
 
     /// One event per processor: the outcome is the permutation taken, and
     /// slates shrink as events execute.
-    fn permutation_runner(fps: Vec<Footprint>) -> impl FnMut(ReplayScheduler) -> RunRecord {
+    fn permutation_runner(fps: Vec<Footprint>) -> impl Runner {
         program_runner(fps.into_iter().map(|fp| vec![fp]).collect())
     }
 
+    /// Runs `runner` once under `sched`, returning its trace and result.
+    fn run_once(
+        runner: &mut impl Runner,
+        sched: ReplayScheduler,
+    ) -> (DecisionTrace, Result<Outcome, String>) {
+        let mut trace = DecisionTrace::default();
+        let result = runner(sched, &mut trace);
+        (trace, result)
+    }
+
     /// Explores `runner` under `engine` and keeps every run's decisions.
-    fn recorded(
-        mut runner: impl FnMut(ReplayScheduler) -> RunRecord,
-        engine: Engine,
-    ) -> (Exploration, Vec<Vec<Decision>>) {
-        let mut runs: Vec<Vec<Decision>> = Vec::new();
+    fn recorded(mut runner: impl Runner, engine: Engine) -> (Exploration, Vec<DecisionTrace>) {
+        let mut runs: Vec<DecisionTrace> = Vec::new();
         let e = explore(
-            |sched| {
-                let record = runner(sched);
-                runs.push(record.0.clone());
-                record
+            |sched, trace| {
+                let result = runner(sched, trace);
+                runs.push(trace.clone());
+                result
             },
             1_000,
             engine,
@@ -540,18 +566,19 @@ mod tests {
     /// The sleep set in force at each decision of run `r`, replayed from
     /// the recorded runs: at each node, the branches earlier runs took
     /// from it fall asleep, and a choice wakes what it is dependent with.
-    fn replayed_sleep_sets(runs: &[Vec<Decision>], r: usize) -> Vec<Vec<SchedAlt>> {
+    fn replayed_sleep_sets(runs: &[DecisionTrace], r: usize) -> Vec<Vec<SchedAlt>> {
         let run = &runs[r];
         let mut sleep: Vec<SchedAlt> = Vec::new();
         let mut sets = Vec::with_capacity(run.len());
-        for (k, (chosen, slate)) in run.iter().enumerate() {
-            let via = slate[*chosen];
-            let on_path = |other: &&Vec<Decision>| {
+        for k in 0..run.len() {
+            let (chosen, slate) = (run.choice(k), run.slate(k));
+            let via = slate[chosen];
+            let on_path = |other: &&DecisionTrace| {
                 other.len() > k
-                    && other[k].0 != *chosen
-                    && other[..k].iter().zip(&run[..k]).all(|(a, b)| a.0 == b.0)
+                    && other.choice(k) != chosen
+                    && other.choices()[..k] == run.choices()[..k]
             };
-            let earlier = runs[..r].iter().filter(on_path).map(|o| slate[o[k].0]);
+            let earlier = runs[..r].iter().filter(on_path).map(|o| slate[o.choice(k)]);
             let next = earlier
                 .chain(sleep.iter().copied())
                 .filter(|a| a.independent(&via))
@@ -652,8 +679,8 @@ mod tests {
             let (_, runs) = recorded(permutation_runner(fps.clone()), engine);
             for (r, run) in runs.iter().enumerate() {
                 let sleeps = replayed_sleep_sets(&runs, r);
-                for (k, ((chosen, slate), sleep)) in run.iter().zip(&sleeps).enumerate() {
-                    let via = slate[*chosen];
+                for (k, sleep) in sleeps.iter().enumerate() {
+                    let (slate, via) = (run.slate(k), run.chosen(k));
                     if slate.iter().any(|a| !sleep.contains(a)) {
                         assert!(
                             !sleep.contains(&via),
@@ -686,17 +713,20 @@ mod tests {
             // then takes its branch.
             let prefix = runs[..r]
                 .iter()
-                .map(|o| o.iter().zip(run).take_while(|(a, b)| a.0 == b.0).count() + 1)
+                .map(|o| {
+                    let shared = o.choices().iter().zip(run.choices());
+                    shared.take_while(|(a, b)| a == b).count() + 1
+                })
                 .max()
                 .unwrap_or(0);
             let sleeps = replayed_sleep_sets(&runs, r);
-            let met_all_asleep = run
+            let met_all_asleep = sleeps
                 .iter()
-                .zip(&sleeps)
+                .enumerate()
                 .skip(prefix)
-                .any(|((_, slate), sleep)| slate.iter().all(|a| sleep.contains(a)));
+                .any(|(k, sleep)| run.slate(k).iter().all(|a| sleep.contains(a)));
             blocked += usize::from(met_all_asleep);
-            let executed: Vec<SchedAlt> = run.iter().map(|(c, slate)| slate[*c]).collect();
+            let executed: Vec<SchedAlt> = (0..run.len()).map(|k| run.chosen(k)).collect();
             assert!(
                 traces.insert(foata_fingerprint(&executed)) || met_all_asleep,
                 "run {r} repeats a trace but met no wholly asleep slate past its prefix"
@@ -721,7 +751,8 @@ mod tests {
             let e = explore(permutation_runner(fps.clone()), 1_000, engine);
             let mut runner = permutation_runner(fps);
             for (outcome, prefix) in &e.witnesses {
-                let (_, replayed) = runner(ReplayScheduler::with_prefix(prefix.clone()));
+                let sched = ReplayScheduler::with_prefix(prefix.clone());
+                let (_, replayed) = run_once(&mut runner, sched);
                 assert_eq!(replayed.as_ref().ok(), Some(outcome));
             }
         }
@@ -732,13 +763,12 @@ mod tests {
         // The runner fails on the execution where P1 goes first.
         let mut runner = {
             let mut inner = permutation_runner(vec![Footprint::Line(0); 2]);
-            move |sched: ReplayScheduler| {
-                let (decisions, result) = inner(sched);
-                let order = result.unwrap();
+            move |sched: ReplayScheduler, trace: &mut DecisionTrace| {
+                let order = inner(sched, trace).unwrap();
                 if order[0] == 1 {
-                    (decisions, Err("invariant violated".to_owned()))
+                    Err("invariant violated".to_owned())
                 } else {
-                    (decisions, Ok(order))
+                    Ok(order)
                 }
             }
         };
@@ -746,8 +776,38 @@ mod tests {
         let (msg, prefix) = e.error.expect("search must surface the error");
         assert_eq!(msg, "invariant violated");
         // The witness prefix replays to the same error.
-        let (_, replayed) = runner(ReplayScheduler::with_prefix(prefix));
+        let (_, replayed) = run_once(&mut runner, ReplayScheduler::with_prefix(prefix));
         assert!(replayed.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "slate drift under replay")]
+    fn a_replayed_slate_that_changes_panics() {
+        // Two racing events whose slates carry a different tag from the
+        // second run on: the replayed first decision no longer offers what
+        // the first run offered there.
+        let mut runs = 0;
+        let drifting = move |mut sched: ReplayScheduler, trace: &mut DecisionTrace| {
+            runs += 1;
+            let tag = if runs == 1 { "t" } else { "drifted" };
+            let mut ready = vec![0, 1];
+            let mut order = Vec::new();
+            while !ready.is_empty() {
+                let slate: Vec<SchedAlt> = ready
+                    .iter()
+                    .map(|&pid| SchedAlt {
+                        pid,
+                        footprint: Footprint::Line(0),
+                        tag,
+                    })
+                    .collect();
+                let choice = sched.choose(Cycle::ZERO, &slate);
+                trace.push(choice, &slate);
+                order.push(ready.remove(choice) as u64);
+            }
+            Ok(order)
+        };
+        explore(drifting, 1_000, Engine::Dpor);
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! trace gives the outcome and its decision trace the explorer's
 //! backtracking state.
 //!
-//! Each offset cell's machine is built once, with no scheduler attached;
-//! every run of the cell executes a clone of it under the scheduler the
-//! explorer hands over, so no run rebuilds the memory system, the
-//! compiled workload or the event queue. A run that fails keeps its
-//! decisions up to the error, so the machine-error witness replays.
+//! A `(test, model)` verification builds one machine, with no scheduler
+//! attached, and never runs it; moving to another offset cell recompiles
+//! only its program. Every run copies it into one scratch machine with
+//! `clone_from` ([`Machine::rerun`]) and drives the copy under the
+//! scheduler the explorer hands over: no run rebuilds the memory system,
+//! the compiled workload or the event queue, and once the scratch
+//! machine's buffers have grown a run allocates next to nothing. A run
+//! that fails keeps its decisions up to the error, so the machine-error
+//! witness replays.
 //!
 //! ### Why start offsets are swept
 //!
@@ -37,15 +41,15 @@ use dashlat_cpu::config::Consistency;
 use dashlat_cpu::machine::Machine;
 use dashlat_cpu::ops::{Topology, Workload};
 use dashlat_cpu::script::ScriptWorkload;
-use dashlat_cpu::{Decision, EventLog, Observer, ProcConfig};
+use dashlat_cpu::{DecisionTrace, EventLog, Observer, ProcConfig};
 use dashlat_mem::system::{AccessRecord, MemConfig, MemorySystem};
 use dashlat_mem::LatencyTable;
-use dashlat_sim::{Cycle, ReplayScheduler};
+use dashlat_sim::{Cycle, ReplayScheduler, SchedAlt};
 
 use crate::axiomatic;
-use crate::explore::{explore, Engine, Exploration, RunRecord};
+use crate::explore::{explore, Engine, Exploration};
 use crate::litmus::LitmusTest;
-use crate::outcome::{self, format_set, Outcome, OutcomeSet};
+use crate::outcome::{format_set, Extractor, Outcome, OutcomeSet};
 use crate::workload::{compile, layout, LitmusLayout};
 
 /// Default per-verdict run budget. Generous: the most expensive corpus
@@ -156,56 +160,108 @@ fn build<O: Observer>(
 }
 
 /// What the explorer reads from a run: its access trace, which gives the
-/// outcome, and its decision trace.
-type Traces = (Vec<AccessRecord>, Vec<Decision>);
-
-/// One offset cell of a `(test, model)` verification. Its machine is
-/// built once; every run executes a clone of it.
-struct Cell<'a> {
-    test: &'a LitmusTest,
-    lay: &'a LitmusLayout,
-    model: Consistency,
-    offsets: &'a [u64],
-    machine: Machine<ScriptWorkload, Traces>,
+/// outcome, and its decisions. Copied with `clone_from` like the rest of
+/// the machine, so a recycled machine keeps both buffers.
+#[derive(Default)]
+struct Traces {
+    accesses: Vec<AccessRecord>,
+    decisions: DecisionTrace,
 }
 
-impl<'a> Cell<'a> {
-    fn new(
-        test: &'a LitmusTest,
-        lay: &'a LitmusLayout,
-        model: Consistency,
-        offsets: &'a [u64],
-        mutation: Mutation,
-    ) -> Self {
-        let traces = |_: &ScriptWorkload| Traces::default();
-        Cell {
-            test,
-            lay,
-            model,
-            offsets,
-            machine: build(test, lay, model, offsets, mutation, traces),
+impl Clone for Traces {
+    fn clone(&self) -> Self {
+        let Traces {
+            accesses,
+            decisions,
+        } = self;
+        Traces {
+            accesses: accesses.clone(),
+            decisions: decisions.clone(),
         }
     }
 
-    /// Runs one interleaving to completion and extracts its outcome. A
-    /// machine error (invariant violation, deadlock) becomes an `Err` run
-    /// that keeps the decisions leading to it — the explorer stops and
-    /// surfaces them as a replayable witness, which is how the seeded
-    /// coherence mutation is caught.
-    fn run(&self, sched: ReplayScheduler) -> RunRecord {
-        let (result, (accesses, decisions)) = self
-            .machine
-            .clone()
-            .with_scheduler(Box::new(sched))
-            .run_to_end();
-        let outcome = match result {
-            Ok(_) => Ok(outcome::extract(self.test, &self.lay.var_addrs, &accesses)),
+    fn clone_from(&mut self, source: &Self) {
+        let Traces {
+            accesses,
+            decisions,
+        } = self;
+        accesses.clone_from(&source.accesses);
+        decisions.clone_from(&source.decisions);
+    }
+}
+
+impl Observer for Traces {
+    fn access(&mut self, access: AccessRecord) {
+        self.accesses.push(access);
+    }
+
+    fn decision(&mut self, choice: usize, slate: &[SchedAlt]) {
+        self.decisions.push(choice, slate);
+    }
+}
+
+/// The machines of one `(test, model)` verification: the built machine of
+/// the current offset cell, which never runs, and the scratch machine
+/// every run recycles.
+struct Machines<'a> {
+    test: &'a LitmusTest,
+    lay: LitmusLayout,
+    model: Consistency,
+    offsets: Vec<u64>,
+    proto: Machine<ScriptWorkload, Traces>,
+    scratch: Machine<ScriptWorkload, Traces>,
+    extractor: Extractor,
+}
+
+impl<'a> Machines<'a> {
+    fn new(test: &'a LitmusTest, model: Consistency, offsets: &[u64], mutation: Mutation) -> Self {
+        let lay = layout(test, test.nprocs());
+        let proto = build(test, &lay, model, offsets, mutation, |_| Traces::default());
+        Machines {
+            test,
+            model,
+            offsets: offsets.to_vec(),
+            scratch: proto.clone(),
+            proto,
+            extractor: Extractor::new(test),
+            lay,
+        }
+    }
+
+    /// Moves to another offset cell: recompiles the built machine's
+    /// program for `offsets`. Nothing else depends on the offsets.
+    fn enter(&mut self, offsets: &[u64]) {
+        if self.offsets != offsets {
+            self.proto
+                .set_workload(compile(self.test, &self.lay, offsets));
+            self.offsets = offsets.to_vec();
+        }
+    }
+
+    /// Runs one interleaving to completion, recording its decisions in
+    /// `decisions`, and extracts its outcome. A machine error (invariant
+    /// violation, deadlock) becomes an `Err` run that keeps the decisions
+    /// leading to it — the explorer stops and surfaces them as a
+    /// replayable witness, which is how the seeded coherence mutation is
+    /// caught.
+    fn run(
+        &mut self,
+        sched: ReplayScheduler,
+        decisions: &mut DecisionTrace,
+    ) -> Result<Outcome, String> {
+        let (result, traces) = self.scratch.rerun(&self.proto, Box::new(sched));
+        // The two trace buffers trade places every run, so both keep
+        // their storage.
+        std::mem::swap(decisions, &mut traces.decisions);
+        match result {
+            Ok(()) => Ok(self
+                .extractor
+                .extract(&self.lay.var_addrs, &traces.accesses)),
             Err(e) => Err(format!(
                 "litmus {} under {} with offsets {:?}: {e}",
                 self.test.name, self.model, self.offsets
             )),
-        };
-        (decisions, outcome)
+        }
     }
 }
 
@@ -218,9 +274,9 @@ pub fn replay_witness(
     prefix: &[usize],
     mutation: Mutation,
 ) -> Result<Outcome, String> {
-    let lay = layout(test, test.nprocs());
-    let cell = Cell::new(test, &lay, model, offsets, mutation);
-    cell.run(ReplayScheduler::with_prefix(prefix.to_vec())).1
+    let mut machines = Machines::new(test, model, offsets, mutation);
+    let sched = ReplayScheduler::with_prefix(prefix.to_vec());
+    machines.run(sched, &mut DecisionTrace::default())
 }
 
 /// Re-runs one witnessed interleaving with event logging on, for
@@ -251,9 +307,8 @@ pub fn explore_cell(
     max_runs: u64,
     engine: Engine,
 ) -> Exploration {
-    let lay = layout(test, test.nprocs());
-    let cell = Cell::new(test, &lay, model, offsets, Mutation::None);
-    explore(|sched| cell.run(sched), max_runs, engine)
+    let mut machines = Machines::new(test, model, offsets, Mutation::None);
+    explore(|sched, trace| machines.run(sched, trace), max_runs, engine)
 }
 
 /// Every offset vector of the sweep: `{0..=max}^nprocs`.
@@ -393,7 +448,6 @@ fn verify_litmus_opts(
     mutation: Mutation,
     engine: Engine,
 ) -> LitmusVerdict {
-    let lay = layout(test, test.nprocs());
     let reference = axiomatic::allowed(test, model);
     let mut grid = offset_grid(test.nprocs(), test.max_offset);
     for cell in &test.extra_cells {
@@ -408,6 +462,7 @@ fn verify_litmus_opts(
     let mut redundant = 0;
     let mut truncated = false;
     let mut machine_error = None;
+    let mut machines = Machines::new(test, model, &grid[0], mutation);
     for offsets in &grid {
         let budget = max_runs.saturating_sub(runs);
         if budget == 0 {
@@ -422,8 +477,8 @@ fn verify_litmus_opts(
             truncated: cell_truncated,
             error,
         } = {
-            let cell = Cell::new(test, &lay, model, offsets, mutation);
-            explore(|sched| cell.run(sched), budget, engine)
+            machines.enter(offsets);
+            explore(|sched, trace| machines.run(sched, trace), budget, engine)
         };
         runs += cell_runs;
         redundant += cell_redundant;

@@ -23,7 +23,6 @@
 //! exactly once, in program order (reads block).
 
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 
 use dashlat_mem::addr::Addr;
 use dashlat_mem::{AccessKind, AccessRecord};
@@ -57,156 +56,243 @@ pub fn format_set(set: &OutcomeSet) -> String {
     s
 }
 
-/// Reconstructs the outcome of one machine run from its access trace.
-///
-/// `var_addrs[v]` is the address the harness assigned to litmus variable
-/// `v`; records at other addresses (lock lines) are ignored.
-///
-/// # Panics
-///
-/// Panics when the trace cannot be reconciled with the program — more or
-/// fewer read/write services than the program issues. That indicates a
-/// harness-configuration bug (e.g. an access path that retries or
-/// combines), not a memory-model violation, so it is loud rather than a
-/// reported outcome.
-pub fn extract(test: &LitmusTest, var_addrs: &[Addr], trace: &[AccessRecord]) -> Outcome {
-    let nprocs = test.nprocs();
-    let var_of: HashMap<Addr, usize> = var_addrs.iter().enumerate().map(|(v, &a)| (a, v)).collect();
+/// One program write (an RMW's write half included).
+#[derive(Debug, Clone, Copy)]
+struct PlannedWrite {
+    var: usize,
+    val: u64,
+    /// Position in its processor's program.
+    pos: usize,
+    /// For an RMW, the outcome slot its read half fills.
+    slot: Option<usize>,
+}
 
-    // Program-order write plans: for each processor, its writes as
-    // (variable, value, program position, is_rmw); per-(proc, var) FIFO
-    // cursors assign trace records to plan entries. An RMW appears in the
-    // trace as exactly one write record (the machine's indivisible
-    // exclusive access); its *read half* is resolved against the memory
-    // value at that record's coherence position.
-    let mut wplan: Vec<Vec<(usize, u64, usize, bool)>> = vec![Vec::new(); nprocs];
-    // Program-order read plans: (variable, program position).
-    let mut rplan: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nprocs];
-    // Result registers a processor expects (reads + rmws).
-    let mut nregs: Vec<usize> = vec![0; nprocs];
-    for (p, prog) in test.programs.iter().enumerate() {
-        for (pos, op) in prog.iter().enumerate() {
-            match *op {
-                LOp::W(v, val) => wplan[p].push((v, val, pos, false)),
-                LOp::Rmw(v, val) => {
-                    wplan[p].push((v, val, pos, true));
-                    nregs[p] += 1;
+/// One program read.
+#[derive(Debug, Clone, Copy)]
+struct PlannedRead {
+    var: usize,
+    /// Position in its processor's program.
+    pos: usize,
+    /// The outcome slot it fills.
+    slot: usize,
+}
+
+/// Reconstructs the outcomes of a litmus test's machine runs from their
+/// access traces.
+///
+/// The program side — each processor's writes, reads and result slots in
+/// program order — is planned once per test; the per-run bookkeeping
+/// lives in flat buffers the extractor keeps, so extracting an outcome
+/// allocates only the outcome.
+#[derive(Debug, Clone)]
+pub struct Extractor {
+    nvars: usize,
+    /// Every program write, processor-major in program order: processor
+    /// `p`'s are `writes[write_start[p]..write_start[p + 1]]`.
+    writes: Vec<PlannedWrite>,
+    write_start: Vec<usize>,
+    /// Every program read, laid out like `writes`.
+    reads: Vec<PlannedRead>,
+    read_start: Vec<usize>,
+    /// Processor `p`'s result registers are the outcome slots
+    /// `reg_start[p]..reg_start[p + 1]`, in program order.
+    reg_start: Vec<usize>,
+    /// Per run: the trace position each planned write was serviced at
+    /// (`usize::MAX` until it is).
+    serviced: Vec<usize>,
+    /// Per run, per `(processor, variable)`: the writes of that processor
+    /// to that variable serviced so far.
+    cursor: Vec<usize>,
+    /// Per run: each variable's value at the current coherence position.
+    mem: Vec<u64>,
+    /// Per run, per processor: the reads serviced so far.
+    next_read: Vec<usize>,
+    /// Per run, per processor: the result registers filled so far.
+    filled: Vec<usize>,
+}
+
+impl Extractor {
+    /// Plans the extraction of `test`'s outcomes.
+    pub fn new(test: &LitmusTest) -> Self {
+        let nprocs = test.nprocs();
+        let (mut writes, mut reads) = (Vec::new(), Vec::new());
+        let (mut write_start, mut read_start, mut reg_start) = (vec![0], vec![0], vec![0]);
+        let mut slot = 0;
+        for prog in &test.programs {
+            for (pos, op) in prog.iter().enumerate() {
+                match *op {
+                    LOp::W(var, val) => writes.push(PlannedWrite {
+                        var,
+                        val,
+                        pos,
+                        slot: None,
+                    }),
+                    LOp::Rmw(var, val) => {
+                        writes.push(PlannedWrite {
+                            var,
+                            val,
+                            pos,
+                            slot: Some(slot),
+                        });
+                        slot += 1;
+                    }
+                    LOp::R(var) => {
+                        reads.push(PlannedRead { var, pos, slot });
+                        slot += 1;
+                    }
+                    LOp::Acq(_) | LOp::Rel(_) => {}
                 }
-                LOp::R(v) => {
-                    rplan[p].push((v, pos));
-                    nregs[p] += 1;
-                }
-                LOp::Acq(_) | LOp::Rel(_) => {}
             }
+            write_start.push(writes.len());
+            read_start.push(reads.len());
+            reg_start.push(slot);
+        }
+        Extractor {
+            nvars: test.nvars,
+            serviced: vec![usize::MAX; writes.len()],
+            cursor: vec![0; nprocs * test.nvars],
+            mem: vec![0; test.nvars],
+            next_read: vec![0; nprocs],
+            filled: vec![0; nprocs],
+            writes,
+            write_start,
+            reads,
+            read_start,
+            reg_start,
         }
     }
 
-    // Pass 1: assign each data-write record to its program write.
-    // wcursor[p][v] walks p's plan entries for variable v in order.
-    let mut wcursor: Vec<HashMap<usize, usize>> = vec![HashMap::new(); nprocs];
-    // Trace position of each plan write, once serviced.
-    let mut wtrace: Vec<Vec<Option<usize>>> =
-        wplan.iter().map(|plan| vec![None; plan.len()]).collect();
-    for (i, rec) in trace.iter().enumerate() {
-        if rec.kind != AccessKind::Write {
-            continue;
-        }
-        let Some(&v) = var_of.get(&rec.addr) else {
-            continue; // lock line
-        };
-        let p = rec.node.0;
-        let cursor = wcursor[p].entry(v).or_insert(0);
-        let idx = wplan[p]
-            .iter()
-            .enumerate()
-            .filter(|(_, &(wv, _, _, _))| wv == v)
-            .nth(*cursor)
-            .map_or_else(
-                || {
+    /// Reconstructs the outcome of one machine run from its access trace.
+    ///
+    /// `var_addrs[v]` is the address the harness assigned to litmus
+    /// variable `v`; records at other addresses (lock lines) are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace cannot be reconciled with the program — more
+    /// or fewer read/write services than the program issues. That
+    /// indicates a harness-configuration bug (e.g. an access path that
+    /// retries or combines), not a memory-model violation, so it is loud
+    /// rather than a reported outcome.
+    pub fn extract(&mut self, var_addrs: &[Addr], trace: &[AccessRecord]) -> Outcome {
+        let var_of = |addr: Addr| var_addrs.iter().position(|&a| a == addr);
+        self.serviced.fill(usize::MAX);
+        self.cursor.fill(0);
+        self.mem.fill(0);
+        self.next_read.fill(0);
+        self.filled.fill(0);
+
+        // Pass 1: assign each data-write record to its program write. The
+        // `(processor, variable)` cursors walk a processor's writes to one
+        // variable in program order. An RMW appears in the trace as
+        // exactly one write record (the machine's indivisible exclusive
+        // access); its *read half* is resolved against the memory value at
+        // that record's coherence position.
+        for (i, rec) in trace.iter().enumerate() {
+            if rec.kind != AccessKind::Write {
+                continue;
+            }
+            let Some(v) = var_of(rec.addr) else {
+                continue; // lock line
+            };
+            let p = rec.node.0;
+            let cursor = &mut self.cursor[p * self.nvars + v];
+            let idx = (self.write_start[p]..self.write_start[p + 1])
+                .filter(|&j| self.writes[j].var == v)
+                .nth(*cursor)
+                .unwrap_or_else(|| {
                     panic!(
                         "P{p} serviced more writes to var {v} than its program issues \
-                     (trace record {i})"
+                         (trace record {i})"
                     )
-                },
-                |(idx, _)| idx,
-            );
-        *cursor += 1;
-        wtrace[p][idx] = Some(i);
-    }
-    for (p, tr) in wtrace.iter().enumerate() {
-        assert!(
-            tr.iter().all(Option::is_some),
-            "P{p} finished with unserviced program writes — the run ended \
-             with a non-empty write buffer"
-        );
-    }
-
-    // Pass 2: walk the trace in coherence order, maintaining memory values
-    // and resolving each result register — a read forwards from the
-    // reader's still-buffered writes when one covers the address; an RMW's
-    // read half returns the memory value at its own write's coherence
-    // position (the machine drains its buffer before an RMW, so no
-    // forwarding source can exist).
-    let mut mem: Vec<u64> = vec![0; test.nvars];
-    let mut rcursor: Vec<usize> = vec![0; nprocs];
-    // (program position, value) per register, in trace order.
-    let mut regs: Vec<Vec<(usize, u64)>> =
-        (0..nprocs).map(|p| Vec::with_capacity(nregs[p])).collect();
-    for (i, rec) in trace.iter().enumerate() {
-        let Some(&v) = var_of.get(&rec.addr) else {
-            continue;
-        };
-        let p = rec.node.0;
-        match rec.kind {
-            AccessKind::Write => {
-                // Value assigned in pass 1: the plan entry whose trace slot
-                // is exactly i.
-                let (_, val, wpos, is_rmw) = wplan[p][wtrace[p]
-                    .iter()
-                    .position(|&t| t == Some(i))
-                    .expect("pass-1 assignment covers every data write")];
-                if is_rmw {
-                    regs[p].push((wpos, mem[v]));
-                }
-                mem[v] = val;
-            }
-            AccessKind::Read => {
-                let k = rcursor[p];
-                let &(rv, rpos) = rplan[p]
-                    .get(k)
-                    .unwrap_or_else(|| panic!("P{p} serviced more reads than its program issues"));
-                assert_eq!(rv, v, "P{p} read {k} targets var {rv}, trace says {v}");
-                rcursor[p] += 1;
-                // Forward from the latest program-order-earlier write to v
-                // that is still buffered (services later than this read).
-                let fwd = wplan[p]
-                    .iter()
-                    .enumerate()
-                    .rfind(|&(j, &(wv, _, wpos, _))| {
-                        wv == v && wpos < rpos && wtrace[p][j].expect("assigned") > i
-                    })
-                    .map(|(_, &(_, val, _, _))| val);
-                regs[p].push((rpos, fwd.unwrap_or(mem[v])));
-            }
-            AccessKind::ReadPrefetch | AccessKind::ReadExPrefetch => {}
+                });
+            *cursor += 1;
+            self.serviced[idx] = i;
         }
+        for p in 0..self.write_start.len() - 1 {
+            assert!(
+                self.serviced[self.write_start[p]..self.write_start[p + 1]]
+                    .iter()
+                    .all(|&t| t != usize::MAX),
+                "P{p} finished with unserviced program writes — the run ended \
+                 with a non-empty write buffer"
+            );
+        }
+
+        // Pass 2: walk the trace in coherence order, maintaining memory
+        // values and resolving each result register — a read forwards from
+        // the reader's still-buffered writes when one covers the address;
+        // an RMW's read half returns the memory value at its own write's
+        // coherence position (the machine drains its buffer before an
+        // RMW, so no forwarding source can exist). Reads block and an RMW
+        // stalls its processor until it commits, so each processor's
+        // registers must fill in program order.
+        let mut outcome = vec![0; self.reg_start[self.reg_start.len() - 1]];
+        for (i, rec) in trace.iter().enumerate() {
+            let Some(v) = var_of(rec.addr) else {
+                continue;
+            };
+            let p = rec.node.0;
+            let writes = self.write_start[p]..self.write_start[p + 1];
+            let (slot, val) = match rec.kind {
+                AccessKind::Write => {
+                    // Value assigned in pass 1: the plan entry whose trace
+                    // slot is exactly i.
+                    let w = self.writes[writes
+                        .clone()
+                        .find(|&j| self.serviced[j] == i)
+                        .expect("pass-1 assignment covers every data write")];
+                    let read_half = w.slot.map(|slot| (slot, self.mem[v]));
+                    self.mem[v] = w.val;
+                    match read_half {
+                        Some(filled) => filled,
+                        None => continue,
+                    }
+                }
+                AccessKind::Read => {
+                    let k = self.next_read[p];
+                    let r = *self.reads[self.read_start[p]..self.read_start[p + 1]]
+                        .get(k)
+                        .unwrap_or_else(|| {
+                            panic!("P{p} serviced more reads than its program issues")
+                        });
+                    assert_eq!(
+                        r.var, v,
+                        "P{p} read {k} targets var {}, trace says {v}",
+                        r.var
+                    );
+                    self.next_read[p] += 1;
+                    // Forward from the latest program-order-earlier write
+                    // to v that is still buffered (services later than
+                    // this read).
+                    let fwd = writes
+                        .rev()
+                        .find(|&j| {
+                            let w = self.writes[j];
+                            w.var == v && w.pos < r.pos && self.serviced[j] > i
+                        })
+                        .map(|j| self.writes[j].val);
+                    (r.slot, fwd.unwrap_or(self.mem[v]))
+                }
+                AccessKind::ReadPrefetch | AccessKind::ReadExPrefetch => continue,
+            };
+            assert_eq!(
+                slot,
+                self.reg_start[p] + self.filled[p],
+                "P{p} register records out of program order"
+            );
+            self.filled[p] += 1;
+            outcome[slot] = val;
+        }
+        for (p, &filled) in self.filled.iter().enumerate() {
+            assert_eq!(
+                filled,
+                self.reg_start[p + 1] - self.reg_start[p],
+                "P{p} finished with unserviced program reads"
+            );
+        }
+        outcome
     }
-    for (p, regs) in regs.iter().enumerate() {
-        assert_eq!(
-            regs.len(),
-            nregs[p],
-            "P{p} finished with unserviced program reads"
-        );
-        // Reads block and an RMW stalls its processor until it commits,
-        // so register-producing records must appear in program order.
-        assert!(
-            regs.windows(2).all(|w| w[0].0 < w[1].0),
-            "P{p} register records out of program order"
-        );
-    }
-    regs.into_iter()
-        .flat_map(|r| r.into_iter().map(|(_, val)| val))
-        .collect()
 }
 
 #[cfg(test)]
@@ -214,6 +300,10 @@ mod tests {
     use super::*;
     use dashlat_mem::{ServiceClass, LINE_BYTES};
     use dashlat_sim::Cycle;
+
+    fn extract(test: &LitmusTest, var_addrs: &[Addr], trace: &[AccessRecord]) -> Outcome {
+        Extractor::new(test).extract(var_addrs, trace)
+    }
 
     fn rec(i: u64, node: usize, addr: Addr, kind: AccessKind) -> AccessRecord {
         AccessRecord {

@@ -4,8 +4,9 @@
 //! configurations (2–4 processors, 1–4 cache lines, single-line caches so
 //! conflict evictions and their write-backs are reachable). Each frontier
 //! state is expanded by forking the memory system
-//! ([`MemorySystem::fork_protocol`]) and applying one more demand access;
-//! every transition is checked against:
+//! ([`MemorySystem::fork_protocol_from`]) into one scratch state and
+//! applying one more demand access; only a state whose fingerprint is new
+//! is copied into the frontier. Every transition is checked against:
 //!
 //! * the **structural invariants** of
 //!   [`MemorySystem::check_line_invariants`] — single-writer/multiple-
@@ -153,12 +154,28 @@ impl ProtocolReport {
 
 /// Shadow data-value model: which caches hold the latest value of each
 /// line, and whether memory does.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Shadow {
     /// `fresh[line][node]`: node's cached copy holds the latest value.
     fresh: Vec<Vec<bool>>,
     /// `mem_fresh[line]`: memory holds the latest value.
     mem_fresh: Vec<bool>,
+}
+
+impl Clone for Shadow {
+    fn clone(&self) -> Self {
+        let Shadow { fresh, mem_fresh } = self;
+        Shadow {
+            fresh: fresh.clone(),
+            mem_fresh: mem_fresh.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Shadow { fresh, mem_fresh } = self;
+        fresh.clone_from(&source.fresh);
+        mem_fresh.clone_from(&source.mem_fresh);
+    }
 }
 
 impl Shadow {
@@ -172,10 +189,22 @@ impl Shadow {
 
 /// One BFS node: the forked protocol state, its shadow, and the access
 /// path that reached it (for violation reports).
+#[derive(Clone)]
 struct Node {
     sys: MemorySystem,
     shadow: Shadow,
     path: Vec<(usize, usize, AccessKind)>,
+}
+
+impl Node {
+    /// Makes `self` a fork of `source` that one more access can be
+    /// applied to, reusing `self`'s storage.
+    fn fork_from(&mut self, source: &Node) {
+        let Node { sys, shadow, path } = self;
+        sys.fork_protocol_from(&source.sys);
+        shadow.clone_from(&source.shadow);
+        path.clone_from(&source.path);
+    }
 }
 
 fn kind_name(k: AccessKind) -> &'static str {
@@ -194,14 +223,20 @@ fn format_path(path: &[(usize, usize, AccessKind)]) -> String {
         .join(" -> ")
 }
 
-/// 128-bit FNV-1a over a byte stream.
-fn fnv1a_128(bytes: impl IntoIterator<Item = u8>) -> u128 {
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
+/// 128-bit FNV-1a, fed one byte at a time.
+struct Fnv1a128(u128);
+
+impl Fnv1a128 {
+    fn new() -> Self {
+        Fnv1a128(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d)
     }
-    h
+
+    fn push(&mut self, byte: u8) {
+        self.0 ^= u128::from(byte);
+        self.0 = self
+            .0
+            .wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
+    }
 }
 
 fn line_state_byte(s: Option<LineState>) -> u8 {
@@ -216,11 +251,11 @@ fn line_state_byte(s: Option<LineState>) -> u8 {
 /// cache levels' line states per node, plus the shadow freshness bits
 /// (two states with equal caches but different value locations have
 /// different futures for the data-value invariant). Encoded compactly
-/// and hashed; a 128-bit digest makes accidental collisions across a
-/// few-million-state closure vanishingly unlikely.
+/// and hashed as it is encoded; a 128-bit digest makes accidental
+/// collisions across a few-million-state closure vanishingly unlikely.
 fn fingerprint(sys: &MemorySystem, shadow: &Shadow, lines: &[LineAddr]) -> u128 {
     let nodes = sys.config().nodes;
-    let mut enc: Vec<u8> = Vec::with_capacity(lines.len() * (4 + 3 * nodes));
+    let mut enc = Fnv1a128::new();
     for (li, &line) in lines.iter().enumerate() {
         match sys.directory_state(line) {
             DirState::Uncached => enc.push(0),
@@ -245,10 +280,11 @@ fn fingerprint(sys: &MemorySystem, shadow: &Shadow, lines: &[LineAddr]) -> u128 
         }
         enc.push(0x80 | u8::from(shadow.mem_fresh[li]));
     }
-    fnv1a_128(enc)
+    enc.0
 }
 
 /// Applies one access to a forked state, checking every invariant.
+/// `dirty_before` is scratch space, kept across calls.
 fn step(
     node: &mut Node,
     lines: &[LineAddr],
@@ -256,6 +292,7 @@ fn step(
     actor: usize,
     kind: AccessKind,
     lazy: bool,
+    dirty_before: &mut Vec<bool>,
 ) -> Result<(), String> {
     let addr = lines[li].base();
     node.path.push((actor, li, kind));
@@ -263,18 +300,17 @@ fn step(
         Err(format!("{msg}\n  path: {}", format_path(path)))
     };
 
-    // Dirty copies present before the access: a dirty copy that vanishes
-    // without being the invalidation target of this very write must have
-    // been evicted, which writes the latest value back to memory.
+    // Dirty copies present before the access (`dirty_before[line * nodes
+    // + node]`): a dirty copy that vanishes without being the invalidation
+    // target of this very write must have been evicted, which writes the
+    // latest value back to memory.
     let nodes = node.sys.config().nodes;
-    let dirty_before: Vec<Vec<bool>> = lines
-        .iter()
-        .map(|&l| {
-            (0..nodes)
-                .map(|n| node.sys.probe_secondary(NodeId(n), l) == Some(LineState::Dirty))
-                .collect()
-        })
-        .collect();
+    dirty_before.clear();
+    for &l in lines {
+        for n in 0..nodes {
+            dirty_before.push(node.sys.probe_secondary(NodeId(n), l) == Some(LineState::Dirty));
+        }
+    }
 
     let res = node.sys.access(Cycle::ZERO, NodeId(actor), addr, kind);
 
@@ -285,7 +321,7 @@ fn step(
     }
 
     for (i, &l) in lines.iter().enumerate() {
-        for (n, &was_dirty) in dirty_before[i].iter().enumerate().take(nodes) {
+        for (n, &was_dirty) in dirty_before[i * nodes..(i + 1) * nodes].iter().enumerate() {
             let vanished = was_dirty && node.sys.probe_secondary(NodeId(n), l).is_none();
             if vanished {
                 let invalidated = kind == AccessKind::Write && i == li && n != actor;
@@ -420,20 +456,29 @@ fn run_closure(cfg: ProtocolConfig, mem_cfg: MemConfig) -> ProtocolReport {
     };
     let mut seen: HashSet<u128> = HashSet::new();
     seen.insert(fingerprint(&root.sys, &root.shadow, &lines));
+    // Every transition is applied to this one state; most land on a state
+    // already seen, and only a new one is copied into the frontier.
+    let mut next = root.clone();
     let mut frontier = VecDeque::from([root]);
+    let mut dirty_before = Vec::new();
     report.states = 1;
 
     while let Some(node) = frontier.pop_front() {
         for actor in 0..cfg.nodes {
             for li in 0..cfg.lines {
                 for kind in [AccessKind::Read, AccessKind::Write] {
-                    let mut next = Node {
-                        sys: node.sys.fork_protocol(),
-                        shadow: node.shadow.clone(),
-                        path: node.path.clone(),
-                    };
+                    next.fork_from(&node);
                     report.transitions += 1;
-                    if let Err(v) = step(&mut next, &lines, li, actor, kind, cfg.lazy) {
+                    let stepped = step(
+                        &mut next,
+                        &lines,
+                        li,
+                        actor,
+                        kind,
+                        cfg.lazy,
+                        &mut dirty_before,
+                    );
+                    if let Err(v) = stepped {
                         report.violation = Some(v);
                         return report;
                     }
@@ -444,7 +489,7 @@ fn run_closure(cfg: ProtocolConfig, mem_cfg: MemConfig) -> ProtocolReport {
                             report.truncated = true;
                             return report;
                         }
-                        frontier.push_back(next);
+                        frontier.push_back(next.clone());
                     } else {
                         report.dedup_hits += 1;
                     }

@@ -6,7 +6,7 @@ use dash_latency::apps::App;
 use dash_latency::config::ExperimentConfig;
 use dash_latency::cpu::machine::{Machine, RunResult};
 use dash_latency::cpu::trace::TraceRecorder;
-use dash_latency::cpu::{Decision, EventLog, Observer, RunTimeline, Workload};
+use dash_latency::cpu::{DecisionTrace, EventLog, Observer, RunTimeline, Workload};
 use dash_latency::mem::layout::AddressSpaceBuilder;
 use dash_latency::mem::system::{AccessRecord, MemorySystem};
 use dash_latency::sim::{Cycle, FifoScheduler};
@@ -48,7 +48,7 @@ fn observing_every_recorder_at_once_changes_nothing() {
                 ),
                 (
                     RunTimeline::new(Cycle(10_000)),
-                    (TraceRecorder::new(w), Vec::<Decision>::new()),
+                    (TraceRecorder::new(w), DecisionTrace::default()),
                 ),
             )
         };
