@@ -65,7 +65,8 @@ pub struct ExperimentConfig {
     pub check_invariants: bool,
     /// Enforce the write buffer's W→W FIFO retirement order as an online
     /// invariant (see `ProcConfig::enforce_wb_fifo` in `dashlat-cpu`).
-    /// Off by default; chaos testing and supervised sweeps turn it on.
+    /// Off by default; `--enforce-wb-fifo` turns it on, as do the chaos
+    /// shrinker's tests (`crates/core/tests/chaos_shrinker.rs`).
     pub enforce_wb_fifo: bool,
     /// Arm the deliberately seeded W→W write-buffer reordering bug
     /// (`ProcConfig::relaxation_bug`). Only compiled with the

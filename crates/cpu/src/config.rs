@@ -134,9 +134,9 @@ pub struct ProcConfig {
     /// default and deliberately *separate* from [`check_invariants`]: the
     /// memory-model verifier runs seeded-mutation litmus tests (which
     /// reorder on purpose) with coherence checking on, expecting them to
-    /// *complete* with reordered outcomes. Chaos testing and sweep
-    /// supervision turn this on to catch reordering bugs as first-class
-    /// failures.
+    /// *complete* with reordered outcomes. `--enforce-wb-fifo` and the
+    /// chaos shrinker's tests turn this on to catch reordering bugs as
+    /// first-class failures.
     ///
     /// [`check_invariants`]: ProcConfig::check_invariants
     pub enforce_wb_fifo: bool,

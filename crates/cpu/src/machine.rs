@@ -70,21 +70,7 @@ struct MshrTable {
     done: Vec<Cycle>,
 }
 
-impl Clone for MshrTable {
-    fn clone(&self) -> Self {
-        let MshrTable { lines, done } = self;
-        MshrTable {
-            lines: lines.clone(),
-            done: done.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let MshrTable { lines, done } = self;
-        lines.clone_from(&source.lines);
-        done.clone_from(&source.done);
-    }
-}
+dashlat_sim::clone_fields!(MshrTable { lines, done });
 
 impl MshrTable {
     fn with_capacity(cap: usize) -> Self {
@@ -231,107 +217,30 @@ struct Proc {
     faults: Option<FaultInjector>,
 }
 
-impl Clone for Proc {
-    fn clone(&self) -> Self {
-        let Proc {
-            ctxs,
-            loaded,
-            idle_since,
-            finished_at,
-            breakdown,
-            run_lengths,
-            wbuf,
-            wb_meta,
-            wb_active,
-            wb_next_issue,
-            writes_done_horizon,
-            acks_horizon,
-            wb_full_waiters,
-            fence_waiters,
-            pbuf,
-            pb_active,
-            pb_next_issue,
-            pf_full_waiters,
-            outstanding,
-            pending_lockout_pf,
-            pending_lockout_fill,
-            faults,
-        } = self;
-        Proc {
-            ctxs: ctxs.clone(),
-            loaded: *loaded,
-            idle_since: *idle_since,
-            finished_at: *finished_at,
-            breakdown: *breakdown,
-            run_lengths: run_lengths.clone(),
-            wbuf: wbuf.clone(),
-            wb_meta: wb_meta.clone(),
-            wb_active: *wb_active,
-            wb_next_issue: *wb_next_issue,
-            writes_done_horizon: *writes_done_horizon,
-            acks_horizon: *acks_horizon,
-            wb_full_waiters: wb_full_waiters.clone(),
-            fence_waiters: fence_waiters.clone(),
-            pbuf: pbuf.clone(),
-            pb_active: *pb_active,
-            pb_next_issue: *pb_next_issue,
-            pf_full_waiters: pf_full_waiters.clone(),
-            outstanding: outstanding.clone(),
-            pending_lockout_pf: *pending_lockout_pf,
-            pending_lockout_fill: *pending_lockout_fill,
-            faults: faults.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Proc {
-            ctxs,
-            loaded,
-            idle_since,
-            finished_at,
-            breakdown,
-            run_lengths,
-            wbuf,
-            wb_meta,
-            wb_active,
-            wb_next_issue,
-            writes_done_horizon,
-            acks_horizon,
-            wb_full_waiters,
-            fence_waiters,
-            pbuf,
-            pb_active,
-            pb_next_issue,
-            pf_full_waiters,
-            outstanding,
-            pending_lockout_pf,
-            pending_lockout_fill,
-            faults,
-        } = self;
-        ctxs.clone_from(&source.ctxs);
-        *loaded = source.loaded;
-        *idle_since = source.idle_since;
-        *finished_at = source.finished_at;
-        *breakdown = source.breakdown;
-        run_lengths.clone_from(&source.run_lengths);
-        wbuf.clone_from(&source.wbuf);
-        wb_meta.clone_from(&source.wb_meta);
-        *wb_active = source.wb_active;
-        *wb_next_issue = source.wb_next_issue;
-        *writes_done_horizon = source.writes_done_horizon;
-        *acks_horizon = source.acks_horizon;
-        wb_full_waiters.clone_from(&source.wb_full_waiters);
-        fence_waiters.clone_from(&source.fence_waiters);
-        pbuf.clone_from(&source.pbuf);
-        *pb_active = source.pb_active;
-        *pb_next_issue = source.pb_next_issue;
-        pf_full_waiters.clone_from(&source.pf_full_waiters);
-        outstanding.clone_from(&source.outstanding);
-        *pending_lockout_pf = source.pending_lockout_pf;
-        *pending_lockout_fill = source.pending_lockout_fill;
-        faults.clone_from(&source.faults);
-    }
-}
+dashlat_sim::clone_fields!(Proc {
+    ctxs,
+    loaded,
+    idle_since,
+    finished_at,
+    breakdown,
+    run_lengths,
+    wbuf,
+    wb_meta,
+    wb_active,
+    wb_next_issue,
+    writes_done_horizon,
+    acks_horizon,
+    wb_full_waiters,
+    fence_waiters,
+    pbuf,
+    pb_active,
+    pb_next_issue,
+    pf_full_waiters,
+    outstanding,
+    pending_lockout_pf,
+    pending_lockout_fill,
+    faults
+});
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -542,15 +451,16 @@ pub struct RunResult {
     pub mem: MemStats,
     /// Distribution of busy run lengths between long-latency operations.
     pub run_lengths: Distribution,
-    /// Demand shared reads issued (Table 2).
+    /// Demand shared reads committed (Table 2).
     pub shared_reads: u64,
-    /// Demand shared writes issued (Table 2).
+    /// Demand shared writes committed, read-modify-writes included
+    /// (Table 2).
     pub shared_writes: u64,
-    /// Lock acquisitions performed (Table 2's "Locks").
+    /// Lock acquisitions granted (Table 2's "Locks").
     pub lock_acquires: u64,
     /// Per-process barrier arrivals (Table 2's "Barriers").
     pub barrier_arrivals: u64,
-    /// Prefetch operations issued by the program.
+    /// Prefetches the program issued into the prefetch buffer.
     pub prefetches_issued: u64,
     /// Context switches performed.
     pub context_switches: u64,
@@ -602,7 +512,7 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     procs: Vec<Proc>,
     ctxs: Vec<Context>,
     max_cycles: Cycle,
-    // Counters.
+    // Counters: the Table 2 ones grow only in `Machine::commit`.
     shared_reads: u64,
     shared_writes: u64,
     lock_acquires: u64,
@@ -629,112 +539,30 @@ pub struct Machine<W: Workload, O: Observer = ()> {
     alts: Vec<SchedAlt>,
 }
 
-impl<W: Workload + Clone, O: Observer + Clone> Clone for Machine<W, O> {
-    fn clone(&self) -> Self {
-        let Machine {
-            cfg,
-            topo,
-            mem,
-            sync,
-            workload,
-            queue,
-            procs,
-            ctxs,
-            max_cycles,
-            shared_reads,
-            shared_writes,
-            lock_acquires,
-            barrier_arrivals,
-            prefetches_issued,
-            context_switches,
-            invariant_failure,
-            sched,
-            obs,
-            watch_last_t,
-            watch_events_at_t,
-            slate,
-            alts,
-        } = self;
-        Machine {
-            cfg: cfg.clone(),
-            topo: *topo,
-            mem: mem.clone(),
-            sync: sync.clone(),
-            workload: workload.clone(),
-            queue: queue.clone(),
-            procs: procs.clone(),
-            ctxs: ctxs.clone(),
-            max_cycles: *max_cycles,
-            shared_reads: *shared_reads,
-            shared_writes: *shared_writes,
-            lock_acquires: *lock_acquires,
-            barrier_arrivals: *barrier_arrivals,
-            prefetches_issued: *prefetches_issued,
-            context_switches: *context_switches,
-            invariant_failure: invariant_failure.clone(),
-            sched: sched.clone(),
-            obs: obs.clone(),
-            watch_last_t: *watch_last_t,
-            watch_events_at_t: *watch_events_at_t,
-            slate: slate.clone(),
-            alts: alts.clone(),
-        }
-    }
-
-    /// Copies `source` into `self` field by field, each reusing the
-    /// storage `self` already holds. The destructuring names every field,
-    /// so a field added to the machine does not compile until it is
-    /// copied here too: a stale field would silently steer every later
-    /// run of a recycled machine.
-    fn clone_from(&mut self, source: &Self) {
-        let Machine {
-            cfg,
-            topo,
-            mem,
-            sync,
-            workload,
-            queue,
-            procs,
-            ctxs,
-            max_cycles,
-            shared_reads,
-            shared_writes,
-            lock_acquires,
-            barrier_arrivals,
-            prefetches_issued,
-            context_switches,
-            invariant_failure,
-            sched,
-            obs,
-            watch_last_t,
-            watch_events_at_t,
-            slate,
-            alts,
-        } = self;
-        cfg.clone_from(&source.cfg);
-        *topo = source.topo;
-        mem.clone_from(&source.mem);
-        sync.clone_from(&source.sync);
-        workload.clone_from(&source.workload);
-        queue.clone_from(&source.queue);
-        procs.clone_from(&source.procs);
-        ctxs.clone_from(&source.ctxs);
-        *max_cycles = source.max_cycles;
-        *shared_reads = source.shared_reads;
-        *shared_writes = source.shared_writes;
-        *lock_acquires = source.lock_acquires;
-        *barrier_arrivals = source.barrier_arrivals;
-        *prefetches_issued = source.prefetches_issued;
-        *context_switches = source.context_switches;
-        invariant_failure.clone_from(&source.invariant_failure);
-        sched.clone_from(&source.sched);
-        obs.clone_from(&source.obs);
-        *watch_last_t = source.watch_last_t;
-        *watch_events_at_t = source.watch_events_at_t;
-        slate.clone_from(&source.slate);
-        alts.clone_from(&source.alts);
-    }
-}
+dashlat_sim::clone_fields!([W: Workload + Clone, O: Observer + Clone] Machine<W, O> {
+    cfg,
+    topo,
+    mem,
+    sync,
+    workload,
+    queue,
+    procs,
+    ctxs,
+    max_cycles,
+    shared_reads,
+    shared_writes,
+    lock_acquires,
+    barrier_arrivals,
+    prefetches_issued,
+    context_switches,
+    invariant_failure,
+    sched,
+    obs,
+    watch_last_t,
+    watch_events_at_t,
+    slate,
+    alts
+});
 
 impl<W: Workload> Machine<W> {
     /// Builds a machine that observes nothing.
@@ -1480,6 +1308,22 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         self.obs.busy(t, ProcId(pid), cycles.as_u64());
     }
 
+    /// Commits `kind` for `pid` at `t`: counts it under its Table 2
+    /// counter and fires the observer's `commit` hook. Every committed
+    /// operation goes through here once, however often it was issued.
+    #[inline]
+    fn commit(&mut self, t: Cycle, pid: ProcId, kind: EventKind) {
+        match kind {
+            EventKind::Read(_) => self.shared_reads += 1,
+            EventKind::Write(_) => self.shared_writes += 1,
+            EventKind::Prefetch { .. } => self.prefetches_issued += 1,
+            EventKind::Acquire(_) => self.lock_acquires += 1,
+            EventKind::BarrierArrive(_) => self.barrier_arrivals += 1,
+            EventKind::Release(_) | EventKind::BarrierForced(_) | EventKind::Done => {}
+        }
+        self.obs.commit(t, pid, kind);
+    }
+
     /// Looks up an in-flight line; stale entries (already completed) count
     /// as absent.
     fn in_flight(&self, p: usize, line: LineAddr, t: Cycle) -> Option<Cycle> {
@@ -1497,10 +1341,9 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     }
 
     fn do_read(&mut self, t: Cycle, pid: usize, a: Addr) {
-        self.shared_reads += 1;
         // Reads never re-execute (in-flight combining resumes past the
         // op), so issue is the commit point.
-        self.obs.commit(t, ProcId(pid), EventKind::Read(a));
+        self.commit(t, ProcId(pid), EventKind::Read(a));
         let p = self.proc_of(pid);
         // Optimistic out-of-order bound (see ProcConfig::read_lookahead):
         // up to `lookahead` cycles of the miss overlap independent work,
@@ -1547,7 +1390,6 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     }
 
     fn do_write(&mut self, t: Cycle, pid: usize, a: Addr) {
-        self.shared_writes += 1;
         if self.cfg.consistency.buffers_writes() {
             self.rc_write(t, pid, a, WriteKind::Data, None);
         } else {
@@ -1603,8 +1445,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             return;
         }
         // Fence satisfied: the RMW commits here as one exclusive access.
-        self.shared_writes += 1;
-        self.obs.commit(t, ProcId(pid), EventKind::Write(a));
+        self.commit(t, ProcId(pid), EventKind::Write(a));
         let node = self.node_of(pid);
         let r = self.access_mem(t, node, a, AccessKind::Write);
         self.stall(
@@ -1634,8 +1475,6 @@ impl<W: Workload, O: Observer> Machine<W, O> {
                 Some(l) => Op::Release(l),
                 None => Op::Write(a),
             });
-            // Re-issuing a demand write counts only once.
-            self.shared_writes -= u64::from(unlock.is_none());
             self.block(
                 t,
                 pid,
@@ -1648,8 +1487,8 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         // Past the in-flight re-issue: the write commits now. Releases
         // are sync accesses, not data writes, in the event vocabulary.
         match unlock {
-            Some(l) => self.obs.commit(t, ProcId(pid), EventKind::Release(l)),
-            None => self.obs.commit(t, ProcId(pid), EventKind::Write(a)),
+            Some(l) => self.commit(t, ProcId(pid), EventKind::Release(l)),
+            None => self.commit(t, ProcId(pid), EventKind::Write(a)),
         }
         let node = self.node_of(pid);
         let r = self.access_mem(t, node, a, AccessKind::Write);
@@ -1674,7 +1513,6 @@ impl<W: Workload, O: Observer> Machine<W, O> {
                 Some(l) => Op::Release(l),
                 None => Op::Write(a),
             });
-            self.shared_writes -= u64::from(unlock.is_none());
             self.procs[p].wb_full_waiters.push_back(pid);
             let reason = if unlock.is_some() {
                 Reason::Sync
@@ -1694,8 +1532,8 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         // RC commit point (the release's clock snapshot must not include
         // program-order-later writes, so it is taken at issue).
         match unlock {
-            Some(l) => self.obs.commit(t, ProcId(pid), EventKind::Release(l)),
-            None => self.obs.commit(t, ProcId(pid), EventKind::Write(a)),
+            Some(l) => self.commit(t, ProcId(pid), EventKind::Release(l)),
+            None => self.commit(t, ProcId(pid), EventKind::Write(a)),
         }
         let pushed = self.procs[p].wbuf.try_push(PendingWrite {
             addr: a,
@@ -1801,11 +1639,9 @@ impl<W: Workload, O: Observer> Machine<W, O> {
             self.queue.schedule(t, Event::Step(pid));
             return;
         }
-        self.prefetches_issued += 1;
         let p = self.proc_of(pid);
         if self.procs[p].pbuf.is_full() || self.transient_pf_full(p) {
             self.ctxs[pid].pending_op = Some(Op::Prefetch { addr, exclusive });
-            self.prefetches_issued -= 1;
             self.procs[p].pf_full_waiters.push_back(pid);
             self.block(
                 t,
@@ -1818,8 +1654,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
         }
         // Past the buffer-full re-issue: the prefetch is committed to the
         // buffer now.
-        self.obs
-            .commit(t, ProcId(pid), EventKind::Prefetch { addr, exclusive });
+        self.commit(t, ProcId(pid), EventKind::Prefetch { addr, exclusive });
         let overhead = self.cfg.prefetch_issue_overhead;
         self.procs[p].breakdown.prefetch_overhead += overhead;
         let pushed = self.procs[p].pbuf.try_push(PendingPrefetch {
@@ -1921,14 +1756,13 @@ impl<W: Workload, O: Observer> Machine<W, O> {
                 return;
             }
         }
-        self.lock_acquires += 1;
         match self.sync.acquire(l, ProcId(pid)) {
             AcquireOutcome::Granted => {
                 // The lock is ours: the acquire commits here. (Queued
                 // acquires commit in `unlock` when the releaser hands the
                 // lock over — the woken context does not re-execute the
                 // acquire.)
-                self.obs.commit(t, ProcId(pid), EventKind::Acquire(l));
+                self.commit(t, ProcId(pid), EventKind::Acquire(l));
                 // Test&set needs exclusive ownership of the lock line.
                 let addr = self.sync.lock_addr(l);
                 let node = self.node_of(pid);
@@ -1974,7 +1808,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     fn unlock(&mut self, t: Cycle, l: LockId, pid: usize) {
         if let Some(next) = self.sync.release(l, ProcId(pid)) {
             // Hand-off is the queued waiter's acquire commit point.
-            self.obs.commit(t, next, EventKind::Acquire(l));
+            self.commit(t, next, EventKind::Acquire(l));
             // The waiter re-fetches the lock line (it was invalidated by
             // the release) and acquires ownership.
             let addr = self.sync.lock_addr(l);
@@ -1985,9 +1819,8 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     }
 
     fn do_barrier(&mut self, t: Cycle, pid: usize, b: crate::ops::BarrierId) {
-        self.barrier_arrivals += 1;
         // Arrival always commits (barriers never re-execute).
-        self.obs.commit(t, ProcId(pid), EventKind::BarrierArrive(b));
+        self.commit(t, ProcId(pid), EventKind::BarrierArrive(b));
         let addr = self.sync.barrier_addr(b);
         let node = self.node_of(pid);
         // Arrival: atomic increment of the barrier count (needs ownership;
@@ -2031,7 +1864,7 @@ impl<W: Workload, O: Observer> Machine<W, O> {
     }
 
     fn do_done(&mut self, t: Cycle, pid: usize) {
-        self.obs.commit(t, ProcId(pid), EventKind::Done);
+        self.commit(t, ProcId(pid), EventKind::Done);
         self.ctxs[pid].state = CtxState::Finished;
         self.ctxs[pid].finished_at = Some(t);
         let p = self.proc_of(pid);

@@ -163,31 +163,11 @@ pub struct DecisionTrace {
     alts: Vec<SchedAlt>,
 }
 
-impl Clone for DecisionTrace {
-    fn clone(&self) -> Self {
-        let DecisionTrace {
-            choices,
-            ends,
-            alts,
-        } = self;
-        DecisionTrace {
-            choices: choices.clone(),
-            ends: ends.clone(),
-            alts: alts.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let DecisionTrace {
-            choices,
-            ends,
-            alts,
-        } = self;
-        choices.clone_from(&source.choices);
-        ends.clone_from(&source.ends);
-        alts.clone_from(&source.alts);
-    }
-}
+dashlat_sim::clone_fields!(DecisionTrace {
+    choices,
+    ends,
+    alts
+});
 
 impl DecisionTrace {
     /// Appends a decision: `choice` taken from `slate`.

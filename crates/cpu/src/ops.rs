@@ -159,31 +159,11 @@ pub struct SyncConfig {
     pub labeled_ranges: Vec<LabeledRange>,
 }
 
-impl Clone for SyncConfig {
-    fn clone(&self) -> Self {
-        let SyncConfig {
-            lock_addrs,
-            barrier_addrs,
-            labeled_ranges,
-        } = self;
-        SyncConfig {
-            lock_addrs: lock_addrs.clone(),
-            barrier_addrs: barrier_addrs.clone(),
-            labeled_ranges: labeled_ranges.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let SyncConfig {
-            lock_addrs,
-            barrier_addrs,
-            labeled_ranges,
-        } = self;
-        lock_addrs.clone_from(&source.lock_addrs);
-        barrier_addrs.clone_from(&source.barrier_addrs);
-        labeled_ranges.clone_from(&source.labeled_ranges);
-    }
-}
+dashlat_sim::clone_fields!(SyncConfig {
+    lock_addrs,
+    barrier_addrs,
+    labeled_ranges
+});
 
 impl SyncConfig {
     /// The declared label covering `addr`, if any.

@@ -35,35 +35,12 @@ pub struct ScriptWorkload {
     shared_bytes: u64,
 }
 
-impl Clone for ScriptWorkload {
-    fn clone(&self) -> Self {
-        let ScriptWorkload {
-            scripts,
-            cursor,
-            sync,
-            shared_bytes,
-        } = self;
-        ScriptWorkload {
-            scripts: scripts.clone(),
-            cursor: cursor.clone(),
-            sync: sync.clone(),
-            shared_bytes: *shared_bytes,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let ScriptWorkload {
-            scripts,
-            cursor,
-            sync,
-            shared_bytes,
-        } = self;
-        scripts.clone_from(&source.scripts);
-        cursor.clone_from(&source.cursor);
-        sync.clone_from(&source.sync);
-        *shared_bytes = source.shared_bytes;
-    }
-}
+dashlat_sim::clone_fields!(ScriptWorkload {
+    scripts,
+    cursor,
+    sync,
+    shared_bytes
+});
 
 impl ScriptWorkload {
     /// Creates a scripted workload, one op list per process.

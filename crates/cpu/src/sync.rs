@@ -27,31 +27,11 @@ struct Lock {
     waiters: VecDeque<ProcId>,
 }
 
-impl Clone for Lock {
-    fn clone(&self) -> Self {
-        let Lock {
-            addr,
-            holder,
-            waiters,
-        } = self;
-        Lock {
-            addr: *addr,
-            holder: *holder,
-            waiters: waiters.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Lock {
-            addr,
-            holder,
-            waiters,
-        } = self;
-        *addr = source.addr;
-        *holder = source.holder;
-        waiters.clone_from(&source.waiters);
-    }
-}
+dashlat_sim::clone_fields!(Lock {
+    addr,
+    holder,
+    waiters
+});
 
 #[derive(Debug)]
 struct Barrier {
@@ -61,35 +41,12 @@ struct Barrier {
     episodes: u64,
 }
 
-impl Clone for Barrier {
-    fn clone(&self) -> Self {
-        let Barrier {
-            addr,
-            arrived,
-            waiting,
-            episodes,
-        } = self;
-        Barrier {
-            addr: *addr,
-            arrived: *arrived,
-            waiting: waiting.clone(),
-            episodes: *episodes,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Barrier {
-            addr,
-            arrived,
-            waiting,
-            episodes,
-        } = self;
-        *addr = source.addr;
-        *arrived = source.arrived;
-        waiting.clone_from(&source.waiting);
-        *episodes = source.episodes;
-    }
-}
+dashlat_sim::clone_fields!(Barrier {
+    addr,
+    arrived,
+    waiting,
+    episodes
+});
 
 /// Result of a lock acquire attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,39 +77,13 @@ pub struct SyncState {
     barrier_ops: u64,
 }
 
-impl Clone for SyncState {
-    fn clone(&self) -> Self {
-        let SyncState {
-            locks,
-            barriers,
-            participants,
-            lock_ops,
-            barrier_ops,
-        } = self;
-        SyncState {
-            locks: locks.clone(),
-            barriers: barriers.clone(),
-            participants: *participants,
-            lock_ops: *lock_ops,
-            barrier_ops: *barrier_ops,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let SyncState {
-            locks,
-            barriers,
-            participants,
-            lock_ops,
-            barrier_ops,
-        } = self;
-        locks.clone_from(&source.locks);
-        barriers.clone_from(&source.barriers);
-        *participants = source.participants;
-        *lock_ops = source.lock_ops;
-        *barrier_ops = source.barrier_ops;
-    }
-}
+dashlat_sim::clone_fields!(SyncState {
+    locks,
+    barriers,
+    participants,
+    lock_ops,
+    barrier_ops
+});
 
 impl SyncState {
     /// Builds the lock/barrier tables for a workload.

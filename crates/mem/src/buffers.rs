@@ -72,51 +72,16 @@ pub struct WriteBuffer {
     fifo_violation: Option<String>,
 }
 
-impl Clone for WriteBuffer {
-    fn clone(&self) -> Self {
-        let WriteBuffer {
-            entries,
-            capacity,
-            high_water,
-            total_pushed,
-            seqs,
-            next_seq,
-            serviced_high,
-            fifo_violation,
-        } = self;
-        WriteBuffer {
-            entries: entries.clone(),
-            capacity: *capacity,
-            high_water: *high_water,
-            total_pushed: *total_pushed,
-            seqs: seqs.clone(),
-            next_seq: *next_seq,
-            serviced_high: *serviced_high,
-            fifo_violation: fifo_violation.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let WriteBuffer {
-            entries,
-            capacity,
-            high_water,
-            total_pushed,
-            seqs,
-            next_seq,
-            serviced_high,
-            fifo_violation,
-        } = self;
-        entries.clone_from(&source.entries);
-        *capacity = source.capacity;
-        *high_water = source.high_water;
-        *total_pushed = source.total_pushed;
-        seqs.clone_from(&source.seqs);
-        *next_seq = source.next_seq;
-        *serviced_high = source.serviced_high;
-        fifo_violation.clone_from(&source.fifo_violation);
-    }
-}
+dashlat_sim::clone_fields!(WriteBuffer {
+    entries,
+    capacity,
+    high_water,
+    total_pushed,
+    seqs,
+    next_seq,
+    serviced_high,
+    fifo_violation
+});
 
 impl WriteBuffer {
     /// Creates a buffer with the given capacity.
@@ -262,35 +227,12 @@ pub struct PrefetchBuffer {
     total_pushed: u64,
 }
 
-impl Clone for PrefetchBuffer {
-    fn clone(&self) -> Self {
-        let PrefetchBuffer {
-            entries,
-            capacity,
-            high_water,
-            total_pushed,
-        } = self;
-        PrefetchBuffer {
-            entries: entries.clone(),
-            capacity: *capacity,
-            high_water: *high_water,
-            total_pushed: *total_pushed,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let PrefetchBuffer {
-            entries,
-            capacity,
-            high_water,
-            total_pushed,
-        } = self;
-        entries.clone_from(&source.entries);
-        *capacity = source.capacity;
-        *high_water = source.high_water;
-        *total_pushed = source.total_pushed;
-    }
-}
+dashlat_sim::clone_fields!(PrefetchBuffer {
+    entries,
+    capacity,
+    high_water,
+    total_pushed
+});
 
 impl PrefetchBuffer {
     /// Creates a buffer with the given capacity.

@@ -62,21 +62,7 @@ pub struct Cache {
     mask: usize,
 }
 
-impl Clone for Cache {
-    fn clone(&self) -> Self {
-        let Cache { sets, mask } = self;
-        Cache {
-            sets: sets.clone(),
-            mask: *mask,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Cache { sets, mask } = self;
-        sets.clone_from(&source.sets);
-        *mask = source.mask;
-    }
-}
+dashlat_sim::clone_fields!(Cache { sets, mask });
 
 impl Cache {
     /// Creates a cache of `capacity_bytes` (must be a positive multiple of

@@ -97,47 +97,15 @@ pub struct Contention {
     mesh: Option<crate::mesh::Mesh>,
 }
 
-impl Clone for Contention {
-    fn clone(&self) -> Self {
-        let Contention {
-            enabled,
-            occ,
-            bus,
-            net_out,
-            net_in,
-            memory,
-            mesh,
-        } = self;
-        Contention {
-            enabled: *enabled,
-            occ: occ.clone(),
-            bus: bus.clone(),
-            net_out: net_out.clone(),
-            net_in: net_in.clone(),
-            memory: memory.clone(),
-            mesh: mesh.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Contention {
-            enabled,
-            occ,
-            bus,
-            net_out,
-            net_in,
-            memory,
-            mesh,
-        } = self;
-        *enabled = source.enabled;
-        occ.clone_from(&source.occ);
-        bus.clone_from(&source.bus);
-        net_out.clone_from(&source.net_out);
-        net_in.clone_from(&source.net_in);
-        memory.clone_from(&source.memory);
-        mesh.clone_from(&source.mesh);
-    }
-}
+dashlat_sim::clone_fields!(Contention {
+    enabled,
+    occ,
+    bus,
+    net_out,
+    net_in,
+    memory,
+    mesh
+});
 
 impl Contention {
     /// Creates the resource pools for `nodes` nodes. When `enabled` is

@@ -87,43 +87,14 @@ pub struct Directory {
     tracked: usize,
 }
 
-impl Clone for Directory {
-    fn clone(&self) -> Self {
-        let Directory {
-            dense,
-            spill,
-            kind,
-            nodes,
-            broadcasts,
-            tracked,
-        } = self;
-        Directory {
-            dense: dense.clone(),
-            spill: spill.clone(),
-            kind: *kind,
-            nodes: *nodes,
-            broadcasts: *broadcasts,
-            tracked: *tracked,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Directory {
-            dense,
-            spill,
-            kind,
-            nodes,
-            broadcasts,
-            tracked,
-        } = self;
-        dense.clone_from(&source.dense);
-        spill.clone_from(&source.spill);
-        *kind = source.kind;
-        *nodes = source.nodes;
-        *broadcasts = source.broadcasts;
-        *tracked = source.tracked;
-    }
-}
+dashlat_sim::clone_fields!(Directory {
+    dense,
+    spill,
+    kind,
+    nodes,
+    broadcasts,
+    tracked
+});
 
 impl Directory {
     /// Creates an empty full-map directory (all lines `Uncached`).

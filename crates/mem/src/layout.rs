@@ -89,21 +89,7 @@ pub struct PageMap {
     nodes: usize,
 }
 
-impl Clone for PageMap {
-    fn clone(&self) -> Self {
-        let PageMap { homes, nodes } = self;
-        PageMap {
-            homes: homes.clone(),
-            nodes: *nodes,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let PageMap { homes, nodes } = self;
-        homes.clone_from(&source.homes);
-        *nodes = source.nodes;
-    }
-}
+dashlat_sim::clone_fields!(PageMap { homes, nodes });
 
 impl PageMap {
     /// Rebuilds a page map from explicit per-page homes (e.g. from a

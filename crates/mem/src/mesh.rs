@@ -54,39 +54,13 @@ pub struct Mesh {
     coords: Vec<(u32, u32)>,
 }
 
-impl Clone for Mesh {
-    fn clone(&self) -> Self {
-        let Mesh {
-            width,
-            height,
-            links,
-            occupancy,
-            coords,
-        } = self;
-        Mesh {
-            width: *width,
-            height: *height,
-            links: links.clone(),
-            occupancy: *occupancy,
-            coords: coords.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Mesh {
-            width,
-            height,
-            links,
-            occupancy,
-            coords,
-        } = self;
-        *width = source.width;
-        *height = source.height;
-        links.clone_from(&source.links);
-        *occupancy = source.occupancy;
-        coords.clone_from(&source.coords);
-    }
-}
+dashlat_sim::clone_fields!(Mesh {
+    width,
+    height,
+    links,
+    occupancy,
+    coords
+});
 
 impl Mesh {
     /// Frees every link, as if no message had crossed any.

@@ -266,59 +266,18 @@ impl std::fmt::Debug for MemorySystem {
     }
 }
 
-impl Clone for MemorySystem {
-    fn clone(&self) -> Self {
-        let MemorySystem {
-            cfg,
-            page_map,
-            primary,
-            secondary,
-            directory,
-            contention,
-            faults,
-            stats,
-            holders_scratch,
-            dirty_scratch,
-        } = self;
-        MemorySystem {
-            cfg: cfg.clone(),
-            page_map: page_map.clone(),
-            primary: primary.clone(),
-            secondary: secondary.clone(),
-            directory: directory.clone(),
-            contention: contention.clone(),
-            faults: faults.clone(),
-            stats: stats.clone(),
-            holders_scratch: holders_scratch.clone(),
-            dirty_scratch: dirty_scratch.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let MemorySystem {
-            cfg,
-            page_map,
-            primary,
-            secondary,
-            directory,
-            contention,
-            faults,
-            stats,
-            holders_scratch,
-            dirty_scratch,
-        } = self;
-        cfg.clone_from(&source.cfg);
-        page_map.clone_from(&source.page_map);
-        primary.clone_from(&source.primary);
-        secondary.clone_from(&source.secondary);
-        directory.clone_from(&source.directory);
-        contention.clone_from(&source.contention);
-        faults.clone_from(&source.faults);
-        stats.clone_from(&source.stats);
-        holders_scratch.clone_from(&source.holders_scratch);
-        dirty_scratch.clone_from(&source.dirty_scratch);
-    }
-}
+dashlat_sim::clone_fields!(MemorySystem {
+    cfg,
+    page_map,
+    primary,
+    secondary,
+    directory,
+    contention,
+    faults,
+    stats,
+    holders_scratch,
+    dirty_scratch
+});
 
 impl MemorySystem {
     /// Builds the memory system for a machine layout.

@@ -36,6 +36,8 @@
 //! * [`sched`] — the scheduler decision-point abstraction that lets the
 //!   memory-model verifier in `dashlat-verify` enumerate every tie-order
 //!   of same-cycle events instead of the single deterministic one.
+//! * [`clone_fields!`] — the one `Clone` of every machine-state type that
+//!   a recycled machine copies into storage it already holds.
 //!
 //! # Example
 //!
@@ -74,3 +76,47 @@ pub use rng::Xorshift;
 pub use sched::{FifoScheduler, Footprint, ReplayScheduler, SchedAlt, Scheduler};
 pub use time::Cycle;
 pub use vclock::{Epoch, VectorClock};
+
+/// Implements `Clone` for a struct from its field list: `clone` clones
+/// every field, and `clone_from` calls every field's own `clone_from`, so
+/// a copy into a value that has run keeps the storage it grew (a derived
+/// `Clone` never forwards `clone_from` to fields). Both destructure
+/// `Self` with the list and no `..`, so a field left off the list does
+/// not compile. A generic type takes its impl bounds first, in brackets.
+///
+/// ```
+/// struct Table<T> { rows: Vec<T>, width: usize }
+/// dashlat_sim::clone_fields!([T: Clone] Table<T> { rows, width });
+///
+/// let mut grown = Table { rows: vec![0u64; 64], width: 64 };
+/// let storage = grown.rows.as_ptr();
+/// grown.clone_from(&Table { rows: vec![1, 2], width: 2 });
+/// assert_eq!((&grown.rows[..], grown.width), (&[1, 2][..], 2));
+/// assert_eq!(grown.rows.as_ptr(), storage);
+/// ```
+///
+/// The same list without `width` does not compile:
+///
+/// ```compile_fail
+/// struct Table<T> { rows: Vec<T>, width: usize }
+/// dashlat_sim::clone_fields!([T: Clone] Table<T> { rows });
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    ([$($bounds:tt)*] $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl<$($bounds)*> ::core::clone::Clone for $ty {
+            fn clone(&self) -> Self {
+                let Self { $($field),+ } = self;
+                Self { $($field: ::core::clone::Clone::clone($field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),+ } = self;
+                $(::core::clone::Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::clone_fields!([] $ty { $($field),+ });
+    };
+}

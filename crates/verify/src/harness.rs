@@ -168,27 +168,10 @@ struct Traces {
     decisions: DecisionTrace,
 }
 
-impl Clone for Traces {
-    fn clone(&self) -> Self {
-        let Traces {
-            accesses,
-            decisions,
-        } = self;
-        Traces {
-            accesses: accesses.clone(),
-            decisions: decisions.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Traces {
-            accesses,
-            decisions,
-        } = self;
-        accesses.clone_from(&source.accesses);
-        decisions.clone_from(&source.decisions);
-    }
-}
+dashlat_sim::clone_fields!(Traces {
+    accesses,
+    decisions
+});
 
 impl Observer for Traces {
     fn access(&mut self, access: AccessRecord) {

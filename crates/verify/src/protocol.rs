@@ -162,21 +162,7 @@ struct Shadow {
     mem_fresh: Vec<bool>,
 }
 
-impl Clone for Shadow {
-    fn clone(&self) -> Self {
-        let Shadow { fresh, mem_fresh } = self;
-        Shadow {
-            fresh: fresh.clone(),
-            mem_fresh: mem_fresh.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Shadow { fresh, mem_fresh } = self;
-        fresh.clone_from(&source.fresh);
-        mem_fresh.clone_from(&source.mem_fresh);
-    }
-}
+dashlat_sim::clone_fields!(Shadow { fresh, mem_fresh });
 
 impl Shadow {
     fn new(lines: usize, nodes: usize) -> Self {
